@@ -21,19 +21,12 @@ def main(argv=None) -> int:
     parser.add_argument("--algos", default="naive,columns,rows-columns,cover")
     parser.add_argument("--seeds", type=int, default=3)
     parser.add_argument("--ring", choices=["modp", "f64"], default="modp")
-    parser.add_argument("--backend", choices=["classical", "strassen"],
-                        default="classical")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="defaults to MST_THREADS or the CPU count")
     parser.add_argument("--output", default=None,
                         help="CSV path (default: stdout)")
     args = parser.parse_args(argv)
 
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-    records = run_bench(
-        args.min_n, args.max_n, algos, args.seeds,
-        ring_id=args.ring, backend_id=args.backend, threads=args.threads,
-    )
+    records = run_bench(args.min_n, args.max_n, algos, args.seeds, ring_id=args.ring)
     text = records_to_csv(records)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

@@ -414,8 +414,9 @@ def gamma_value(
 
     The rectangular product runs on beta_min-sized square outer
     dimensions; beta_min = 0 degenerates to the linear term alpha1+alpha2.
+    Without a table omega is bounded by COVER_OMEGA_TABLE.
     """
-    tab = table if table is not None else DEFAULT_OMEGA_TABLE
+    tab = table if table is not None else COVER_OMEGA_TABLE
     a1, a2, b1, b2, bmin = gamma_terms(s1, s2, k1, k2)
     core = entropy(s1) + entropy(s2) - a1 - a2 + b1 + b2
     if bmin <= 0.0:
@@ -477,9 +478,10 @@ def gamma_inner_min(
     """min over (kappa1, kappa2) of gamma_value: (value, kappa1, kappa2).
 
     Grid seed (first-occurrence argmin, i.e. ties toward smaller kappa)
-    followed by golden-section coordinate descent.
+    followed by golden-section coordinate descent.  Without a table omega
+    is bounded by COVER_OMEGA_TABLE.
     """
-    tab = table if table is not None else DEFAULT_OMEGA_TABLE
+    tab = table if table is not None else COVER_OMEGA_TABLE
     kap1 = np.linspace(s1, 1.0, grid_points)
     kap2 = np.linspace(s2, 1.0, grid_points)
     grid = _gamma_value_grid(s1, s2, kap1, kap2, tab)

@@ -5,9 +5,7 @@ closed-form pair-iteration predictions, one CSV row per (algo, n, seed).
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .jsonio import generate_family
@@ -23,7 +21,7 @@ from .mst import (
     _guarded_floor,
 )
 from .ring import OpCounter, counting_wrap, make_ring
-from .rmm import make_backend
+from .rmm import ClassicalBackend
 
 CSV_HEADER = (
     "algo,n,seed,sigma,tau,backend,ring,adds,muls,"
@@ -131,7 +129,6 @@ def _run_one(
     n: int,
     seed: int,
     ring_id: str,
-    backend_id: str,
     sigma: float | None,
     tau: float | None,
 ) -> BenchRecord:
@@ -139,9 +136,8 @@ def _run_one(
     ring = counting_wrap(make_ring(ring_id), counter)
     fam = generate_family(n, ring, seed)
     stats = PipelineStats()
-    backend = None if algo == "naive" else make_backend(backend_id)
     started = time.perf_counter()
-    run_transform(algo, fam, sigma=sigma, tau=tau, backend=backend, stats=stats)
+    run_transform(algo, fam, sigma=sigma, tau=tau, stats=stats)
     wall_ms = (time.perf_counter() - started) * 1000.0
     eff_sigma = eff_tau = None
     if algo == "columns":
@@ -155,7 +151,7 @@ def _run_one(
         seed=seed,
         sigma=eff_sigma,
         tau=eff_tau,
-        backend="" if algo == "naive" else backend_id,
+        backend="" if algo == "naive" else ClassicalBackend.id,
         ring=ring_id,
         adds=counter.adds,
         muls=counter.muls,
@@ -165,28 +161,16 @@ def _run_one(
     )
 
 
-def default_thread_count() -> int:
-    raw = os.environ.get("MST_THREADS", "")
-    if raw.strip():
-        count = int(raw)
-        if count < 1:
-            raise ValueError("MST_THREADS must be a positive integer")
-        return count
-    return os.cpu_count() or 1
-
-
 def run_bench(
     min_n: int,
     max_n: int,
     algos: list[str],
     seeds: int,
     ring_id: str = "modp",
-    backend_id: str = "classical",
     sigma: float | None = None,
     tau: float | None = None,
-    threads: int | None = None,
 ) -> list[BenchRecord]:
-    """All (algo, n, seed) records, computed in a thread pool, sorted."""
+    """All (algo, n, seed) records, computed one after another, sorted."""
     if not 1 <= min_n <= max_n <= MAX_BENCH_N:
         raise ValueError(f"need 1 <= min_n <= max_n <= {MAX_BENCH_N}")
     for algo in algos:
@@ -196,23 +180,12 @@ def run_bench(
         raise ValueError(f"naive benchmarks support n <= {MAX_NAIVE_BENCH_N}")
     if seeds < 1:
         raise ValueError("need at least one seed")
-    jobs = [
-        (algo, n, seed)
+    records = [
+        _run_one(algo, n, seed, ring_id, sigma, tau)
         for algo in algos
         for n in range(min_n, max_n + 1)
         for seed in range(seeds)
     ]
-    workers = threads if threads is not None else default_thread_count()
-
-    def work(job):
-        algo, n, seed = job
-        return _run_one(algo, n, seed, ring_id, backend_id, sigma, tau)
-
-    if workers == 1:
-        records = [work(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(work, jobs))
     records.sort(key=lambda r: (r.algo, r.n, r.seed))
     return records
 

@@ -12,6 +12,7 @@ import sys
 
 from . import jsonio
 from .analysis import (
+    ConvexOmegaTable,
     gamma_search,
     optimize_columns,
     optimize_rows_columns,
@@ -21,7 +22,6 @@ from .cover import greedy_cover
 from .dag import robinson_count, sum_acyclic_digraphs
 from .mst import ALGORITHMS, PipelineStats, run_transform
 from .ring import OpCounter, counting_wrap, make_ring
-from .rmm import make_backend
 
 
 def _add_ring_flags(sub: argparse.ArgumentParser) -> None:
@@ -51,10 +51,8 @@ def _cmd_mst(args) -> int:
     ring = counting_wrap(base_ring, counter) if args.count_ops else base_ring
     fam = jsonio.family_from_dict(ring, jsonio.load_json(args.input))
     stats = PipelineStats()
-    backend = None if args.algo == "naive" else make_backend(args.backend)
     result = run_transform(
-        args.algo, fam, sigma=args.sigma, tau=args.tau,
-        backend=backend, stats=stats,
+        args.algo, fam, sigma=args.sigma, tau=args.tau, stats=stats
     )
     _emit(args, jsonio.set_function_to_dict(result))
     if args.count_ops:
@@ -72,10 +70,7 @@ def _cmd_mst(args) -> int:
 def _cmd_dag_sum(args) -> int:
     ring = _make_ring(args)
     wsys = jsonio.weight_system_from_dict(ring, jsonio.load_json(args.weights))
-    result = sum_acyclic_digraphs(
-        wsys, args.algo, sigma=args.sigma, tau=args.tau,
-        targets_only=args.targets_only,
-    )
+    result = sum_acyclic_digraphs(wsys, args.algo, sigma=args.sigma, tau=args.tau)
     if args.output:
         jsonio.save_json(
             args.output,
@@ -102,20 +97,26 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    if args.target == "gamma" and args.mode is not None:
+        raise ValueError("--mode does not apply to --target gamma")
+    mode = args.mode or "paper"
     table = None
     if args.omega_table:
         table = jsonio.omega_table_from_dict(jsonio.load_json(args.omega_table))
     if args.target == "columns":
-        report = optimize_columns(mode=args.mode, table=table)
+        report = optimize_columns(mode=mode, table=table)
     elif args.target == "rows-columns":
         kwargs = {}
         if args.resolution is not None:
             kwargs["resolution"] = args.resolution
-        report = optimize_rows_columns(mode=args.mode, table=table, **kwargs)
+        report = optimize_rows_columns(mode=mode, table=table, **kwargs)
     else:
         kwargs = {}
         if args.resolution is not None:
             kwargs["resolution"] = args.resolution
+        if table is not None:
+            # omega is convex in k, so chords between the file's anchors are valid bounds
+            table = ConvexOmegaTable(table.anchors)
         report = gamma_search(table=table, **kwargs)
     _emit(args, report.to_json_dict())
     return 0
@@ -125,8 +126,7 @@ def _cmd_bench(args) -> int:
     algos = [a.strip() for a in args.algos.split(",") if a.strip()]
     records = run_bench(
         args.min_n, args.max_n, algos, args.seeds,
-        ring_id=args.ring, backend_id=args.backend,
-        sigma=args.sigma, tau=args.tau, threads=args.threads,
+        ring_id=args.ring, sigma=args.sigma, tau=args.tau,
     )
     text = records_to_csv(records)
     if args.output:
@@ -164,8 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=ALGORITHMS, default="naive")
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--backend", choices=["classical", "strassen"],
-                   default="classical")
     _add_ring_flags(p)
     p.add_argument("--count-ops", action="store_true")
     p.add_argument("--output", default=None)
@@ -176,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=ALGORITHMS, default="naive")
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--targets-only", action="store_true")
     _add_ring_flags(p)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_dag_sum)
@@ -195,8 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("optimize", help="parameter optimization reports")
     p.add_argument("--target", choices=["columns", "rows-columns", "gamma"],
                    required=True)
-    p.add_argument("--mode", choices=["paper", "line", "table"],
-                   default="paper")
+    p.add_argument("--mode", choices=["paper", "line", "table"], default=None,
+                   help="omega bound for columns and rows-columns (default: paper)")
     p.add_argument("--resolution", type=float, default=None)
     p.add_argument("--omega-table", default=None)
     p.add_argument("--output", default=None)
@@ -207,11 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--algos", default="naive,columns,rows-columns,cover")
     p.add_argument("--seeds", type=int, default=3)
-    p.add_argument("--backend", choices=["classical", "strassen"],
-                   default="classical")
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--tau", type=float, default=None)
-    p.add_argument("--threads", type=int, default=None)
     _add_ring_flags(p)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_bench)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitops import bits_of, size_buckets
-from .mst import PipelineStats, run_transform
+from .mst import PipelineStats, naive_at, run_transform
 from .ring import Ring
 from .setfn import MAX_GROUND_SET, Family, SetFunction, zeta_transform
 
@@ -187,46 +187,25 @@ def _static_members(wsys: WeightSystem) -> list[SetFunction]:
     return members
 
 
-def build_dag_family(wsys: WeightSystem, a_table: list, t: int) -> Family:
-    """Inputs for round t of the transform-based recurrence.
+def round_families(wsys: WeightSystem, a: list):
+    """Yield (t, family) for rounds t = 1..n of the transform-based recurrence.
 
-    The auxiliary member carries (-1)^|S| * a[S] for |S| < t and zero
-    for larger S, which cuts off the recurrence exactly at round t.
+    The node members are built once per call.  The auxiliary member
+    carries (-1)^|S| * a[S] for |S| < t and zero for larger S, which cuts
+    off the recurrence exactly at round t; its table is extended in place
+    from `a` before each yield, so a[S] for |S| = t - 1 must be known when
+    round t is requested.
     """
-    if not 1 <= t <= wsys.n:
-        raise ValueError("round index out of range")
     ring = wsys.ring
-    aux_bit = 1 << wsys.n
-    aux_vals = [ring.zero] * (1 << (wsys.n + 1))
-    for s_mask in range(1 << wsys.n):
-        size = s_mask.bit_count()
-        if size <= t - 1:
-            aux_vals[s_mask | aux_bit] = _signed_by_parity(ring, size, a_table[s_mask])
+    n = wsys.n
+    aux_bit = 1 << n
     members = _static_members(wsys)
-    members.append(SetFunction(ring, wsys.n + 1, aux_vals))
-    return Family(ring, wsys.n + 1, members)
-
-
-def _naive_at_targets(fam: Family, targets: list[int]) -> dict:
-    ring = fam.ring
-    members = [m.values for m in fam.members]
-    add, mul = ring.add, ring.mul
-    one = ring.one
-    out = {}
-    for t_mask in targets:
-        bits = bits_of(t_mask)
-        acc = ring.zero
-        s_mask = t_mask
-        while True:
-            prod = one
-            for i in bits:
-                prod = mul(prod, members[i][s_mask])
-            acc = add(acc, prod)
-            if s_mask == 0:
-                break
-            s_mask = (s_mask - 1) & t_mask
-        out[t_mask] = acc
-    return out
+    aux_vals = [ring.zero] * (1 << (n + 1))
+    buckets = size_buckets(n)
+    for t in range(1, n + 1):
+        for s_mask in buckets[t - 1]:
+            aux_vals[s_mask | aux_bit] = _signed_by_parity(ring, t - 1, a[s_mask])
+        yield t, Family(ring, n + 1, members + [SetFunction(ring, n + 1, aux_vals)])
 
 
 def sum_acyclic_digraphs(
@@ -235,43 +214,28 @@ def sum_acyclic_digraphs(
     sigma: float | None = None,
     tau: float | None = None,
     backend=None,
-    planner=None,
     stats: PipelineStats | None = None,
-    targets_only: bool = False,
 ) -> DagSumResult:
     """The subset-sum table a[.] via n rounds of multi-subset transforms.
 
     Round t recovers a[T] for all |T| = t as (-1)^(t+1) times the
-    transform value at T plus the auxiliary element; the auxiliary
-    member is extended with the freshly signed a-values between rounds.
-    targets_only restricts the naive transform to the entries a round
-    actually consumes (other algorithms always produce the full table).
+    transform value at T plus the auxiliary element.  The naive route
+    evaluates only those targets; the fast routes compute the full table.
     """
     ring = wsys.ring
     n = wsys.n
     aux_bit = 1 << n
     a: list = [None] * (1 << n)
     a[0] = ring.one
-    members = _static_members(wsys)
-    aux_vals = [ring.zero] * (1 << (n + 1))
     buckets = size_buckets(n)
-    for t in range(1, n + 1):
-        for s_mask in buckets[t - 1]:
-            aux_vals[s_mask | aux_bit] = _signed_by_parity(
-                ring, t - 1, a[s_mask]
-            )
-        fam = Family(ring, n + 1, members + [SetFunction(ring, n + 1, aux_vals)])
-        if targets_only and algo == "naive":
-            g_at = _naive_at_targets(fam, [m | aux_bit for m in buckets[t]])
-            for t_mask in buckets[t]:
-                value = g_at[t_mask | aux_bit]
-                a[t_mask] = value if t % 2 == 1 else ring.neg(value)
+    for t, fam in round_families(wsys, a):
+        if algo == "naive":
+            values = naive_at(fam, [m | aux_bit for m in buckets[t]], stats)
         else:
             g = run_transform(
-                algo, fam, sigma=sigma, tau=tau, backend=backend,
-                planner=planner, stats=stats,
-            )
-            for t_mask in buckets[t]:
-                value = g.values[t_mask | aux_bit]
-                a[t_mask] = value if t % 2 == 1 else ring.neg(value)
+                algo, fam, sigma=sigma, tau=tau, backend=backend, stats=stats
+            ).values
+            values = [g[m | aux_bit] for m in buckets[t]]
+        for t_mask, value in zip(buckets[t], values):
+            a[t_mask] = value if t % 2 == 1 else ring.neg(value)
     return DagSumResult(ring, n, a)

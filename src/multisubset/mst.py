@@ -10,14 +10,21 @@ after splitting the ground set in half: each (T, S) term factors as a
 product of a part-1 bracket and a part-2 bracket, so summing over a set
 of columns S is a rectangular product between the two bracket matrices.
 
+Each fast variant is a plan: an ordered sequence of steps that one
+executor runs into a single output table.  A `Product` step adds the
+terms of its columns to every cell T1 | T2 of its row lists by one
+rectangular product; a `Scan` step adds the terms of its columns to
+every superset T by a direct scan, optionally skipping the pairs a
+trimmed product covers.
+
 * `mst_columns` sends every column of popcount <= floor(sigma*n) through
   one big rectangular multiplication and finishes the large columns by a
   direct superset scan.
 * `mst_rows_columns` additionally trims the matrix rows: the product is
   only taken over row halves larger than a threshold, and the remaining
   (small-row, small-column) pairs are folded into the direct scan.
-* `mst_cover_columns` chops the small-column work into blocks indexed by
-  greedy covering designs so each rectangular product is dense.
+* `mst_cover_columns` chops the column work into blocks indexed by
+  greedy covering designs, one product per block pair.
 """
 
 from __future__ import annotations
@@ -27,7 +34,6 @@ from dataclasses import dataclass
 
 from .bitops import bits_of, subsets_of_size
 from .cover import greedy_cover
-from .ring import Ring
 from .rmm import ClassicalBackend, RmmBackend, SubMatrix
 from .setfn import Family, SetFunction
 
@@ -75,15 +81,28 @@ class PipelineStats:
 
 
 @dataclass
-class PartialResult:
-    """Transform contribution from a subset of (T, S) pairs."""
+class Product:
+    """Plan step: the columns' terms at every T1 | T2 by one rectangular product.
 
-    n: int
-    values: list
+    rows1 holds part-1 masks, rows2 part-2 masks; each (T1 | T2, S) pair
+    is summed once, so a plan must not give it to another step too.
+    """
 
-    def add_into(self, ring: Ring, acc: list) -> None:
-        for idx, v in enumerate(self.values):
-            acc[idx] = ring.add(acc[idx], v)
+    rows1: list[int]
+    cols: list[int]
+    rows2: list[int]
+
+
+@dataclass
+class Scan:
+    """Plan step: the columns' terms at every superset T by the direct scan.
+
+    With thresholds (t1, t2), every T with more than t1 part-1 and more
+    than t2 part-2 elements is skipped (a trimmed product covers it).
+    """
+
+    cols: list[int]
+    thresholds: tuple[int, int] | None = None
 
 
 def _guarded_floor(x: float) -> int:
@@ -96,16 +115,15 @@ def _require_open(value: float, lo: float, hi: float, name: str) -> None:
         raise ValueError(f"{name} must lie strictly between {lo:.4g} and {hi:.4g}")
 
 
-def mst_naive(fam: Family, stats: PipelineStats | None = None) -> SetFunction:
-    """Direct evaluation over all 3^n (T, S subseteq T) pairs."""
+def naive_at(fam: Family, targets, stats: PipelineStats | None = None) -> list:
+    """g(T) for each T in targets, by the definition (2^|T| pairs each)."""
     ring = fam.ring
-    n = fam.n
     members = [m.values for m in fam.members]
     add, mul = ring.add, ring.mul
     one = ring.one
-    g = []
+    out = []
     pairs = 0
-    for t_mask in range(1 << n):
+    for t_mask in targets:
         bits = bits_of(t_mask)
         acc = ring.zero
         s_mask = t_mask
@@ -118,10 +136,15 @@ def mst_naive(fam: Family, stats: PipelineStats | None = None) -> SetFunction:
             if s_mask == 0:
                 break
             s_mask = (s_mask - 1) & t_mask
-        g.append(acc)
+        out.append(acc)
     if stats is not None:
         stats.pair_iterations += pairs
-    return SetFunction(ring, n, g)
+    return out
+
+
+def mst_naive(fam: Family, stats: PipelineStats | None = None) -> SetFunction:
+    """Direct evaluation over all 3^n (T, S subseteq T) pairs."""
+    return SetFunction(fam.ring, fam.n, naive_at(fam, range(1 << fam.n), stats))
 
 
 def build_submatrix(
@@ -160,16 +183,17 @@ def build_submatrix(
     return SubMatrix(list(rows), list(cols), entries)
 
 
-def _fast_rmm_into(
+def _product_into(
     fam: Family,
     split: GroundSplit,
-    rows1: list[int],
-    cols: list[int],
-    rows2: list[int],
+    step: Product,
     backend: RmmBackend,
     g: list,
     stats: PipelineStats | None,
 ) -> None:
+    if stats is not None:
+        stats.columns_processed += len(step.cols)
+    rows1, cols, rows2 = step.rows1, step.cols, step.rows2
     if not rows1 or not rows2 or not cols:
         return
     e1 = build_submatrix(fam, split, 1, rows1, cols)
@@ -181,22 +205,6 @@ def _fast_rmm_into(
         for j, t2 in enumerate(rows2):
             idx = t1 | t2
             g[idx] = add(g[idx], row[j])
-
-
-def fast_rmm(
-    fam: Family,
-    split: GroundSplit,
-    rows1: list[int],
-    cols: list[int],
-    rows2: list[int],
-    backend: RmmBackend | None = None,
-    stats: PipelineStats | None = None,
-) -> PartialResult:
-    """Sum the contribution of the given columns to every T1 | T2 cell."""
-    backend = backend or ClassicalBackend()
-    g = [fam.ring.zero] * (1 << fam.n)
-    _fast_rmm_into(fam, split, rows1, cols, rows2, backend, g, stats)
-    return PartialResult(fam.n, g)
 
 
 def _direct_scan(
@@ -264,50 +272,32 @@ def _direct_scan(
         stats.pair_iterations += pairs
 
 
-def columns_directly(
-    fam: Family, cols: list[int], stats: PipelineStats | None = None
-) -> PartialResult:
-    """Contribution of the given columns via the superset scan."""
-    g = [fam.ring.zero] * (1 << fam.n)
-    _direct_scan(fam, cols, g, stats)
-    return PartialResult(fam.n, g)
-
-
-def rows_trimmed(
+def _execute(
     fam: Family,
     split: GroundSplit,
-    tau: float,
-    cols: list[int],
-    backend: RmmBackend | None = None,
-    stats: PipelineStats | None = None,
-) -> PartialResult:
-    """Contribution of the given columns with row-threshold trimming."""
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must lie in [0, 1]")
+    steps,
+    backend: RmmBackend | None,
+    stats: PipelineStats | None,
+) -> SetFunction:
+    """Run a plan's steps in order into one output table."""
     backend = backend or ClassicalBackend()
     g = [fam.ring.zero] * (1 << fam.n)
-    _rows_trimmed_into(fam, split, tau, cols, backend, g, stats)
-    return PartialResult(fam.n, g)
+    for step in steps:
+        if isinstance(step, Scan):
+            _direct_scan(fam, step.cols, g, stats, split, step.thresholds)
+        else:
+            _product_into(fam, split, step, backend, g, stats)
+    return SetFunction(fam.ring, fam.n, g)
 
 
 def row_thresholds(split: GroundSplit, tau: float) -> tuple[int, int]:
     return _guarded_floor(tau * split.h1), _guarded_floor(tau * split.h2)
 
 
-def _rows_trimmed_into(
-    fam: Family,
-    split: GroundSplit,
-    tau: float,
-    cols: list[int],
-    backend: RmmBackend,
-    g: list,
-    stats: PipelineStats | None,
-) -> None:
-    t1, t2 = row_thresholds(split, tau)
-    _direct_scan(fam, cols, g, stats, split=split, thresholds=(t1, t2))
-    rows1 = [t for t in range(1 << split.h1) if t.bit_count() > t1]
-    rows2 = [t << split.h1 for t in range(1 << split.h2) if t.bit_count() > t2]
-    _fast_rmm_into(fam, split, rows1, cols, rows2, backend, g, stats)
+def _half_rows(split: GroundSplit, part: int, above: int = -1) -> list[int]:
+    """Row masks of one half with more than `above` elements, ascending."""
+    h, shift = (split.h1, 0) if part == 1 else (split.h2, split.h1)
+    return [t << shift for t in range(1 << h) if t.bit_count() > above]
 
 
 def small_large_columns(n: int, s0: int) -> tuple[list[int], list[int]]:
@@ -325,19 +315,13 @@ def mst_columns(
 ) -> SetFunction:
     """Columns algorithm: small columns via one rectangular product."""
     _require_open(sigma, 1.0 / 3.0, 1.0 / 2.0, "sigma")
-    backend = backend or ClassicalBackend()
-    n = fam.n
-    split = GroundSplit.for_n(n)
-    s0 = _guarded_floor(sigma * n)
-    small, large = small_large_columns(n, s0)
-    g = [fam.ring.zero] * (1 << n)
-    rows1 = list(range(1 << split.h1))
-    rows2 = [t << split.h1 for t in range(1 << split.h2)]
-    _fast_rmm_into(fam, split, rows1, small, rows2, backend, g, stats)
-    if stats is not None:
-        stats.columns_processed += len(small)
-    _direct_scan(fam, large, g, stats)
-    return SetFunction(fam.ring, n, g)
+    split = GroundSplit.for_n(fam.n)
+    small, large = small_large_columns(fam.n, _guarded_floor(sigma * fam.n))
+    plan = (
+        Product(_half_rows(split, 1), small, _half_rows(split, 2)),
+        Scan(large),
+    )
+    return _execute(fam, split, plan, backend, stats)
 
 
 def mst_rows_columns(
@@ -350,24 +334,15 @@ def mst_rows_columns(
     """Rows-and-columns algorithm: trimmed rows on the small columns."""
     _require_open(sigma, 1.0 / 3.0, 1.0 / 2.0, "sigma")
     _require_open(tau, 1.0 / 2.0, 2.0 / 3.0, "tau")
-    backend = backend or ClassicalBackend()
-    n = fam.n
-    split = GroundSplit.for_n(n)
-    s0 = _guarded_floor(sigma * n)
-    small, large = small_large_columns(n, s0)
-    g = [fam.ring.zero] * (1 << n)
-    _rows_trimmed_into(fam, split, tau, small, backend, g, stats)
-    if stats is not None:
-        stats.columns_processed += len(small)
-    _direct_scan(fam, large, g, stats)
-    return SetFunction(fam.ring, n, g)
-
-
-class TrivialCoverPlanner:
-    """Always uses the whole half as the single block (k_p = h_p)."""
-
-    def select(self, split: GroundSplit, s1: int, s2: int) -> tuple[int, int]:
-        return split.h1, split.h2
+    split = GroundSplit.for_n(fam.n)
+    small, large = small_large_columns(fam.n, _guarded_floor(sigma * fam.n))
+    t1, t2 = row_thresholds(split, tau)
+    plan = (
+        Scan(small, (t1, t2)),
+        Product(_half_rows(split, 1, t1), small, _half_rows(split, 2, t2)),
+        Scan(large),
+    )
+    return _execute(fam, split, plan, backend, stats)
 
 
 class MeasuredCostPlanner:
@@ -415,31 +390,19 @@ def _block_cost(h1: int, h2: int, s1: int, s2: int, k1: int, k2: int) -> float:
     return blocks * (r1 * width * r2 + width * (r1 + r2))
 
 
-def mst_cover_columns(
-    fam: Family,
-    planner=None,
-    backend: RmmBackend | None = None,
-    stats: PipelineStats | None = None,
-) -> SetFunction:
-    """Cover-columns algorithm: dense blocks from greedy covering designs.
+def _cover_plan(split: GroundSplit):
+    """One product per block pair, generated as the executor asks for it.
 
-    Columns are processed in rounds by (popcount in part 1, popcount in
-    part 2); covering designs tile each round into block pairs, and a
-    covered-set keeps every column's contribution counted exactly once.
+    Columns come in classes by (popcount in part 1, popcount in part 2);
+    covering designs tile each class into block pairs, and a covered-set
+    keeps every column's contribution counted exactly once.
     """
-    planner = planner or MeasuredCostPlanner()
-    backend = backend or ClassicalBackend()
-    ring = fam.ring
-    n = fam.n
-    split = GroundSplit.for_n(n)
     h1, h2 = split.h1, split.h2
-    g = [ring.zero] * (1 << n)
-    covered = bytearray(1 << n)
+    planner = MeasuredCostPlanner()
+    covered = bytearray(1 << split.n)
     for s1 in range(h1 + 1):
         for s2 in range(h2 + 1):
             k1, k2 = planner.select(split, s1, s2)
-            if not (s1 <= k1 <= h1 and s2 <= k2 <= h2):
-                raise ValueError(f"planner chose invalid block sizes ({k1}, {k2})")
             design1 = greedy_cover(h1, k1, s1)
             design2 = greedy_cover(h2, k2, s2)
             for key1 in design1.blocks:
@@ -459,12 +422,25 @@ def mst_cover_columns(
                         for t in range(1 << h2)
                         if (t & key2).bit_count() >= s2
                     ]
-                    _fast_rmm_into(fam, split, rows1, cols, rows2, backend, g, stats)
                     for c in cols:
                         covered[c] = 1
-                    if stats is not None:
-                        stats.columns_processed += len(cols)
-    return SetFunction(ring, n, g)
+                    yield Product(rows1, cols, rows2)
+
+
+def mst_cover_columns(
+    fam: Family,
+    backend: RmmBackend | None = None,
+    stats: PipelineStats | None = None,
+) -> SetFunction:
+    """Cover-columns algorithm: dense blocks from greedy covering designs.
+
+    Kept to reproduce the paper, not for speed.  Under the classical cost
+    model `MeasuredCostPlanner` picks blocks of exactly the column size
+    for every class, so each product covers one column and the run issues
+    3^n kernel multiplications, the naive pair count.
+    """
+    split = GroundSplit.for_n(fam.n)
+    return _execute(fam, split, _cover_plan(split), backend, stats)
 
 
 def run_transform(
@@ -473,7 +449,6 @@ def run_transform(
     sigma: float | None = None,
     tau: float | None = None,
     backend: RmmBackend | None = None,
-    planner=None,
     stats: PipelineStats | None = None,
 ) -> SetFunction:
     """Dispatch by algorithm name (see ALGORITHMS)."""
@@ -492,5 +467,5 @@ def run_transform(
             stats,
         )
     if algo == "cover":
-        return mst_cover_columns(fam, planner, backend, stats)
+        return mst_cover_columns(fam, backend, stats)
     raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")

@@ -3,13 +3,12 @@
 Both operands share the column index set: multiply(A, B) returns
 P[i][j] = sum_c A[i][c] * B[j][c], i.e. A times B transposed.  The
 classical kernel performs exactly rows(A) * cols * rows(B) ring
-multiplications; the Strassen kernel pads to a square power of two and
-recurses, which only needs ring add/sub/mul (no division).
+multiplications.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ring import Ring
 
@@ -28,22 +27,6 @@ class SubMatrix:
         for row in self.entries:
             if len(row) != len(self.cols):
                 raise ValueError("entry column count does not match column labels")
-
-
-def _classical_kernel(ring: Ring, a_rows: list[list], b_rows: list[list], width: int):
-    out = []
-    add = ring.add
-    mul = ring.mul
-    zero = ring.zero
-    for arow in a_rows:
-        orow = []
-        for brow in b_rows:
-            acc = zero
-            for x, y in zip(arow, brow):
-                acc = add(acc, mul(x, y))
-            orow.append(acc)
-        out.append(orow)
-    return out
 
 
 class RmmBackend:
@@ -68,96 +51,16 @@ class ClassicalBackend(RmmBackend):
     def multiply(self, ring: Ring, a: SubMatrix, b: SubMatrix, stats=None):
         if a.cols != b.cols:
             raise ValueError("operands must share the column index set")
-        out = _classical_kernel(ring, a.entries, b.entries, len(a.cols))
+        add, mul, zero = ring.add, ring.mul, ring.zero
+        out = []
+        for arow in a.entries:
+            orow = []
+            for brow in b.entries:
+                acc = zero
+                for x, y in zip(arow, brow):
+                    acc = add(acc, mul(x, y))
+                orow.append(acc)
+            out.append(orow)
         if stats is not None:
             stats.rmm_muls += len(a.rows) * len(a.cols) * len(b.rows)
         return out
-
-
-def _next_pow2(m: int) -> int:
-    return 1 if m <= 1 else 1 << (m - 1).bit_length()
-
-
-def _mat_add(ring, x, y):
-    add = ring.add
-    return [[add(a, b) for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
-
-
-def _mat_sub(ring, x, y):
-    sub = ring.sub
-    return [[sub(a, b) for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
-
-
-def _split(m):
-    half = len(m) // 2
-    a11 = [row[:half] for row in m[:half]]
-    a12 = [row[half:] for row in m[:half]]
-    a21 = [row[:half] for row in m[half:]]
-    a22 = [row[half:] for row in m[half:]]
-    return a11, a12, a21, a22
-
-
-def _join(c11, c12, c21, c22):
-    top = [r1 + r2 for r1, r2 in zip(c11, c12)]
-    bot = [r1 + r2 for r1, r2 in zip(c21, c22)]
-    return top + bot
-
-
-@dataclass
-class StrassenBackend(RmmBackend):
-    """Strassen recursion on zero-padded squares, classical below base_size.
-
-    Rectangular blocks are padded to the next power of two covering all
-    three dimensions; correct over any ring since only +, -, * are used.
-    """
-
-    id: str = field(default="strassen", init=False)
-    base_size: int = 64
-
-    def multiply(self, ring: Ring, a: SubMatrix, b: SubMatrix, stats=None):
-        if a.cols != b.cols:
-            raise ValueError("operands must share the column index set")
-        r1, c, r2 = len(a.rows), len(a.cols), len(b.rows)
-        if r1 == 0 or r2 == 0:
-            return [[] for _ in range(r1)]
-        m = _next_pow2(max(r1, c, r2, 1))
-        zero = ring.zero
-        ap = [list(row) + [zero] * (m - c) for row in a.entries]
-        ap += [[zero] * m for _ in range(m - r1)]
-        # transpose b so the recursion computes an ordinary row-by-column product
-        bp = [[b.entries[j][i] if j < r2 and i < c else zero for j in range(m)]
-              for i in range(m)]
-        prod = self._mult(ring, ap, bp, stats)
-        return [row[:r2] for row in prod[:r1]]
-
-    def _mult(self, ring, x, y, stats):
-        m = len(x)
-        if m <= self.base_size:
-            yt = [[y[i][j] for i in range(m)] for j in range(m)]
-            if stats is not None:
-                stats.rmm_muls += m * m * m
-            return _classical_kernel(ring, x, yt, m)
-        a11, a12, a21, a22 = _split(x)
-        b11, b12, b21, b22 = _split(y)
-        m1 = self._mult(ring, _mat_add(ring, a11, a22), _mat_add(ring, b11, b22), stats)
-        m2 = self._mult(ring, _mat_add(ring, a21, a22), b11, stats)
-        m3 = self._mult(ring, a11, _mat_sub(ring, b12, b22), stats)
-        m4 = self._mult(ring, a22, _mat_sub(ring, b21, b11), stats)
-        m5 = self._mult(ring, _mat_add(ring, a11, a12), b22, stats)
-        m6 = self._mult(ring, _mat_sub(ring, a21, a11), _mat_add(ring, b11, b12), stats)
-        m7 = self._mult(ring, _mat_sub(ring, a12, a22), _mat_add(ring, b21, b22), stats)
-        c11 = _mat_add(ring, _mat_sub(ring, _mat_add(ring, m1, m4), m5), m7)
-        c12 = _mat_add(ring, m3, m5)
-        c21 = _mat_add(ring, m2, m4)
-        c22 = _mat_add(ring, _mat_add(ring, _mat_sub(ring, m1, m2), m3), m6)
-        return _join(c11, c12, c21, c22)
-
-
-def make_backend(backend_id: str) -> RmmBackend:
-    if backend_id == "classical":
-        return ClassicalBackend()
-    if backend_id == "strassen":
-        return StrassenBackend()
-    raise ValueError(
-        f"unknown backend {backend_id!r} (expected 'classical' or 'strassen')"
-    )

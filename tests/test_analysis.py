@@ -227,7 +227,7 @@ def test_gamma_value_symmetry_and_closed_forms():
     tab = DEFAULT_OMEGA_TABLE
     for s in (0.1, 0.25, 0.4, 0.5):
         expected = tab.upper(2.0 * entropy(s))
-        assert gamma_value(s, s, 1.0, 1.0) == pytest.approx(expected, abs=1e-12)
+        assert gamma_value(s, s, 1.0, 1.0, tab) == pytest.approx(expected, abs=1e-12)
     # empty columns contribute a flat exponent of 2 regardless of blocks
     assert gamma_value(0.0, 0.0, 0.3, 0.7) == pytest.approx(2.0)
 

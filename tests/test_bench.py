@@ -31,7 +31,7 @@ def test_prediction_validation():
 
 
 def test_run_bench_shape_and_sorting():
-    records = run_bench(2, 4, ["columns", "naive"], seeds=2, threads=1)
+    records = run_bench(2, 4, ["columns", "naive"], seeds=2)
     assert len(records) == 2 * 3 * 2
     keys = [(r.algo, r.n, r.seed) for r in records]
     assert keys == sorted(keys)
@@ -41,13 +41,6 @@ def test_run_bench_shape_and_sorting():
         assert r.backend == ("" if r.algo == "naive" else "classical")
         assert r.wall_ms >= 0.0
         assert r.muls > 0
-
-
-def test_run_bench_threaded_matches_serial():
-    serial = run_bench(2, 3, ["columns"], seeds=2, threads=1)
-    threaded = run_bench(2, 3, ["columns"], seeds=2, threads=4)
-    strip = lambda rs: [(r.algo, r.n, r.seed, r.adds, r.muls, r.pair_iterations) for r in rs]
-    assert strip(serial) == strip(threaded)
 
 
 def test_run_bench_validation():
@@ -64,7 +57,7 @@ def test_run_bench_validation():
 
 
 def test_csv_roundtrip():
-    records = run_bench(2, 3, ["cover"], seeds=1, threads=1)
+    records = run_bench(2, 3, ["cover"], seeds=1)
     text = records_to_csv(records)
     lines = text.strip().split("\n")
     assert lines[0] == CSV_HEADER
@@ -77,7 +70,7 @@ def test_csv_roundtrip():
 
 
 def test_sigma_tau_columns_present():
-    rec = run_bench(3, 3, ["rows-columns"], seeds=1, threads=1)[0]
+    rec = run_bench(3, 3, ["rows-columns"], seeds=1)[0]
     assert rec.sigma is not None and rec.tau is not None
     row = rec.to_row()
     back = BenchRecord.from_row(row)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from multisubset import make_ring, robinson_count, sum_acyclic_digraphs
+from multisubset.analysis import COVER_OMEGA_TABLE
 from multisubset.cli import main
 from multisubset.jsonio import load_json, weight_system_from_dict
 
@@ -154,11 +155,28 @@ def test_optimize_with_custom_omega_table(tmp_path):
                    "--omega-table", str(degenerate)) == 2
 
 
+def test_optimize_gamma_reads_omega_table_as_chords(tmp_path):
+    # a file holding exactly the default anchors reproduces the default bound
+    table = tmp_path / "omega.json"
+    table.write_text(json.dumps({"anchors": [list(a) for a in COVER_OMEGA_TABLE.anchors]}))
+    default_out, file_out = tmp_path / "default.json", tmp_path / "file.json"
+    assert run_cli("optimize", "--target", "gamma", "--resolution", "0.01",
+                   "--output", str(default_out)) == 0
+    assert run_cli("optimize", "--target", "gamma", "--resolution", "0.01",
+                   "--omega-table", str(table), "--output", str(file_out)) == 0
+    assert load_json(str(file_out))["base"] == load_json(str(default_out))["base"]
+
+
+def test_optimize_gamma_rejects_mode():
+    for mode in ("paper", "line", "table"):
+        assert run_cli("optimize", "--target", "gamma", "--mode", mode) == 2
+
+
 def test_bench_csv(tmp_path):
     out = tmp_path / "bench.csv"
     assert run_cli("bench", "--min-n", "2", "--max-n", "4",
                    "--algos", "naive,cover", "--seeds", "2",
-                   "--threads", "2", "--output", str(out)) == 0
+                   "--output", str(out)) == 0
     lines = out.read_text().strip().split("\n")
     assert lines[0].startswith("algo,n,seed,sigma,tau,backend,ring,")
     assert len(lines) == 1 + 2 * 3 * 2

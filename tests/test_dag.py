@@ -1,18 +1,20 @@
 import random
+from math import comb
 
 import pytest
 
 from multisubset import (
     DagSumResult,
+    PipelineStats,
     SetFunction,
     WeightSystem,
     brute_force_dag_sum,
-    build_dag_family,
     robinson_count,
     run_transform,
     sum_acyclic_digraphs,
     tian_he_sum,
 )
+from multisubset.dag import round_families
 
 # labeled acyclic digraph counts, cross-checked by digraph enumeration
 ACYCLIC_COUNTS = [1, 1, 3, 25, 543, 29281, 3781503]
@@ -99,36 +101,35 @@ def test_build_dag_family_shape(modp):
     n = 3
     wsys = random_weights(modp, n, seed=5)
     a_table = tian_he_sum(wsys).a
-    t = 2
-    fam = build_dag_family(wsys, a_table, t)
-    assert fam.n == n + 1
     aux_bit = 1 << n
-    members = fam.members
-    # no member carries mass on sets missing the auxiliary element
-    for f in members:
+    rounds = 0
+    for t, fam in round_families(wsys, a_table):
+        rounds += 1
+        assert t == rounds
+        assert fam.n == n + 1
+        members = fam.members
+        # no member carries mass on sets missing the auxiliary element
+        for f in members:
+            for s_mask in range(1 << n):
+                assert f.values[s_mask] == modp.zero
+        # a node inside S contributes a factor one
+        for i in range(n):
+            for s_mask in range(1 << n):
+                if (s_mask >> i) & 1:
+                    assert members[i].values[s_mask | aux_bit] == modp.one
+        # the auxiliary member is cut off from size t on
+        aux = members[n]
         for s_mask in range(1 << n):
-            assert f.values[s_mask] == modp.zero
-    # a node inside S contributes a factor one
-    for i in range(n):
-        for s_mask in range(1 << n):
-            if (s_mask >> i) & 1:
-                assert members[i].values[s_mask | aux_bit] == modp.one
-    # the auxiliary member is cut off from size t on
-    aux = members[n]
-    for s_mask in range(1 << n):
-        size = s_mask.bit_count()
-        value = aux.values[s_mask | aux_bit]
-        if size >= t:
-            assert value == modp.zero
-        else:
-            expected = a_table[s_mask]
-            if size % 2 == 1:
-                expected = modp.neg(expected)
-            assert value == expected
-    with pytest.raises(ValueError):
-        build_dag_family(wsys, a_table, 0)
-    with pytest.raises(ValueError):
-        build_dag_family(wsys, a_table, n + 1)
+            size = s_mask.bit_count()
+            value = aux.values[s_mask | aux_bit]
+            if size >= t:
+                assert value == modp.zero
+            else:
+                expected = a_table[s_mask]
+                if size % 2 == 1:
+                    expected = modp.neg(expected)
+                assert value == expected
+    assert rounds == n
 
 
 def test_round_extraction_matches_recurrence(modp):
@@ -137,8 +138,7 @@ def test_round_extraction_matches_recurrence(modp):
     wsys = random_weights(modp, n, seed=8)
     a_table = tian_he_sum(wsys).a
     aux_bit = 1 << n
-    for t in range(1, n + 1):
-        fam = build_dag_family(wsys, a_table, t)
+    for t, fam in round_families(wsys, a_table):
         g = run_transform("naive", fam)
         for t_mask in range(1 << n):
             if t_mask.bit_count() != t:
@@ -159,8 +159,17 @@ def test_sum_acyclic_digraphs_all_algorithms(modp, algo):
 
 
 def test_targets_only_matches_full(modp):
+    # naive rounds evaluate only the targets |T| = t; columns computes full tables
     wsys = random_weights(modp, 5, seed=3)
-    full = sum_acyclic_digraphs(wsys, algo="naive")
-    trimmed = sum_acyclic_digraphs(wsys, algo="naive", targets_only=True)
+    full = sum_acyclic_digraphs(wsys, algo="columns")
+    trimmed = sum_acyclic_digraphs(wsys, algo="naive")
     assert trimmed.a == full.a
     assert trimmed.total == brute_force_dag_sum(wsys)
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_naive_rounds_pair_count(modp, n):
+    # round t visits every subset of T plus the auxiliary element, |T| = t
+    stats = PipelineStats()
+    sum_acyclic_digraphs(random_weights(modp, n, seed=n), algo="naive", stats=stats)
+    assert stats.pair_iterations == sum(comb(n, t) << (t + 1) for t in range(1, n + 1))

@@ -14,22 +14,21 @@ from multisubset import (
     ROWS_COLUMNS_SIGMA,
     ROWS_COLUMNS_TAU,
     SetFunction,
-    StrassenBackend,
-    TrivialCoverPlanner,
     build_submatrix,
-    columns_directly,
-    fast_rmm,
     make_ring,
     mst_columns,
     mst_cover_columns,
     mst_naive,
     mst_rows_columns,
-    rows_trimmed,
     run_transform,
     values_equal,
 )
 from multisubset.mst import (
+    Product,
+    Scan,
+    _execute,
     _guarded_floor,
+    _half_rows,
     row_thresholds,
     small_large_columns,
 )
@@ -64,14 +63,6 @@ def test_fast_matches_naive(modp, algo, n):
     fam = random_family(modp, n, seed=100 * n + 7)
     expected = mst_naive(fam)
     got = run_transform(algo, fam)
-    assert values_equal(modp, got.values, expected.values)
-
-
-@pytest.mark.parametrize("algo", FAST)
-def test_strassen_backend_matches(modp, algo):
-    fam = random_family(modp, 6, seed=42)
-    expected = mst_naive(fam)
-    got = run_transform(algo, fam, backend=StrassenBackend(base_size=4))
     assert values_equal(modp, got.values, expected.values)
 
 
@@ -153,20 +144,30 @@ def test_bracket_row_outside_part_rejected(modp):
         build_submatrix(fam, split, 3, [0], [0])
 
 
+def _run_plan(fam, plan):
+    return _execute(fam, GroundSplit.for_n(fam.n), plan, None, None).values
+
+
+def _full_product(split, cols):
+    return Product(_half_rows(split, 1), cols, _half_rows(split, 2))
+
+
+def _trimmed_plan(split, tau, cols):
+    # the trimmed scan and the product over the rows above the thresholds
+    t1, t2 = row_thresholds(split, tau)
+    return [Scan(cols, (t1, t2)), Product(_half_rows(split, 1, t1), cols, _half_rows(split, 2, t2))]
+
+
 def test_fast_rmm_and_direct_scan_compose(modp):
     # Full-row product over any column subset plus the direct scan over the
     # complement reproduces the naive transform.
     n = 6
     fam = random_family(modp, n, seed=77)
     split = GroundSplit.for_n(n)
-    rows1 = list(range(1 << split.h1))
-    rows2 = [t << split.h1 for t in range(1 << split.h2)]
     cols_a = [m for m in range(1 << n) if m % 3 == 0]
     cols_b = [m for m in range(1 << n) if m % 3 != 0]
-    acc = [modp.zero] * (1 << n)
-    fast_rmm(fam, split, rows1, cols_a, rows2).add_into(modp, acc)
-    columns_directly(fam, cols_b).add_into(modp, acc)
-    assert values_equal(modp, acc, mst_naive(fam).values)
+    got = _run_plan(fam, [_full_product(split, cols_a), Scan(cols_b)])
+    assert values_equal(modp, got, mst_naive(fam).values)
 
 
 def test_rows_trimmed_partial(modp):
@@ -174,10 +175,10 @@ def test_rows_trimmed_partial(modp):
     n = 7
     fam = random_family(modp, n, seed=13)
     split = GroundSplit.for_n(n)
-    part = rows_trimmed(fam, split, ROWS_COLUMNS_TAU, list(range(1 << n)))
-    assert values_equal(modp, part.values, mst_naive(fam).values)
+    got = _run_plan(fam, _trimmed_plan(split, ROWS_COLUMNS_TAU, list(range(1 << n))))
+    assert values_equal(modp, got, mst_naive(fam).values)
     with pytest.raises(ValueError):
-        rows_trimmed(fam, split, 1.5, [0])
+        mst_rows_columns(fam, tau=1.5)
 
 
 def test_parameter_domains(modp):
@@ -196,15 +197,24 @@ def test_algorithms_tuple():
     assert ALGORITHMS == ("naive", "columns", "rows-columns", "cover")
 
 
-@pytest.mark.parametrize("planner", [TrivialCoverPlanner(), MeasuredCostPlanner()])
-def test_cover_partitions_columns(modp, planner):
+def test_cover_partitions_columns(modp):
     # every column contributes exactly once, so the processed count is 2^n
     for n in (4, 5, 6):
         fam = random_family(modp, n, seed=3 * n)
         stats = PipelineStats()
-        got = mst_cover_columns(fam, planner, stats=stats)
+        got = mst_cover_columns(fam, stats=stats)
         assert stats.columns_processed == 2**n
         assert values_equal(modp, got.values, mst_naive(fam).values)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_cover_counts_one_column_per_product(modp, n):
+    # the cost model picks k = s for every column class, so each of the
+    # 2^n columns S gets its own 2^(n - |S|)-cell product: 3^n in all
+    stats = PipelineStats()
+    mst_cover_columns(random_family(modp, n, seed=n), stats=stats)
+    assert stats.rmm_muls == 3**n
+    assert stats.columns_processed == 2**n
 
 
 def test_measured_planner_selection():
@@ -216,21 +226,6 @@ def test_measured_planner_selection():
             assert s1 <= k1 <= split.h1
             assert s2 <= k2 <= split.h2
             assert (k1, k2) == planner.select(split, s1, s2)
-
-
-def test_cover_rejects_bad_planner(modp):
-    class BadPlanner:
-        def select(self, split, s1, s2):
-            return split.h1 + 1, split.h2
-
-    fam = random_family(modp, 4, seed=2)
-    with pytest.raises(ValueError):
-        mst_cover_columns(fam, BadPlanner())
-
-
-def test_trivial_planner_single_block():
-    split = GroundSplit.for_n(9)
-    assert TrivialCoverPlanner().select(split, 2, 3) == (split.h1, split.h2)
 
 
 def test_empty_family(modp):
@@ -249,11 +244,8 @@ def test_single_member_family(modp):
 
 def test_fast_rmm_empty_column_set(modp):
     fam = random_family(modp, 4, seed=6)
-    split = GroundSplit.for_n(4)
-    rows1 = list(range(1 << split.h1))
-    rows2 = [t << split.h1 for t in range(1 << split.h2)]
-    part = fast_rmm(fam, split, rows1, [], rows2)
-    assert all(v == modp.zero for v in part.values)
+    got = _run_plan(fam, [_full_product(GroundSplit.for_n(4), [])])
+    assert all(v == modp.zero for v in got)
 
 
 def test_rows_trimmed_matches_full_rmm(modp):
@@ -264,12 +256,10 @@ def test_rows_trimmed_matches_full_rmm(modp):
     fam = random_family(modp, n, seed=31)
     split = GroundSplit.for_n(n)
     cols = [m for m in range(1 << n) if m.bit_count() <= 3]
-    rows1 = list(range(1 << split.h1))
-    rows2 = [t << split.h1 for t in range(1 << split.h2)]
-    full = fast_rmm(fam, split, rows1, cols, rows2)
+    full = _run_plan(fam, [_full_product(split, cols)])
     for tau in (0.6, 0.9):
-        trimmed = rows_trimmed(fam, split, tau, cols)
-        assert values_equal(modp, trimmed.values, full.values)
+        trimmed = _run_plan(fam, _trimmed_plan(split, tau, cols))
+        assert values_equal(modp, trimmed, full)
     assert row_thresholds(split, 0.9) == (split.h1 - 1, split.h2 - 1)
 
 
@@ -287,6 +277,20 @@ def test_cover_f64_bit_reproducible():
     first = mst_cover_columns(fam)
     second = mst_cover_columns(fam)
     assert first.values == second.values  # identical floats, not just close
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_rows_columns_product_counts(modp, n):
+    # one product of |rows above t1| x |small| x |rows above t2|
+    split = GroundSplit.for_n(n)
+    t1, t2 = row_thresholds(split, ROWS_COLUMNS_TAU)
+    small, _ = small_large_columns(n, _guarded_floor(ROWS_COLUMNS_SIGMA * n))
+    rows1 = sum(comb(split.h1, c) for c in range(t1 + 1, split.h1 + 1))
+    rows2 = sum(comb(split.h2, c) for c in range(t2 + 1, split.h2 + 1))
+    stats = PipelineStats()
+    mst_rows_columns(random_family(modp, n, seed=n), stats=stats)
+    assert stats.rmm_muls == rows1 * len(small) * rows2
+    assert stats.columns_processed == len(small)
 
 
 def test_columns_reference_counts_n10(modp):
