@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Subcommands: mst, dag-sum, dag-count, cover, optimize, bench, gen.
+Subcommands: mst, dag-sum, dag-count, cover, optimize, gen.
+Timings come from `python3 perfbench/run.py`; exact counts of one run
+from `msubt mst --count-ops`.
 Exit codes: 0 success, 2 validation error, 3 I/O error.
 """
 
@@ -17,11 +19,10 @@ from .analysis import (
     optimize_columns,
     optimize_rows_columns,
 )
-from .bench import records_to_csv, run_bench
 from .cover import greedy_cover
 from .dag import robinson_count, sum_acyclic_digraphs
 from .mst import ALGORITHMS, PipelineStats, run_transform
-from .ring import OpCounter, counting_wrap, make_ring
+from .ring import CountingRing, OpCounter, make_ring
 
 
 def _add_ring_flags(sub: argparse.ArgumentParser) -> None:
@@ -48,7 +49,7 @@ def _cmd_mst(args) -> int:
         raise ValueError("--count-ops writes a sidecar and requires --output")
     base_ring = _make_ring(args)
     counter = OpCounter()
-    ring = counting_wrap(base_ring, counter) if args.count_ops else base_ring
+    ring = CountingRing(base_ring, counter) if args.count_ops else base_ring
     fam = jsonio.family_from_dict(ring, jsonio.load_json(args.input))
     stats = PipelineStats()
     result = run_transform(
@@ -122,21 +123,6 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-    records = run_bench(
-        args.min_n, args.max_n, algos, args.seeds,
-        ring_id=args.ring, sigma=args.sigma, tau=args.tau,
-    )
-    text = records_to_csv(records)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
 def _cmd_gen(args) -> int:
     ring = _make_ring(args)
     if args.kind == "family":
@@ -198,17 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega-table", default=None)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_optimize)
-
-    p = subs.add_parser("bench", help="operation-count benchmark CSV")
-    p.add_argument("--min-n", type=int, required=True)
-    p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--algos", default="naive,columns,rows-columns,cover")
-    p.add_argument("--seeds", type=int, default=3)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    _add_ring_flags(p)
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=_cmd_bench)
 
     p = subs.add_parser("gen", help="generate random input files")
     p.add_argument("--kind", choices=["family", "weights"], required=True)

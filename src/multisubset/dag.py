@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitops import bits_of, size_buckets
-from .mst import PipelineStats, naive_at, run_transform
+from .mst import PipelineStats, check_algorithm, naive_at, run_transform
 from .ring import Ring
 from .setfn import MAX_GROUND_SET, Family, SetFunction, zeta_transform
 
@@ -222,6 +222,7 @@ def sum_acyclic_digraphs(
     transform value at T plus the auxiliary element.  The naive route
     evaluates only those targets; the fast routes compute the full table.
     """
+    check_algorithm(algo, sigma, tau)
     ring = wsys.ring
     n = wsys.n
     aux_bit = 1 << n

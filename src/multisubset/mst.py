@@ -217,57 +217,49 @@ def _direct_scan(
 ) -> None:
     """Accumulate g[T] += prod_{i in T} f_i(S) for each S in cols, T superset S.
 
-    Supersets are enumerated by a DFS that extends the running product by
-    one factor per added element.  When row thresholds (t1, t2) are given,
-    any T whose half-sizes both exceed them is skipped along with its whole
-    superset subtree (the condition is monotone), because the trimmed
-    matrix product covers those pairs.
+    Each column builds its table of (T, product) pairs by doubling: for
+    each free bit in ascending order, every kept entry gets a copy with
+    the bit set and one more factor.  When row thresholds (t1, t2) are
+    given, a T whose half-sizes both exceed them is not kept (a trimmed
+    product covers it); the kept set is downward closed, so doubling
+    reaches exactly the uncut supersets of S.
     """
     ring = fam.ring
     n = fam.n
     members = [m.values for m in fam.members]
     add, mul = ring.add, ring.mul
+    cut = None
+    if thresholds is not None:
+        t1, t2 = thresholds
+        u1 = split.u1_mask
+        cut = bytearray(
+            (t & u1).bit_count() > t1 and (t & ~u1).bit_count() > t2
+            for t in range(1 << n)
+        )
     pairs = 0
     for s_mask in cols:
+        if cut is not None and cut[s_mask]:
+            continue
         col = [mv[s_mask] for mv in members]
         base = ring.one
         for i in bits_of(s_mask):
             base = mul(base, col[i])
-        free = [i for i in range(n) if not (s_mask >> i) & 1]
-        nfree = len(free)
-
-        if thresholds is None:
-
-            def visit(t_mask, prod, start):
-                nonlocal pairs
-                g[t_mask] = add(g[t_mask], prod)
-                pairs += 1
-                for idx in range(start, nfree):
-                    b = free[idx]
-                    visit(t_mask | (1 << b), mul(prod, col[b]), idx + 1)
-
-            visit(s_mask, base, 0)
-        else:
-            t1, t2 = thresholds
-            u1 = split.u1_mask
-            in_part1 = [(1 << b) & u1 != 0 for b in free]
-            c1_root = (s_mask & u1).bit_count()
-            c2_root = s_mask.bit_count() - c1_root
-
-            def visit_trimmed(t_mask, prod, start, c1, c2):
-                nonlocal pairs
-                if c1 > t1 and c2 > t2:
-                    return
-                g[t_mask] = add(g[t_mask], prod)
-                pairs += 1
-                for idx in range(start, nfree):
-                    b = free[idx]
-                    if in_part1[idx]:
-                        visit_trimmed(t_mask | (1 << b), mul(prod, col[b]), idx + 1, c1 + 1, c2)
-                    else:
-                        visit_trimmed(t_mask | (1 << b), mul(prod, col[b]), idx + 1, c1, c2 + 1)
-
-            visit_trimmed(s_mask, base, 0, c1_root, c2_root)
+        masks, prods = [s_mask], [base]
+        for b in range(n):
+            bit = 1 << b
+            if s_mask & bit:
+                continue
+            f = col[b]
+            if cut is None:
+                masks += [m | bit for m in masks]
+                prods += [mul(p, f) for p in prods]
+            else:
+                kept = [i for i, m in enumerate(masks) if not cut[m | bit]]
+                masks += [masks[i] | bit for i in kept]
+                prods += [mul(prods[i], f) for i in kept]
+        for t_mask, prod in zip(masks, prods):
+            g[t_mask] = add(g[t_mask], prod)
+        pairs += len(masks)
     if stats is not None:
         stats.pair_iterations += pairs
 
@@ -443,6 +435,16 @@ def mst_cover_columns(
     return _execute(fam, split, _cover_plan(split), backend, stats)
 
 
+def check_algorithm(algo: str, sigma: float | None, tau: float | None) -> None:
+    """Reject an unknown algorithm, and sigma or tau given to one that takes none."""
+    if algo not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
+    if sigma is not None and algo not in ("columns", "rows-columns"):
+        raise ValueError(f"sigma does not apply to {algo}")
+    if tau is not None and algo != "rows-columns":
+        raise ValueError(f"tau does not apply to {algo}")
+
+
 def run_transform(
     algo: str,
     fam: Family,
@@ -452,6 +454,7 @@ def run_transform(
     stats: PipelineStats | None = None,
 ) -> SetFunction:
     """Dispatch by algorithm name (see ALGORITHMS)."""
+    check_algorithm(algo, sigma, tau)
     if algo == "naive":
         return mst_naive(fam, stats)
     if algo == "columns":
@@ -466,6 +469,4 @@ def run_transform(
             backend,
             stats,
         )
-    if algo == "cover":
-        return mst_cover_columns(fam, backend, stats)
-    raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
+    return mst_cover_columns(fam, backend, stats)

@@ -186,11 +186,6 @@ class CountingRing(Ring):
         return f"CountingRing({self.inner!r})"
 
 
-def counting_wrap(inner: Ring, counter: OpCounter | None = None) -> CountingRing:
-    """Wrap a ring so that adds and muls are tallied."""
-    return CountingRing(inner, counter)
-
-
 def make_ring(ring_id: str, p: int | None = None) -> Ring:
     """Construct a ring from its CLI identifier ("modp" or "f64")."""
     if ring_id == "modp":

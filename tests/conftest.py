@@ -1,8 +1,6 @@
-import random
-
 import pytest
 
-from multisubset import Family, SetFunction, make_ring
+from multisubset import make_ring
 
 
 @pytest.fixture
@@ -13,17 +11,3 @@ def modp():
 @pytest.fixture
 def f64():
     return make_ring("f64")
-
-
-def random_family(ring, n, seed):
-    rng = random.Random(seed)
-    members = [
-        SetFunction(ring, n, [ring.sample(rng) for _ in range(1 << n)])
-        for _ in range(n)
-    ]
-    return Family(ring, n, members)
-
-
-def random_setfn(ring, n, seed):
-    rng = random.Random(seed)
-    return SetFunction(ring, n, [ring.sample(rng) for _ in range(1 << n)])

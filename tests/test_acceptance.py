@@ -37,7 +37,7 @@ from multisubset.analysis import COVER_OMEGA_TABLE, DEFAULT_OMEGA_TABLE
 from multisubset.bench import predicted_pair_iterations
 from multisubset.mst import COLUMNS_SIGMA, _guarded_floor
 
-from conftest import random_family, random_setfn
+from helpers import random_family, random_setfn
 from test_dag import ACYCLIC_COUNTS, random_weights
 
 

@@ -109,6 +109,21 @@ def test_dag_sum_matches_library(tmp_path, capsys):
     assert [int(v) for v in stored["values"]] == expected.a
 
 
+@pytest.mark.parametrize("algo, flags", [
+    ("naive", ["--tau", "5"]),
+    ("naive", ["--sigma", "0.4"]),
+    ("cover", ["--sigma", "0.9"]),
+    ("columns", ["--tau", "0.99"]),
+])
+def test_sigma_tau_rejected_where_not_taken(tmp_path, algo, flags):
+    fam = gen_family(tmp_path, 4)
+    assert run_cli("mst", "--input", str(fam), "--algo", algo, *flags) == 2
+    weights = tmp_path / "w.json"
+    assert run_cli("gen", "--kind", "weights", "--n", "3",
+                   "--output", str(weights)) == 0
+    assert run_cli("dag-sum", "--weights", str(weights), "--algo", algo, *flags) == 2
+
+
 def test_dag_count(capsys):
     assert run_cli("dag-count", "--n", "5") == 0
     assert capsys.readouterr().out.strip() == str(robinson_count(5)) == "29281"
@@ -170,19 +185,6 @@ def test_optimize_gamma_reads_omega_table_as_chords(tmp_path):
 def test_optimize_gamma_rejects_mode():
     for mode in ("paper", "line", "table"):
         assert run_cli("optimize", "--target", "gamma", "--mode", mode) == 2
-
-
-def test_bench_csv(tmp_path):
-    out = tmp_path / "bench.csv"
-    assert run_cli("bench", "--min-n", "2", "--max-n", "4",
-                   "--algos", "naive,cover", "--seeds", "2",
-                   "--output", str(out)) == 0
-    lines = out.read_text().strip().split("\n")
-    assert lines[0].startswith("algo,n,seed,sigma,tau,backend,ring,")
-    assert len(lines) == 1 + 2 * 3 * 2
-    for line in lines[1:]:
-        fields = line.split(",")
-        assert fields[9] == fields[10] or fields[0] == "cover"  # measured == predicted
 
 
 def test_gen_deterministic(tmp_path):

@@ -18,7 +18,7 @@ from multisubset.jsonio import (
     weight_system_to_dict,
 )
 
-from conftest import random_family, random_setfn
+from helpers import random_family, random_setfn
 
 
 def test_set_function_roundtrip(modp):

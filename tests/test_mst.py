@@ -7,9 +7,11 @@ from multisubset import (
     ALGORITHMS,
     COLUMNS_SIGMA,
     ClassicalBackend,
+    CountingRing,
     Family,
     GroundSplit,
     MeasuredCostPlanner,
+    OpCounter,
     PipelineStats,
     ROWS_COLUMNS_SIGMA,
     ROWS_COLUMNS_TAU,
@@ -33,7 +35,7 @@ from multisubset.mst import (
     small_large_columns,
 )
 
-from conftest import random_family
+from helpers import random_family
 
 FAST = ("columns", "rows-columns", "cover")
 
@@ -181,6 +183,34 @@ def test_rows_trimmed_partial(modp):
         mst_rows_columns(fam, tau=1.5)
 
 
+@pytest.mark.parametrize("trimmed", [False, True])
+@pytest.mark.parametrize("n", [6, 9, 11])
+def test_scan_ring_op_counts(n, trimmed):
+    # one add per visited pair; one mul per pair past each kept column's
+    # root, plus |S| muls for the root product of each kept column
+    counter = OpCounter()
+    fam = random_family(CountingRing(make_ring("modp"), counter), n, seed=n)
+    split = GroundSplit.for_n(n)
+    thresholds = row_thresholds(split, ROWS_COLUMNS_TAU) if trimmed else None
+    cols = list(range(1 << n))
+    counter.reset()
+    stats = PipelineStats()
+    _execute(fam, split, [Scan(cols, thresholds)], None, stats)
+    if thresholds is None:
+        kept = cols
+    else:
+        t1, t2 = thresholds
+        kept = [
+            s for s in cols
+            if not ((s & split.u1_mask).bit_count() > t1
+                    and (s & split.u2_mask).bit_count() > t2)
+        ]
+    assert counter.adds == stats.pair_iterations
+    assert counter.muls == (
+        stats.pair_iterations - len(kept) + sum(s.bit_count() for s in kept)
+    )
+
+
 def test_parameter_domains(modp):
     fam = random_family(modp, 4, seed=0)
     for bad_sigma in (0.2, 1 / 3, 0.5, 0.9):
@@ -191,6 +221,16 @@ def test_parameter_domains(modp):
             mst_rows_columns(fam, tau=bad_tau)
     with pytest.raises(ValueError):
         run_transform("fft", fam)
+    # sigma and tau are rejected where the algorithm takes none
+    for algo, kwargs in (
+        ("naive", {"sigma": 0.4}),
+        ("naive", {"tau": 0.6}),
+        ("cover", {"sigma": 0.4}),
+        ("cover", {"tau": 0.6}),
+        ("columns", {"tau": 0.6}),
+    ):
+        with pytest.raises(ValueError):
+            run_transform(algo, fam, **kwargs)
 
 
 def test_algorithms_tuple():

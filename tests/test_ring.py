@@ -9,7 +9,6 @@ from multisubset import (
     Float64Ring,
     OpCounter,
     PrimeField,
-    counting_wrap,
     make_ring,
 )
 
@@ -77,7 +76,7 @@ def test_f64_ring():
 
 def test_counting_ring_tallies():
     counter = OpCounter()
-    r = counting_wrap(make_ring("modp"), counter)
+    r = CountingRing(make_ring("modp"), counter)
     x = r.add(1, 2)
     x = r.mul(x, 5)
     x = r.sub(x, 1)

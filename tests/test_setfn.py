@@ -17,7 +17,7 @@ from multisubset import (
 )
 from multisubset.bitops import bits_of, size_buckets, submasks, subsets_of_size
 
-from conftest import random_setfn
+from helpers import random_setfn
 
 
 def test_bits_of():
