@@ -12,7 +12,6 @@ import json
 import sys
 
 from multisubset import optimize_columns, optimize_rows_columns, gamma_search
-from multisubset.analysis import DEFAULT_OMEGA_TABLE
 
 
 def fmt(report):
@@ -32,9 +31,6 @@ def main(argv=None) -> int:
                         help="skip the slow cover-pipeline search")
     parser.add_argument("--resolution", type=float, default=1e-3,
                         help="outer grid resolution for the cover search")
-    parser.add_argument("--chord-step", type=float, default=None,
-                        help="also run the cover search on a chord-densified "
-                        "omega table with this step (slow)")
     parser.add_argument("--json", dest="json_out", default=None,
                         help="write all reports to this JSON file")
     args = parser.parse_args(argv)
@@ -47,9 +43,6 @@ def main(argv=None) -> int:
     ]
     if not args.skip_gamma:
         reports.append(gamma_search(resolution=args.resolution))
-    if args.chord_step is not None:
-        table = DEFAULT_OMEGA_TABLE.chord_tightened(args.chord_step)
-        reports.append(gamma_search(table=table, resolution=args.resolution))
 
     for report in reports:
         print(fmt(report))

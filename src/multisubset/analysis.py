@@ -105,27 +105,6 @@ class OmegaTable:
             [w + np.maximum(0.0, k - a) for a, w in self.anchors]
         )
 
-    def chord_tightened(self, step: float = 0.05) -> "OmegaTable":
-        """Densified table with chord values between consecutive anchors.
-
-        The true rectangular exponent is convex in k (tensor-product
-        interpolation), so every point on a chord between two valid
-        bounds is itself a valid bound; the resulting envelope is tighter
-        between anchors than the default staircase.
-        """
-        if step <= 0:
-            raise ValueError("step must be positive")
-        ks = [a for a, _ in self.anchors]
-        points: list[tuple[float, float]] = []
-        for a, b in zip(ks, ks[1:]):
-            wa, wb = self.upper(a), self.upper(b)
-            pieces = max(1, round((b - a) / step))
-            for i in range(pieces):
-                t = i / pieces
-                points.append((a + t * (b - a), wa + t * (wb - wa)))
-        points.append((ks[-1], self.upper(ks[-1])))
-        return OmegaTable(tuple(points))
-
 
 DEFAULT_OMEGA_TABLE = OmegaTable()
 

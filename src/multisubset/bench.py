@@ -8,37 +8,24 @@ from __future__ import annotations
 
 import math
 
-from .mst import (
-    COLUMNS_SIGMA,
-    ROWS_COLUMNS_SIGMA,
-    ROWS_COLUMNS_TAU,
-    GroundSplit,
-    check_algorithm,
-    row_thresholds,
-    _guarded_floor,
-)
+from .mst import GroundSplit, check_algorithm, row_thresholds, _guarded_floor
 
 
 def predicted_pair_iterations(
     algo: str, n: int, sigma: float | None = None, tau: float | None = None
 ) -> int:
     """Closed-form count of (S, T) pairs the direct scans will touch."""
-    check_algorithm(algo, sigma, tau)
+    sigma, tau = check_algorithm(algo, sigma, tau)
     if algo == "naive":
         return 3 ** n
     if algo == "cover":
         return 0
-    if algo == "columns":
-        s0 = _guarded_floor((COLUMNS_SIGMA if sigma is None else sigma) * n)
-        return sum(
-            math.comb(n, d) << (n - d) for d in range(s0 + 1, n + 1)
-        )
-    sig = ROWS_COLUMNS_SIGMA if sigma is None else sigma
-    t = ROWS_COLUMNS_TAU if tau is None else tau
-    s0 = _guarded_floor(sig * n)
-    split = GroundSplit.for_n(n)
-    t1, t2 = row_thresholds(split, t)
+    s0 = _guarded_floor(sigma * n)
     large = sum(math.comb(n, d) << (n - d) for d in range(s0 + 1, n + 1))
+    if algo == "columns":
+        return large
+    split = GroundSplit.for_n(n)
+    t1, t2 = row_thresholds(split, tau)
     trimmed = 0
     for c1 in range(split.h1 + 1):
         for c2 in range(split.h2 + 1):

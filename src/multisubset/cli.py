@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import jsonio
 from .analysis import (
@@ -59,11 +60,7 @@ def _cmd_mst(args) -> int:
     if args.count_ops:
         jsonio.save_json(
             args.output + ".counts.json",
-            {
-                "adds": counter.adds,
-                "muls": counter.muls,
-                "pair_iterations": stats.pair_iterations,
-            },
+            {"adds": counter.adds, "muls": counter.muls, **asdict(stats)},
         )
     return 0
 

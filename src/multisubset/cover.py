@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+
+from .bitops import subsets_of_size
 
 MAX_V = 28
 
@@ -33,36 +34,14 @@ def _check_params(v: int, k: int, s: int):
         )
 
 
-def _masks_of_size(v: int, k: int) -> list[int]:
-    out = []
-    for combo in combinations(range(v), k):
-        m = 0
-        for b in combo:
-            m |= 1 << b
-        out.append(m)
-    out.sort()
-    return out
-
-
-def _subsets_within(mask: int, s: int) -> frozenset[int]:
-    bits = [i for i in range(mask.bit_length()) if (mask >> i) & 1]
-    out = []
-    for combo in combinations(bits, s):
-        m = 0
-        for b in combo:
-            m |= 1 << b
-        out.append(m)
-    return frozenset(out)
-
-
 @lru_cache(maxsize=None)
 def greedy_cover(v: int, k: int, s: int) -> CoverDesign:
     """Greedy (v, k, s) covering design with deterministic tie-breaking."""
     _check_params(v, k, s)
-    targets = _masks_of_size(v, s)
-    candidates = _masks_of_size(v, k)
-    cand_sets = [_subsets_within(c, s) for c in candidates]
-    uncovered = set(targets)
+    full = (1 << v) - 1
+    candidates = sorted(subsets_of_size(full, k))
+    cand_sets = [frozenset(subsets_of_size(c, s)) for c in candidates]
+    uncovered = set(subsets_of_size(full, s))
     blocks: list[int] = []
     while uncovered:
         best_idx = -1
@@ -87,7 +66,7 @@ def verify_cover(design: CoverDesign) -> bool:
             return False
     covered = set()
     for block in design.blocks:
-        covered |= _subsets_within(block, design.s)
+        covered.update(subsets_of_size(block, design.s))
     return len(covered) == math.comb(design.v, design.s)
 
 

@@ -190,11 +190,11 @@ def _static_members(wsys: WeightSystem) -> list[SetFunction]:
 def round_families(wsys: WeightSystem, a: list):
     """Yield (t, family) for rounds t = 1..n of the transform-based recurrence.
 
-    The node members are built once per call.  The auxiliary member
-    carries (-1)^|S| * a[S] for |S| < t and zero for larger S, which cuts
-    off the recurrence exactly at round t; its table is extended in place
-    from `a` before each yield, so a[S] for |S| = t - 1 must be known when
-    round t is requested.
+    The node members are built once per call and shared by every round.
+    The auxiliary member carries (-1)^|S| * a[S] for |S| < t and zero for
+    larger S, which cuts off the recurrence exactly at round t.  It is read
+    from `a` when round t is requested, so a[S] for |S| = t - 1 must be
+    known by then; each round's family gets its own copy of that table.
     """
     ring = wsys.ring
     n = wsys.n
@@ -205,7 +205,8 @@ def round_families(wsys: WeightSystem, a: list):
     for t in range(1, n + 1):
         for s_mask in buckets[t - 1]:
             aux_vals[s_mask | aux_bit] = _signed_by_parity(ring, t - 1, a[s_mask])
-        yield t, Family(ring, n + 1, members + [SetFunction(ring, n + 1, aux_vals)])
+        aux = SetFunction(ring, n + 1, list(aux_vals))
+        yield t, Family(ring, n + 1, members + [aux])
 
 
 def sum_acyclic_digraphs(

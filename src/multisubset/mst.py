@@ -17,14 +17,17 @@ rectangular product; a `Scan` step adds the terms of its columns to
 every superset T by a direct scan, optionally skipping the pairs a
 trimmed product covers.
 
-* `mst_columns` sends every column of popcount <= floor(sigma*n) through
-  one big rectangular multiplication and finishes the large columns by a
+`run_transform` is the one entry point: `check_algorithm` resolves the
+algorithm's sigma and tau, and `_plan` builds its steps.
+
+* `columns` sends every column of popcount <= floor(sigma*n) through one
+  big rectangular multiplication and finishes the large columns by a
   direct superset scan.
-* `mst_rows_columns` additionally trims the matrix rows: the product is
-  only taken over row halves larger than a threshold, and the remaining
+* `rows-columns` additionally trims the matrix rows: the product is only
+  taken over row halves larger than a threshold, and the remaining
   (small-row, small-column) pairs are folded into the direct scan.
-* `mst_cover_columns` chops the column work into blocks indexed by
-  greedy covering designs, one product per block pair.
+* `cover` chops the column work into blocks indexed by greedy covering
+  designs, one product per block pair.
 """
 
 from __future__ import annotations
@@ -299,44 +302,6 @@ def small_large_columns(n: int, s0: int) -> tuple[list[int], list[int]]:
     return small, large
 
 
-def mst_columns(
-    fam: Family,
-    sigma: float = COLUMNS_SIGMA,
-    backend: RmmBackend | None = None,
-    stats: PipelineStats | None = None,
-) -> SetFunction:
-    """Columns algorithm: small columns via one rectangular product."""
-    _require_open(sigma, 1.0 / 3.0, 1.0 / 2.0, "sigma")
-    split = GroundSplit.for_n(fam.n)
-    small, large = small_large_columns(fam.n, _guarded_floor(sigma * fam.n))
-    plan = (
-        Product(_half_rows(split, 1), small, _half_rows(split, 2)),
-        Scan(large),
-    )
-    return _execute(fam, split, plan, backend, stats)
-
-
-def mst_rows_columns(
-    fam: Family,
-    sigma: float = ROWS_COLUMNS_SIGMA,
-    tau: float = ROWS_COLUMNS_TAU,
-    backend: RmmBackend | None = None,
-    stats: PipelineStats | None = None,
-) -> SetFunction:
-    """Rows-and-columns algorithm: trimmed rows on the small columns."""
-    _require_open(sigma, 1.0 / 3.0, 1.0 / 2.0, "sigma")
-    _require_open(tau, 1.0 / 2.0, 2.0 / 3.0, "tau")
-    split = GroundSplit.for_n(fam.n)
-    small, large = small_large_columns(fam.n, _guarded_floor(sigma * fam.n))
-    t1, t2 = row_thresholds(split, tau)
-    plan = (
-        Scan(small, (t1, t2)),
-        Product(_half_rows(split, 1, t1), small, _half_rows(split, 2, t2)),
-        Scan(large),
-    )
-    return _execute(fam, split, plan, backend, stats)
-
-
 class MeasuredCostPlanner:
     """Chooses block sizes by grid-searching a classical cost model.
 
@@ -388,6 +353,11 @@ def _cover_plan(split: GroundSplit):
     Columns come in classes by (popcount in part 1, popcount in part 2);
     covering designs tile each class into block pairs, and a covered-set
     keeps every column's contribution counted exactly once.
+
+    Kept to reproduce the paper, not for speed.  Under the classical cost
+    model `MeasuredCostPlanner` picks blocks of exactly the column size
+    for every class, so each product covers one column and the run issues
+    3^n kernel multiplications, the naive pair count.
     """
     h1, h2 = split.h1, split.h2
     planner = MeasuredCostPlanner()
@@ -419,30 +389,49 @@ def _cover_plan(split: GroundSplit):
                     yield Product(rows1, cols, rows2)
 
 
-def mst_cover_columns(
-    fam: Family,
-    backend: RmmBackend | None = None,
-    stats: PipelineStats | None = None,
-) -> SetFunction:
-    """Cover-columns algorithm: dense blocks from greedy covering designs.
+def check_algorithm(
+    algo: str, sigma: float | None, tau: float | None
+) -> tuple[float | None, float | None]:
+    """The (sigma, tau) that `algo` runs with, defaults filled in.
 
-    Kept to reproduce the paper, not for speed.  Under the classical cost
-    model `MeasuredCostPlanner` picks blocks of exactly the column size
-    for every class, so each product covers one column and the run issues
-    3^n kernel multiplications, the naive pair count.
+    Rejects an unknown algorithm, sigma or tau given to one that takes
+    none, sigma outside (1/3, 1/2) and tau outside (1/2, 2/3).  A
+    parameter the algorithm does not take comes back as None.
     """
-    split = GroundSplit.for_n(fam.n)
-    return _execute(fam, split, _cover_plan(split), backend, stats)
-
-
-def check_algorithm(algo: str, sigma: float | None, tau: float | None) -> None:
-    """Reject an unknown algorithm, and sigma or tau given to one that takes none."""
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}; expected one of {ALGORITHMS}")
     if sigma is not None and algo not in ("columns", "rows-columns"):
         raise ValueError(f"sigma does not apply to {algo}")
     if tau is not None and algo != "rows-columns":
         raise ValueError(f"tau does not apply to {algo}")
+    if algo == "columns":
+        sigma = COLUMNS_SIGMA if sigma is None else sigma
+    elif algo == "rows-columns":
+        sigma = ROWS_COLUMNS_SIGMA if sigma is None else sigma
+        tau = ROWS_COLUMNS_TAU if tau is None else tau
+    if sigma is not None:
+        _require_open(sigma, 1.0 / 3.0, 1.0 / 2.0, "sigma")
+    if tau is not None:
+        _require_open(tau, 1.0 / 2.0, 2.0 / 3.0, "tau")
+    return sigma, tau
+
+
+def _plan(algo: str, split: GroundSplit, sigma: float | None, tau: float | None):
+    """The steps of a fast algorithm, for the sigma and tau it runs with."""
+    if algo == "cover":
+        return _cover_plan(split)
+    small, large = small_large_columns(split.n, _guarded_floor(sigma * split.n))
+    if algo == "columns":
+        return (
+            Product(_half_rows(split, 1), small, _half_rows(split, 2)),
+            Scan(large),
+        )
+    t1, t2 = row_thresholds(split, tau)
+    return (
+        Scan(small, (t1, t2)),
+        Product(_half_rows(split, 1, t1), small, _half_rows(split, 2, t2)),
+        Scan(large),
+    )
 
 
 def run_transform(
@@ -453,20 +442,9 @@ def run_transform(
     backend: RmmBackend | None = None,
     stats: PipelineStats | None = None,
 ) -> SetFunction:
-    """Dispatch by algorithm name (see ALGORITHMS)."""
-    check_algorithm(algo, sigma, tau)
+    """Run `algo` (see ALGORITHMS): the naive oracle or a fast plan."""
+    sigma, tau = check_algorithm(algo, sigma, tau)
     if algo == "naive":
         return mst_naive(fam, stats)
-    if algo == "columns":
-        return mst_columns(
-            fam, COLUMNS_SIGMA if sigma is None else sigma, backend, stats
-        )
-    if algo == "rows-columns":
-        return mst_rows_columns(
-            fam,
-            ROWS_COLUMNS_SIGMA if sigma is None else sigma,
-            ROWS_COLUMNS_TAU if tau is None else tau,
-            backend,
-            stats,
-        )
-    return mst_cover_columns(fam, backend, stats)
+    split = GroundSplit.for_n(fam.n)
+    return _execute(fam, split, _plan(algo, split, sigma, tau), backend, stats)

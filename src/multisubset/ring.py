@@ -48,13 +48,6 @@ class Ring:
         """Uniform random element, drawn from a random.Random instance."""
         raise NotImplementedError
 
-    def sample_nonzero(self, rng):
-        """Uniform random element excluding zero."""
-        v = self.sample(rng)
-        while self.eq(v, self.zero):
-            v = self.sample(rng)
-        return v
-
 
 class PrimeField(Ring):
     """Integers modulo p (default 2^61 - 1), elements kept canonical in [0, p)."""
@@ -86,11 +79,6 @@ class PrimeField(Ring):
 
     def sample(self, rng):
         return rng.randrange(self.p)
-
-    def sample_nonzero(self, rng):
-        if self.p == 2:
-            return 1
-        return rng.randrange(1, self.p)
 
     def __repr__(self):
         return f"PrimeField(p={self.p})"
@@ -178,9 +166,6 @@ class CountingRing(Ring):
 
     def sample(self, rng):
         return self.inner.sample(rng)
-
-    def sample_nonzero(self, rng):
-        return self.inner.sample_nonzero(rng)
 
     def __repr__(self):
         return f"CountingRing({self.inner!r})"

@@ -175,11 +175,11 @@ def test_covering_designs():
                 ok = ok and len(design.blocks) <= cover_size_bound(v, k, s)
     ok = ok and len(greedy_cover(4, 3, 2).blocks) == 3
     # exhaustive impossibility of a 2-block cover for (4, 3, 2)
-    from multisubset.cover import _subsets_within
+    from multisubset.bitops import subsets_of_size
 
     triples = [m for m in range(16) if m.bit_count() == 3]
     two_block_possible = any(
-        len(_subsets_within(a, 2) | _subsets_within(b, 2)) == comb(4, 2)
+        len(set(subsets_of_size(a, 2)) | set(subsets_of_size(b, 2))) == comb(4, 2)
         for a in triples
         for b in triples
     )

@@ -101,19 +101,6 @@ def test_omega_table_validation():
         OmegaTable(anchors=((-1.0, 2.5),))
 
 
-def test_chord_tightening():
-    tab = DEFAULT_OMEGA_TABLE
-    dense = tab.chord_tightened(0.05)
-    for k, _ in tab.anchors:
-        assert dense.upper(k) == pytest.approx(tab.upper(k), abs=1e-12)
-    for k in np.linspace(0.0, 2.0, 101):
-        assert dense.upper(float(k)) <= tab.upper(float(k)) + 1e-12
-    # strictly tighter somewhere in the middle of a long segment
-    assert dense.upper(1.4) < tab.upper(1.4) - 1e-6
-    with pytest.raises(ValueError):
-        tab.chord_tightened(0.0)
-
-
 def test_cover_omega_table_is_valid():
     tab = COVER_OMEGA_TABLE
     for k, w in tab.anchors:

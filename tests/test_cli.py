@@ -41,12 +41,22 @@ def test_mst_stdout(tmp_path, capsys):
 def test_count_ops_sidecar(tmp_path):
     fam = gen_family(tmp_path, 5)
     out = tmp_path / "g.json"
-    assert run_cli("mst", "--input", str(fam), "--algo", "naive",
-                   "--count-ops", "--output", str(out)) == 0
-    sidecar = load_json(str(out) + ".counts.json")
-    assert set(sidecar) == {"adds", "muls", "pair_iterations"}
-    assert sidecar["pair_iterations"] == 3**5
-    assert sidecar["adds"] > 0 and sidecar["muls"] > 0
+    # columns at n = 5: s0 = floor(0.3642 * 5) = 1, so the 6 small columns go
+    # through one 2^3 x 6 x 2^2 product and the scan visits the other 3^5 - 112
+    for algo, pairs, rmm_muls, columns in (
+        ("naive", 3**5, 0, 0),
+        ("columns", 3**5 - 112, 2**5 * 6, 6),
+    ):
+        assert run_cli("mst", "--input", str(fam), "--algo", algo,
+                       "--count-ops", "--output", str(out)) == 0
+        sidecar = load_json(str(out) + ".counts.json")
+        assert set(sidecar) == {
+            "adds", "muls", "pair_iterations", "rmm_muls", "columns_processed"
+        }
+        assert sidecar["pair_iterations"] == pairs
+        assert sidecar["adds"] > 0 and sidecar["muls"] > 0
+        assert sidecar["rmm_muls"] == rmm_muls
+        assert sidecar["columns_processed"] == columns
 
 
 def test_count_ops_requires_output(tmp_path):

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from multisubset import CoverDesign, cover_size_bound, greedy_cover, verify_cover
-from multisubset.cover import _subsets_within
+from multisubset.bitops import subsets_of_size
 
 
 def test_two_points_per_block_of_three():
@@ -18,7 +18,7 @@ def test_two_blocks_never_cover_4_3_2():
     # any two 3-subsets of a 4-set share a pair, leaving one of the 6 uncovered
     triples = [m for m in range(16) if m.bit_count() == 3]
     for a, b in combinations(triples, 2):
-        covered = _subsets_within(a, 2) | _subsets_within(b, 2)
+        covered = set(subsets_of_size(a, 2)) | set(subsets_of_size(b, 2))
         assert len(covered) < comb(4, 2)
 
 

@@ -97,13 +97,15 @@ def test_tian_he_unweighted_table(modp):
         assert result.a[s_mask] == modp.from_int(ACYCLIC_COUNTS[s_mask.bit_count()])
 
 
-def test_build_dag_family_shape(modp):
+@pytest.mark.parametrize("collect", [iter, list], ids=["lazy", "list"])
+def test_build_dag_family_shape(modp, collect):
+    # each round's family keeps its own values, also after later rounds
     n = 3
     wsys = random_weights(modp, n, seed=5)
     a_table = tian_he_sum(wsys).a
     aux_bit = 1 << n
     rounds = 0
-    for t, fam in round_families(wsys, a_table):
+    for t, fam in collect(round_families(wsys, a_table)):
         rounds += 1
         assert t == rounds
         assert fam.n == n + 1

@@ -18,10 +18,7 @@ from multisubset import (
     SetFunction,
     build_submatrix,
     make_ring,
-    mst_columns,
-    mst_cover_columns,
     mst_naive,
-    mst_rows_columns,
     run_transform,
     values_equal,
 )
@@ -91,7 +88,7 @@ def test_columns_structural_counts(modp):
     sigma = COLUMNS_SIGMA
     s0 = _guarded_floor(sigma * n)
     stats = PipelineStats()
-    mst_columns(fam, sigma, ClassicalBackend(), stats)
+    run_transform("columns", fam, sigma=sigma, backend=ClassicalBackend(), stats=stats)
     # the superset scan on large columns does 2^(n-d) pair visits per column
     expected_pairs = sum(comb(n, d) * 2 ** (n - d) for d in range(s0 + 1, n + 1))
     assert stats.pair_iterations == expected_pairs
@@ -180,7 +177,7 @@ def test_rows_trimmed_partial(modp):
     got = _run_plan(fam, _trimmed_plan(split, ROWS_COLUMNS_TAU, list(range(1 << n))))
     assert values_equal(modp, got, mst_naive(fam).values)
     with pytest.raises(ValueError):
-        mst_rows_columns(fam, tau=1.5)
+        run_transform("rows-columns", fam, tau=1.5)
 
 
 @pytest.mark.parametrize("trimmed", [False, True])
@@ -213,12 +210,13 @@ def test_scan_ring_op_counts(n, trimmed):
 
 def test_parameter_domains(modp):
     fam = random_family(modp, 4, seed=0)
-    for bad_sigma in (0.2, 1 / 3, 0.5, 0.9):
-        with pytest.raises(ValueError):
-            mst_columns(fam, bad_sigma)
+    for algo in ("columns", "rows-columns"):
+        for bad_sigma in (0.2, 1 / 3, 0.5, 0.9):
+            with pytest.raises(ValueError):
+                run_transform(algo, fam, sigma=bad_sigma)
     for bad_tau in (0.4, 0.5, 2 / 3, 0.8):
         with pytest.raises(ValueError):
-            mst_rows_columns(fam, tau=bad_tau)
+            run_transform("rows-columns", fam, tau=bad_tau)
     with pytest.raises(ValueError):
         run_transform("fft", fam)
     # sigma and tau are rejected where the algorithm takes none
@@ -242,7 +240,7 @@ def test_cover_partitions_columns(modp):
     for n in (4, 5, 6):
         fam = random_family(modp, n, seed=3 * n)
         stats = PipelineStats()
-        got = mst_cover_columns(fam, stats=stats)
+        got = run_transform("cover", fam, stats=stats)
         assert stats.columns_processed == 2**n
         assert values_equal(modp, got.values, mst_naive(fam).values)
 
@@ -252,7 +250,7 @@ def test_cover_counts_one_column_per_product(modp, n):
     # the cost model picks k = s for every column class, so each of the
     # 2^n columns S gets its own 2^(n - |S|)-cell product: 3^n in all
     stats = PipelineStats()
-    mst_cover_columns(random_family(modp, n, seed=n), stats=stats)
+    run_transform("cover", random_family(modp, n, seed=n), stats=stats)
     assert stats.rmm_muls == 3**n
     assert stats.columns_processed == 2**n
 
@@ -306,7 +304,7 @@ def test_rows_trimmed_matches_full_rmm(modp):
 def test_all_zero_family(modp):
     n = 5
     fam = Family(modp, n, [SetFunction.zeros(modp, n) for _ in range(n)])
-    g = mst_rows_columns(fam)
+    g = run_transform("rows-columns", fam)
     assert g.values[0] == modp.one  # empty T keeps the empty product
     assert all(v == modp.zero for v in g.values[1:])
 
@@ -314,8 +312,8 @@ def test_all_zero_family(modp):
 def test_cover_f64_bit_reproducible():
     ring = make_ring("f64")
     fam = random_family(ring, 7, seed=19)
-    first = mst_cover_columns(fam)
-    second = mst_cover_columns(fam)
+    first = run_transform("cover", fam)
+    second = run_transform("cover", fam)
     assert first.values == second.values  # identical floats, not just close
 
 
@@ -328,7 +326,7 @@ def test_rows_columns_product_counts(modp, n):
     rows1 = sum(comb(split.h1, c) for c in range(t1 + 1, split.h1 + 1))
     rows2 = sum(comb(split.h2, c) for c in range(t2 + 1, split.h2 + 1))
     stats = PipelineStats()
-    mst_rows_columns(random_family(modp, n, seed=n), stats=stats)
+    run_transform("rows-columns", random_family(modp, n, seed=n), stats=stats)
     assert stats.rmm_muls == rows1 * len(small) * rows2
     assert stats.columns_processed == len(small)
 
@@ -337,7 +335,7 @@ def test_columns_reference_counts_n10(modp):
     # s0 = floor(0.3642 * 10) = 3; one product of 2^5 x 176 x 2^5
     fam = random_family(modp, 10, seed=10)
     stats = PipelineStats()
-    mst_columns(fam, 0.3642, ClassicalBackend(), stats)
+    run_transform("columns", fam, sigma=0.3642, backend=ClassicalBackend(), stats=stats)
     small = sum(comb(10, s) for s in range(4))
     assert small == 176
     assert stats.rmm_muls == 2**10 * small

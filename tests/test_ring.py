@@ -61,7 +61,6 @@ def test_sampling_deterministic():
     b = [r.sample(random.Random(9)) for _ in range(5)]
     assert a == b
     assert all(0 <= x < P for x in a)
-    assert r.sample_nonzero(random.Random(0)) != 0
 
 
 def test_f64_ring():
