@@ -29,7 +29,8 @@ from .ring import CountingRing, OpCounter, make_ring
 def _add_ring_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--ring", choices=["modp", "f64"], default="modp")
     sub.add_argument("--p", type=int, default=None,
-                     help="prime modulus for --ring modp")
+                     help="prime modulus for --ring modp (default 2^61 - 1; "
+                          "a composite one exits with code 2)")
 
 
 def _make_ring(args):

@@ -1,0 +1,261 @@
+"""The array path of the fast transforms: exact arithmetic mod p = 2^61 - 1.
+
+Every value is a uint64 in [0, p).  Elementwise products never leave
+uint64: each operand is split into 32-bit halves, every partial product
+fits in 64 bits, and the parts above 2^61 fold back with 2^61 = 1
+(mod p); multiplying by a power of two is a 61-bit rotation.  Sums by
+index run through float64 `np.bincount` on the 32-bit halves, and the
+matrix product through float64 BLAS on 16-bit limbs; both are exact
+while every float64 sum stays below 2^53.
+
+`mst` and `rmm` import this module on the first array-path call only,
+so the list path never loads it.  The chunk sizes below bound the
+working set of each step.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .ring import MERSENNE61, Ring
+
+# Columns per bracket-build chunk and per kernel product: bound the
+# temporaries, and keep each float64 sum of limb products exact.
+BUILD_CHUNK_COLUMNS = 128
+KERNEL_CHUNK_COLUMNS = 128
+# (T, S) pairs per direct-scan chunk (a column with more is one chunk).
+SCAN_CHUNK_PAIRS = 1 << 14
+# Scan columns summed in float64 between folds mod p.  Each T gets at most
+# one pair per column, so its 32-bit halves sum below 2^32 * 2^21 = 2^53.
+SCAN_FOLD_COLUMNS = 1 << 21
+
+P = np.uint64(MERSENNE61)
+_MASK16 = np.uint64(0xFFFF)
+_MASK29 = np.uint64((1 << 29) - 1)
+_MASK32 = np.uint64(0xFFFFFFFF)
+_U3, _U29, _U32, _U61 = (np.uint64(k) for k in (3, 29, 32, 61))
+
+
+def fold(x: np.ndarray) -> np.ndarray:
+    """Reduce a uint64 array into [0, p) in place and return it."""
+    hi = x >> _U61
+    x &= P
+    x += hi  # below 2^61 + 8
+    np.subtract(x, P, out=x, where=x >= P)
+    return x
+
+
+def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise a * b mod p for uint64 operands in [0, p); broadcasts."""
+    a_hi, b_hi = a >> _U32, b >> _U32
+    a_lo, b_lo = a & _MASK32, b & _MASK32
+    # a * b = hh 2^64 + mid 2^32 + ll with hh < 2^58, mid < 2^62, ll < 2^64
+    mid = a_hi * b_lo
+    ll = a_lo * b_hi
+    mid += ll
+    np.multiply(a_lo, b_lo, out=ll)
+    out = a_hi * b_hi
+    out <<= _U3  # 2^64 = 2^3 (mod p)
+    out += ll & P
+    ll >>= _U61
+    out += ll
+    # mid 2^32 = (mid >> 29) 2^61 + (mid mod 2^29) 2^32
+    out += mid >> _U29
+    mid &= _MASK29
+    mid <<= _U32
+    out += mid  # below 3 * 2^61 + 2^34
+    return fold(out)
+
+
+def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b mod p into a (uint64, both in [0, p)); returns a."""
+    a += b
+    np.subtract(a, P, out=a, where=a >= P)
+    return a
+
+
+def shift(x: np.ndarray, s: int) -> np.ndarray:
+    """x * 2^s mod p for x < 2^61 and 0 <= s < 61: a 61-bit rotation."""
+    if s == 0:
+        return x.copy()
+    return ((x << np.uint64(s)) & P) | (x >> np.uint64(61 - s))
+
+
+def canonical(values: list[list]) -> np.ndarray:
+    """2-D uint64 array in [0, p) from rows of Python ints of any sign and size."""
+    try:
+        arr = np.array(values, dtype=np.uint64)
+    except OverflowError:  # a negative value or one of 2^64 or more
+        arr = np.array([[v % MERSENNE61 for v in row] for row in values], dtype=np.uint64)
+    for row in arr:  # one row at a time keeps fold's temporaries small
+        fold(row)
+    return arr
+
+
+@dataclass
+class M61Family:
+    """A family over PrimeField(2^61 - 1) as one (n, 2^n) uint64 array in [0, p).
+
+    values[i, S] is f_i(S).  The array path builds it once per transform,
+    reducing member values that lie outside [0, p).
+    """
+
+    ring: Ring
+    n: int
+    values: np.ndarray
+
+    @classmethod
+    def of(cls, fam) -> "M61Family":
+        values = canonical([m.values for m in fam.members])
+        return cls(fam.ring, fam.n, values.reshape(fam.n, 1 << fam.n))
+
+    def zero_table(self) -> np.ndarray:
+        return np.zeros(1 << self.n, dtype=np.uint64)
+
+
+def bracket(values: np.ndarray, first_bit: int, h: int, part_mask: int,
+            rows: list[int], cols: list[int]) -> np.ndarray:
+    """Bracket entries of one half (bits first_bit .. first_bit + h - 1).
+
+    Per column chunk, the products of every subset of the half come from
+    doubling (subset U + {b} is subset U times f_b); the rows pick theirs,
+    and the entries whose column has half bits outside the row are zeroed.
+    """
+    row_arr = np.array(rows, dtype=np.int64)
+    local = row_arr >> first_bit
+    outside_row = ~row_arr[:, None]
+    col_arr = np.array(cols, dtype=np.int64)
+    out = np.empty((len(rows), len(cols)), dtype=np.uint64)
+    table = np.empty((1 << h, min(len(cols), BUILD_CHUNK_COLUMNS)), dtype=np.uint64)
+    for c0 in range(0, len(cols), BUILD_CHUNK_COLUMNS):
+        chunk = col_arr[c0:c0 + BUILD_CHUNK_COLUMNS]
+        sub = table[:, :len(chunk)]
+        sub[0] = 1
+        for k in range(h):
+            sub[1 << k:2 << k] = mul(sub[:1 << k], values[first_bit + k, chunk])
+        block = out[:, c0:c0 + len(chunk)]
+        np.take(sub, local, axis=0, out=block)
+        block[((chunk & part_mask) & outside_row) != 0] = 0
+    return out
+
+
+def _limb(x: np.ndarray, k: int, scratch: np.ndarray, out: np.ndarray) -> None:
+    """Bits 16k .. 16k + 15 of x (uint64) as float64 into out."""
+    np.right_shift(x, np.uint64(16 * k), out=scratch)
+    scratch &= _MASK16
+    out[...] = scratch
+
+
+def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a times b transposed mod p, for uint64 entries in [0, p).
+
+    Per column chunk of width w, the four 16-bit limbs of b form one
+    (4 r2 x w) float64 matrix; limb i of a times it gives the blocks
+    (i, j) for all four limbs j of b.  A block entry sums w products
+    below 2^32, an exact float64 for w < 2^21.  The blocks add up by
+    degree i + j in uint64, below 2^64 for fewer than 2^30 columns, and
+    degree k weighs 2^(16 k) = 2^(16 k mod 61) (mod p).
+    """
+    (r1, cols), r2 = a.shape, b.shape[0]
+    by_degree = np.zeros((7, r1, r2), dtype=np.uint64)
+    width = min(cols, KERNEL_CHUNK_COLUMNS)
+    la, ua = np.empty((r1, width)), np.empty((r1, width), dtype=np.uint64)
+    lb, ub = np.empty((4 * r2, width)), np.empty((r2, width), dtype=np.uint64)
+    part = np.empty((r1, 4 * r2))
+    block = np.empty((r1, r2), dtype=np.uint64)
+    for c0 in range(0, cols, KERNEL_CHUNK_COLUMNS):
+        w = min(width, cols - c0)
+        for j in range(4):
+            _limb(b[:, c0:c0 + w], j, ub[:, :w], lb[j * r2:(j + 1) * r2, :w])
+        for i in range(4):
+            _limb(a[:, c0:c0 + w], i, ua[:, :w], la[:, :w])
+            np.matmul(la[:, :w], lb[:, :w].T, out=part)
+            for j in range(4):
+                np.copyto(block, part[:, j * r2:(j + 1) * r2], casting="unsafe")
+                by_degree[i + j] += block
+    out = np.zeros((r1, r2), dtype=np.uint64)
+    for k in range(7):
+        out += shift(fold(by_degree[k]), 16 * k % 61)  # each term below p
+    return fold(out)
+
+
+def scatter(g: np.ndarray, rows1: list[int], rows2: list[int], prod: np.ndarray) -> None:
+    """g[t1 | t2] += prod[i, j] mod p for t1 = rows1[i], t2 = rows2[j]."""
+    idx = np.array(rows1, dtype=np.int64)[:, None] | np.array(rows2, dtype=np.int64)
+    g[idx] = add(g[idx], prod)
+
+
+def superset_scan(values: np.ndarray, cols: list[int], g: np.ndarray, cut) -> int:
+    """g[T] += prod_{i in T} f_i(S) for S in cols, T superset S; returns the pairs.
+
+    `cut` (bytes, one per mask, or None) marks the T to leave out, and
+    the columns it marks are skipped.  The columns of one popcount share
+    their number of free bits, so they are batched, in chunks of at most
+    SCAN_CHUNK_PAIRS final pairs.  Each chunk runs on flat (T, S, product)
+    arrays and doubles over every bit: an entry whose T lacks the bit
+    gets a copy with it set and one more factor, unless the cut drops it.
+    """
+    n = values.shape[0]
+    size = 1 << n
+    col_arr = np.array(cols, dtype=np.int64)
+    if cut is not None:
+        cut = np.frombuffer(cut, dtype=np.bool_)
+        col_arr = col_arr[~cut[col_arr]]
+    pops = np.zeros(len(col_arr), dtype=np.int64)
+    roots = np.ones(len(col_arr), dtype=np.uint64)  # prod over i in S of f_i(S)
+    for b in range(n):
+        has = (col_arr >> b) & 1
+        pops += has
+        has = np.flatnonzero(has)
+        roots[has] = mul(roots[has], values[b, col_arr[has]])
+    lo, hi = np.zeros(size), np.zeros(size)
+    pairs = since_fold = 0
+    for d in range(n + 1):
+        batch = np.flatnonzero(pops == d)
+        per = max(1, SCAN_CHUNK_PAIRS >> (n - d))
+        for c0 in range(0, len(batch), per):
+            chunk = batch[c0:c0 + per]
+            t_all, p_all = _doubling(values, col_arr[chunk], roots[chunk], n - d, cut)
+            pairs += len(t_all)
+            if since_fold + len(chunk) > SCAN_FOLD_COLUMNS:
+                add(g, _sum_halves(lo, hi))
+                lo[:] = hi[:] = 0.0
+                since_fold = 0
+            since_fold += len(chunk)
+            lo += np.bincount(t_all, weights=(p_all & _MASK32).astype(np.float64), minlength=size)
+            hi += np.bincount(t_all, weights=(p_all >> _U32).astype(np.float64), minlength=size)
+    add(g, _sum_halves(lo, hi))
+    return pairs
+
+
+def _doubling(values: np.ndarray, s: np.ndarray, roots: np.ndarray, free: int, cut):
+    """(T, product) of every kept superset T of each column in s (free bits each)."""
+    n = values.shape[0]
+    cap = len(s) << free
+    t_all = np.empty(cap, dtype=np.int64)
+    s_all = np.empty(cap, dtype=np.int64)
+    p_all = np.empty(cap, dtype=np.uint64)
+    m = len(s)
+    t_all[:m] = s_all[:m] = s
+    p_all[:m] = roots
+    for b in range(n):
+        bit = 1 << b
+        grow = (t_all[:m] & bit) == 0
+        if cut is not None:
+            grow &= ~cut[t_all[:m] | bit]
+        idx = np.flatnonzero(grow)
+        k = idx.size
+        if k:
+            t_all[m:m + k] = t_all[idx] | bit
+            s_new = s_all[m:m + k]
+            s_new[:] = s_all[idx]
+            p_all[m:m + k] = mul(p_all[idx], values[b, s_new])
+            m += k
+    return t_all[:m], p_all[:m]
+
+
+def _sum_halves(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """(lo + hi * 2^32) mod p from exact float64 sums lo, hi < 2^53."""
+    return add(lo.astype(np.uint64), shift(hi.astype(np.uint64), 32))

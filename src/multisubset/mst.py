@@ -20,6 +20,17 @@ trimmed product covers.
 `run_transform` is the one entry point: `check_algorithm` resolves the
 algorithm's sigma and tau, and `_plan` builds its steps.
 
+The executor has two paths.  The list path runs every ring operation as
+one Python call on the ring; it serves every ring and plan and is the
+one `CountingRing` counts.  The array path runs `columns` and
+`rows-columns` over exactly `PrimeField(2^61 - 1)`: the members become
+one uint64 array, the bracket build, the scatter and the direct scan are
+numpy operations mod p, and the kernel multiplies the bracket arrays
+exactly through float64 BLAS (all in `m61`).  Both paths give the same
+table and the same `PipelineStats`.  `cover` stays on lists: its
+thousands of one-column products would pay numpy's per-call overhead
+each time.
+
 * `columns` sends every column of popcount <= floor(sigma*n) through one
   big rectangular multiplication and finishes the large columns by a
   direct superset scan.
@@ -37,6 +48,7 @@ from dataclasses import dataclass
 
 from .bitops import bits_of, subsets_of_size
 from .cover import greedy_cover
+from .ring import is_m61
 from .rmm import ClassicalBackend, RmmBackend, SubMatrix
 from .setfn import Family, SetFunction
 
@@ -48,6 +60,8 @@ ROWS_COLUMNS_TAU = 0.59777
 ROWS_COLUMNS_SIGMA = 0.38185
 
 ALGORITHMS = ("naive", "columns", "rows-columns", "cover")
+# Algorithms whose plans run on the array path over PrimeField(2^61 - 1).
+ARRAY_ALGORITHMS = ("columns", "rows-columns")
 
 
 @dataclass(frozen=True)
@@ -157,19 +171,28 @@ def build_submatrix(
 
     Entry (T_p, S) is prod over i in T_p of f_i(S) when S's part-p bits
     lie inside T_p, and zero otherwise (the bracket).  Row masks must
-    stay within their own half of the ground set.
+    stay within their own half of the ground set.  Given the array path's
+    `m61.M61Family` in place of a `Family`, the entries are one uint64
+    array; otherwise they are lists.
     """
     if part not in (1, 2):
         raise ValueError("part must be 1 or 2")
-    ring = fam.ring
     part_mask = split.u1_mask if part == 1 else split.u2_mask
+    for t_mask in rows:
+        if t_mask & ~part_mask:
+            raise ValueError(f"row mask {t_mask:#x} is not within part {part}")
+    if not isinstance(fam, Family):
+        from .m61 import bracket
+
+        first_bit, h = (0, split.h1) if part == 1 else (split.h1, split.h2)
+        entries = bracket(fam.values, first_bit, h, part_mask, rows, cols)
+        return SubMatrix(list(rows), list(cols), entries)
+    ring = fam.ring
     members = [m.values for m in fam.members]
     mul = ring.mul
     zero, one = ring.zero, ring.one
     entries = []
     for t_mask in rows:
-        if t_mask & ~part_mask:
-            raise ValueError(f"row mask {t_mask:#x} is not within part {part}")
         bits = bits_of(t_mask)
         row = []
         for s_mask in cols:
@@ -202,6 +225,11 @@ def _product_into(
     e1 = build_submatrix(fam, split, 1, rows1, cols)
     e2 = build_submatrix(fam, split, 2, rows2, cols)
     product = backend.multiply(fam.ring, e1, e2, stats)
+    if not isinstance(product, list):
+        from .m61 import scatter
+
+        scatter(g, rows1, rows2, product)
+        return
     add = fam.ring.add
     for i, t1 in enumerate(rows1):
         row = product[i]
@@ -229,8 +257,6 @@ def _direct_scan(
     """
     ring = fam.ring
     n = fam.n
-    members = [m.values for m in fam.members]
-    add, mul = ring.add, ring.mul
     cut = None
     if thresholds is not None:
         t1, t2 = thresholds
@@ -239,6 +265,15 @@ def _direct_scan(
             (t & u1).bit_count() > t1 and (t & ~u1).bit_count() > t2
             for t in range(1 << n)
         )
+    if not isinstance(fam, Family):
+        from .m61 import superset_scan
+
+        pairs = superset_scan(fam.values, cols, g, cut)
+        if stats is not None:
+            stats.pair_iterations += pairs
+        return
+    members = [m.values for m in fam.members]
+    add, mul = ring.add, ring.mul
     pairs = 0
     for s_mask in cols:
         if cut is not None and cut[s_mask]:
@@ -273,16 +308,27 @@ def _execute(
     steps,
     backend: RmmBackend | None,
     stats: PipelineStats | None,
+    arrays: bool = False,
 ) -> SetFunction:
-    """Run a plan's steps in order into one output table."""
+    """Run a plan's steps in order into one output table.
+
+    With `arrays` (for PrimeField(2^61 - 1) only) the steps run on the
+    array path; the table comes back as Python ints either way.
+    """
     backend = backend or ClassicalBackend()
-    g = [fam.ring.zero] * (1 << fam.n)
+    if arrays:
+        from .m61 import M61Family
+
+        fam = M61Family.of(fam)
+        g = fam.zero_table()
+    else:
+        g = [fam.ring.zero] * (1 << fam.n)
     for step in steps:
         if isinstance(step, Scan):
             _direct_scan(fam, step.cols, g, stats, split, step.thresholds)
         else:
             _product_into(fam, split, step, backend, g, stats)
-    return SetFunction(fam.ring, fam.n, g)
+    return SetFunction(fam.ring, fam.n, g.tolist() if arrays else g)
 
 
 def row_thresholds(split: GroundSplit, tau: float) -> tuple[int, int]:
@@ -447,4 +493,5 @@ def run_transform(
     if algo == "naive":
         return mst_naive(fam, stats)
     split = GroundSplit.for_n(fam.n)
-    return _execute(fam, split, _plan(algo, split, sigma, tau), backend, stats)
+    arrays = algo in ARRAY_ALGORITHMS and is_m61(fam.ring)
+    return _execute(fam, split, _plan(algo, split, sigma, tau), backend, stats, arrays)

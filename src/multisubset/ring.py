@@ -4,6 +4,10 @@ Set-function values are plain Python objects (ints for the prime field,
 floats for f64); a Ring object supplies the arithmetic.  This keeps the
 transforms generic: the same butterfly or matrix kernel runs over exact
 modular arithmetic, floating point, or an operation-counting wrapper.
+The one exception is the array path of the `columns` and `rows-columns`
+transforms over exactly `PrimeField(2^61 - 1)` (see `is_m61`): it
+converts the values to uint64 arrays and runs its own arithmetic (the
+`m61` module), returning Python ints again.
 """
 
 from __future__ import annotations
@@ -11,6 +15,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 MERSENNE61 = (1 << 61) - 1
+# Miller-Rabin with these bases decides primality exactly below
+# 3317044064679887385961981 (about 3.3e24); above it, it is a
+# strong-probable-prime test.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin over fixed prime bases (see _PRIME_BASES)."""
+    if p < 2:
+        return False
+    for q in _PRIME_BASES:
+        if p % q == 0:
+            return p == q
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class Ring:
@@ -50,7 +82,7 @@ class Ring:
 
 
 class PrimeField(Ring):
-    """Integers modulo p (default 2^61 - 1), elements kept canonical in [0, p)."""
+    """Integers modulo a prime p (default 2^61 - 1), kept canonical in [0, p)."""
 
     id = "modp"
     exact = True
@@ -58,6 +90,8 @@ class PrimeField(Ring):
     def __init__(self, p: int = MERSENNE61):
         if p < 2:
             raise ValueError(f"modulus must be at least 2, got {p}")
+        if not is_prime(p):
+            raise ValueError(f"modulus must be prime, got {p}")
         self.p = p
         self.zero = 0
         self.one = 1 % p
@@ -82,6 +116,11 @@ class PrimeField(Ring):
 
     def __repr__(self):
         return f"PrimeField(p={self.p})"
+
+
+def is_m61(ring: Ring) -> bool:
+    """True for exactly PrimeField(2^61 - 1), not a wrapper of it."""
+    return type(ring) is PrimeField and ring.p == MERSENNE61
 
 
 class Float64Ring(Ring):

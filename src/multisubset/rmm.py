@@ -3,14 +3,20 @@
 Both operands share the column index set: multiply(A, B) returns
 P[i][j] = sum_c A[i][c] * B[j][c], i.e. A times B transposed.  The
 classical kernel performs exactly rows(A) * cols * rows(B) ring
-multiplications.
+multiplications, counted in `PipelineStats.rmm_muls`.
+
+Entries are either lists of ring values, multiplied one Python ring
+operation per term, or (on the M61 array path) uint64 arrays in [0, p),
+multiplied exactly through float64 BLAS: each operand is split into four
+16-bit limbs, float64 products per column chunk sum the 16 limb-pair
+blocks exactly, and the blocks are recombined mod p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ring import Ring
+from .ring import Ring, is_m61
 
 
 @dataclass
@@ -19,9 +25,13 @@ class SubMatrix:
 
     rows: list[int]
     cols: list[int]
-    entries: list[list]
+    entries: list  # or, on the array path, a uint64 array
 
     def __post_init__(self):
+        if not isinstance(self.entries, list):
+            if self.entries.shape != (len(self.rows), len(self.cols)):
+                raise ValueError("entry shape does not match row and column labels")
+            return
         if len(self.entries) != len(self.rows):
             raise ValueError("entry row count does not match row labels")
         for row in self.entries:
@@ -44,23 +54,33 @@ class RmmBackend:
 
 
 class ClassicalBackend(RmmBackend):
-    """Triple-loop product; multiplication count is exactly R1 * C * R2."""
+    """Triple loop on lists, the limb-split M61 product (`m61.product`) on arrays.
+
+    Either way the multiplication count is exactly R1 * C * R2.
+    """
 
     id = "classical"
 
     def multiply(self, ring: Ring, a: SubMatrix, b: SubMatrix, stats=None):
         if a.cols != b.cols:
             raise ValueError("operands must share the column index set")
-        add, mul, zero = ring.add, ring.mul, ring.zero
-        out = []
-        for arow in a.entries:
-            orow = []
-            for brow in b.entries:
-                acc = zero
-                for x, y in zip(arow, brow):
-                    acc = add(acc, mul(x, y))
-                orow.append(acc)
-            out.append(orow)
+        if isinstance(a.entries, list):
+            add, mul, zero = ring.add, ring.mul, ring.zero
+            out = []
+            for arow in a.entries:
+                orow = []
+                for brow in b.entries:
+                    acc = zero
+                    for x, y in zip(arow, brow):
+                        acc = add(acc, mul(x, y))
+                    orow.append(acc)
+                out.append(orow)
+        elif is_m61(ring):
+            from .m61 import product
+
+            out = product(a.entries, b.entries)
+        else:
+            raise ValueError("array entries need PrimeField(2^61 - 1)")
         if stats is not None:
             stats.rmm_muls += len(a.rows) * len(a.cols) * len(b.rows)
         return out

@@ -98,6 +98,15 @@ def test_custom_prime(tmp_path, capsys):
     assert all(0 <= int(v) < 97 for v in payload["values"])
 
 
+@pytest.mark.parametrize("p", ["4", "561", "1"])
+def test_composite_modulus_exits_2(tmp_path, capsys, p):
+    # 4 is even, 561 a Carmichael number (a Fermat pseudoprime to every
+    # base coprime to it), 1 below the smallest prime
+    fam = gen_family(tmp_path, 3)
+    assert run_cli("mst", "--input", str(fam), "--p", p) == 2
+    assert "modulus" in capsys.readouterr().err
+
+
 def test_p_flag_rejected_for_f64(tmp_path):
     fam = gen_family(tmp_path, 3, ring="f64")
     assert run_cli("mst", "--input", str(fam), "--ring", "f64", "--p", "97") == 2

@@ -31,6 +31,7 @@ from multisubset.mst import (
     row_thresholds,
     small_large_columns,
 )
+from multisubset.ring import is_m61
 
 from helpers import random_family
 
@@ -144,7 +145,12 @@ def test_bracket_row_outside_part_rejected(modp):
 
 
 def _run_plan(fam, plan):
-    return _execute(fam, GroundSplit.for_n(fam.n), plan, None, None).values
+    # the list path's table; on PrimeField(2^61 - 1) the array path must agree
+    split = GroundSplit.for_n(fam.n)
+    values = _execute(fam, split, plan, None, None).values
+    if is_m61(fam.ring):
+        assert _execute(fam, split, plan, None, None, arrays=True).values == values
+    return values
 
 
 def _full_product(split, cols):

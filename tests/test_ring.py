@@ -11,6 +11,7 @@ from multisubset import (
     PrimeField,
     make_ring,
 )
+from multisubset.ring import is_prime
 
 P = MERSENNE61
 elements = st.integers(min_value=0, max_value=P - 1)
@@ -42,6 +43,23 @@ def test_mersenne_default():
     assert PrimeField().p == P
     assert P == 2**61 - 1
     assert PrimeField(7).add(5, 6) == 4
+
+
+def test_prime_check():
+    def trial_division(m):
+        return m >= 2 and all(m % k for k in range(2, int(m**0.5) + 1))
+
+    assert [m for m in range(3000) if is_prime(m)] == [m for m in range(3000) if trial_division(m)]
+    # strong pseudoprimes to the first 1, 4, 9 and 12 prime bases
+    for m in (2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(m)
+    for e in (61, 89, 107, 127):
+        assert is_prime(2**e - 1)
+    for bad in (4, 561, 2**61 + 1, (2**61 - 1) * 3):
+        with pytest.raises(ValueError):
+            PrimeField(bad)
+    with pytest.raises(ValueError):
+        make_ring("modp", p=1)
 
 
 def test_make_ring():
