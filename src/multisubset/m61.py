@@ -27,6 +27,10 @@ BUILD_CHUNK_COLUMNS = 128
 KERNEL_CHUNK_COLUMNS = 128
 # (T, S) pairs per direct-scan chunk (a column with more is one chunk).
 SCAN_CHUNK_PAIRS = 1 << 14
+# Output entries per batch of equal-shape products (a larger product is a
+# batch of its own).  Below 2^21 blocks per batch, the scatter's float64
+# sums stay exact.
+BATCH_OUTPUT_ENTRIES = 1 << 14
 # Scan columns summed in float64 between folds mod p.  Each T gets at most
 # one pair per column, so its 32-bit halves sum below 2^32 * 2^21 = 2^53.
 SCAN_FOLD_COLUMNS = 1 << 21
@@ -116,29 +120,49 @@ class M61Family:
 
 
 def bracket(values: np.ndarray, first_bit: int, h: int, part_mask: int,
-            rows: list[int], cols: list[int]) -> np.ndarray:
-    """Bracket entries of one half (bits first_bit .. first_bit + h - 1).
+            rows: list, cols: list[int]):
+    """Row labels and bracket entries of one half (bits first_bit .. first_bit + h - 1).
 
-    Per column chunk, the products of every subset of the half come from
-    doubling (subset U + {b} is subset U times f_b); the rows pick theirs,
+    `rows` is a list of r masks, giving the labels list(rows) and an (r, c)
+    array; or, for a batch of m blocks, a list of m such lists with `cols`
+    their m column lists of one length c concatenated, giving an (r, m)
+    label array (row i of block k at [i, k]) and an (m, r, c) array.  A
+    row mask outside part_mask raises ValueError.  Per column chunk, the
+    products of every subset of the half come from doubling (subset
+    U + {b} is subset U times f_b); each column's block picks its rows,
     and the entries whose column has half bits outside the row are zeroed.
     """
-    row_arr = np.array(rows, dtype=np.int64)
-    local = row_arr >> first_bit
-    outside_row = ~row_arr[:, None]
+    by_row = np.array(rows, dtype=np.int64).T
+    batch = by_row.ndim == 2
+    if not batch:
+        by_row = by_row[:, None]
+    outside_part = by_row[(by_row & ~part_mask) != 0]
+    if outside_part.size:
+        raise ValueError(f"row mask {int(outside_part[0]):#x} is not within {part_mask:#x}")
+    r, m = by_row.shape
+    c = len(cols) // m
+    local = by_row >> first_bit
+    outside_row = ~by_row
     col_arr = np.array(cols, dtype=np.int64)
-    out = np.empty((len(rows), len(cols)), dtype=np.uint64)
+    out = np.empty((m, r, c), dtype=np.uint64)
     table = np.empty((1 << h, min(len(cols), BUILD_CHUNK_COLUMNS)), dtype=np.uint64)
     for c0 in range(0, len(cols), BUILD_CHUNK_COLUMNS):
         chunk = col_arr[c0:c0 + BUILD_CHUNK_COLUMNS]
-        sub = table[:, :len(chunk)]
+        w = len(chunk)
+        sub = table[:, :w]
         sub[0] = 1
         for k in range(h):
             sub[1 << k:2 << k] = mul(sub[:1 << k], values[first_bit + k, chunk])
-        block = out[:, c0:c0 + len(chunk)]
-        np.take(sub, local, axis=0, out=block)
-        block[((chunk & part_mask) & outside_row) != 0] = 0
-    return out
+        if m == 1:  # one block: whole rows of the table
+            entries = out[0, :, c0:c0 + w]
+            np.take(sub, local[:, 0], axis=0, out=entries)
+            entries[((chunk & part_mask) & outside_row) != 0] = 0
+            continue
+        block, at = np.divmod(np.arange(c0, c0 + w), c)
+        entries = sub[local[:, block], np.arange(w)]  # (r, w)
+        entries[((chunk & part_mask) & outside_row[:, block]) != 0] = 0
+        out[block, :, at] = entries.T
+    return (by_row, out) if batch else (list(rows), out[0])
 
 
 def _limb(x: np.ndarray, k: int, scratch: np.ndarray, out: np.ndarray) -> None:
@@ -151,40 +175,53 @@ def _limb(x: np.ndarray, k: int, scratch: np.ndarray, out: np.ndarray) -> None:
 def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a times b transposed mod p, for uint64 entries in [0, p).
 
-    Per column chunk of width w, the four 16-bit limbs of b form one
-    (4 r2 x w) float64 matrix; limb i of a times it gives the blocks
-    (i, j) for all four limbs j of b.  A block entry sums w products
-    below 2^32, an exact float64 for w < 2^21.  The blocks add up by
-    degree i + j in uint64, below 2^64 for fewer than 2^30 columns, and
-    degree k weighs 2^(16 k) = 2^(16 k mod 61) (mod p).
+    Given (m, r1, c) and (m, r2, c) arrays, a batch of m blocks, the
+    product is taken block by block into (m, r1, r2).  One column makes
+    it an elementwise outer product.  Otherwise, per column chunk of width
+    w, the four 16-bit limbs of b form one (4 r2 x w) float64 matrix;
+    limb i of a times it gives the blocks (i, j) for all four limbs j of
+    b.  A block entry sums w products below 2^32, an exact float64 for
+    w < 2^21.  The blocks add up by degree i + j in uint64, below 2^64
+    for fewer than 2^30 columns, and degree k weighs
+    2^(16 k) = 2^(16 k mod 61) (mod p).
     """
-    (r1, cols), r2 = a.shape, b.shape[0]
-    by_degree = np.zeros((7, r1, r2), dtype=np.uint64)
+    if a.ndim == 2:
+        return product(a[None], b[None])[0]
+    (m, r1, cols), r2 = a.shape, b.shape[1]
+    if cols == 1:
+        return mul(a, b[:, None, :, 0])
+    by_degree = np.zeros((7, m, r1, r2), dtype=np.uint64)
     width = min(cols, KERNEL_CHUNK_COLUMNS)
-    la, ua = np.empty((r1, width)), np.empty((r1, width), dtype=np.uint64)
-    lb, ub = np.empty((4 * r2, width)), np.empty((r2, width), dtype=np.uint64)
-    part = np.empty((r1, 4 * r2))
-    block = np.empty((r1, r2), dtype=np.uint64)
+    la, ua = np.empty((m, r1, width)), np.empty((m, r1, width), dtype=np.uint64)
+    lb, ub = np.empty((m, 4 * r2, width)), np.empty((m, r2, width), dtype=np.uint64)
+    part = np.empty((m, r1, 4 * r2))
+    block = np.empty((m, r1, r2), dtype=np.uint64)
     for c0 in range(0, cols, KERNEL_CHUNK_COLUMNS):
         w = min(width, cols - c0)
         for j in range(4):
-            _limb(b[:, c0:c0 + w], j, ub[:, :w], lb[j * r2:(j + 1) * r2, :w])
+            _limb(b[..., c0:c0 + w], j, ub[..., :w], lb[:, j * r2:(j + 1) * r2, :w])
         for i in range(4):
-            _limb(a[:, c0:c0 + w], i, ua[:, :w], la[:, :w])
-            np.matmul(la[:, :w], lb[:, :w].T, out=part)
+            _limb(a[..., c0:c0 + w], i, ua[..., :w], la[..., :w])
+            np.matmul(la[..., :w], lb[..., :w].swapaxes(1, 2), out=part)
             for j in range(4):
-                np.copyto(block, part[:, j * r2:(j + 1) * r2], casting="unsafe")
+                np.copyto(block, part[..., j * r2:(j + 1) * r2], casting="unsafe")
                 by_degree[i + j] += block
-    out = np.zeros((r1, r2), dtype=np.uint64)
+    out = np.zeros((m, r1, r2), dtype=np.uint64)
     for k in range(7):
         out += shift(fold(by_degree[k]), 16 * k % 61)  # each term below p
     return fold(out)
 
 
-def scatter(g: np.ndarray, rows1: list[int], rows2: list[int], prod: np.ndarray) -> None:
-    """g[t1 | t2] += prod[i, j] mod p for t1 = rows1[i], t2 = rows2[j]."""
-    idx = np.array(rows1, dtype=np.int64)[:, None] | np.array(rows2, dtype=np.int64)
-    g[idx] = add(g[idx], prod)
+def scatter(g: np.ndarray, rows1: np.ndarray, rows2: np.ndarray, prod: np.ndarray) -> None:
+    """g[t1 | t2] += prod[k, i, j] mod p for t1 = rows1[i, k], t2 = rows2[j, k].
+
+    prod holds the (m, r1, r2) products of a batch, and rows1, rows2 its
+    (r1, m) and (r2, m) row labels (see `bracket`).  Blocks of one batch may
+    hit the same T, so the entries are summed per T by bincount on their
+    32-bit halves (exact: a T gets at most one entry per block).
+    """
+    idx = (rows1.T[:, :, None] | rows2.T[:, None, :]).ravel()
+    add(g, _sum_halves(*_halves_by_index(idx, prod.ravel(), len(g))))
 
 
 def superset_scan(values: np.ndarray, cols: list[int], g: np.ndarray, cut) -> int:
@@ -224,8 +261,9 @@ def superset_scan(values: np.ndarray, cols: list[int], g: np.ndarray, cut) -> in
                 lo[:] = hi[:] = 0.0
                 since_fold = 0
             since_fold += len(chunk)
-            lo += np.bincount(t_all, weights=(p_all & _MASK32).astype(np.float64), minlength=size)
-            hi += np.bincount(t_all, weights=(p_all >> _U32).astype(np.float64), minlength=size)
+            chunk_lo, chunk_hi = _halves_by_index(t_all, p_all, size)
+            lo += chunk_lo
+            hi += chunk_hi
     add(g, _sum_halves(lo, hi))
     return pairs
 
@@ -254,6 +292,13 @@ def _doubling(values: np.ndarray, s: np.ndarray, roots: np.ndarray, free: int, c
             p_all[m:m + k] = mul(p_all[idx], values[b, s_new])
             m += k
     return t_all[:m], p_all[:m]
+
+
+def _halves_by_index(idx: np.ndarray, vals: np.ndarray, size: int):
+    """Float64 sums per index of the low and of the high 32-bit halves of vals."""
+    lo = np.bincount(idx, weights=(vals & _MASK32).astype(np.float64), minlength=size)
+    hi = np.bincount(idx, weights=(vals >> _U32).astype(np.float64), minlength=size)
+    return lo, hi
 
 
 def _sum_halves(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -22,14 +22,16 @@ algorithm's sigma and tau, and `_plan` builds its steps.
 
 The executor has two paths.  The list path runs every ring operation as
 one Python call on the ring; it serves every ring and plan and is the
-one `CountingRing` counts.  The array path runs `columns` and
-`rows-columns` over exactly `PrimeField(2^61 - 1)`: the members become
-one uint64 array, the bracket build, the scatter and the direct scan are
-numpy operations mod p, and the kernel multiplies the bracket arrays
-exactly through float64 BLAS (all in `m61`).  Both paths give the same
-table and the same `PipelineStats`.  `cover` stays on lists: its
-thousands of one-column products would pay numpy's per-call overhead
-each time.
+one `CountingRing` counts.  The array path runs the three fast plans
+over exactly `PrimeField(2^61 - 1)`: the members become one uint64
+array, the bracket build, the scatter and the direct scan are numpy
+operations mod p, and the kernel multiplies the bracket arrays exactly
+through float64 BLAS (all in `m61`).  Consecutive products of one shape
+run as one batched product, so `cover`'s thousands of one-column
+products pay numpy's per-call overhead once per batch, not once each.
+Both paths give the same table and the same `PipelineStats`.  `naive`
+stays on lists: it is the oracle the fast plans are checked against,
+and the control that no array kernel touches.
 
 * `columns` sends every column of popcount <= floor(sigma*n) through one
   big rectangular multiplication and finishes the large columns by a
@@ -60,8 +62,9 @@ ROWS_COLUMNS_TAU = 0.59777
 ROWS_COLUMNS_SIGMA = 0.38185
 
 ALGORITHMS = ("naive", "columns", "rows-columns", "cover")
-# Algorithms whose plans run on the array path over PrimeField(2^61 - 1).
-ARRAY_ALGORITHMS = ("columns", "rows-columns")
+# Algorithms whose plans run on the array path over PrimeField(2^61 - 1);
+# naive stays on lists as the oracle and control.
+ARRAY_ALGORITHMS = ("columns", "rows-columns", "cover")
 
 
 @dataclass(frozen=True)
@@ -174,19 +177,25 @@ def build_submatrix(
     stay within their own half of the ground set.  Given the array path's
     `m61.M61Family` in place of a `Family`, the entries are one uint64
     array; otherwise they are lists.
+
+    On the array path, `rows` may also be a batch: a list of m row lists
+    of one length r, with `cols` the m blocks' column lists of one length
+    c concatenated.  The entries are then an (m, r, c) array, and the row
+    labels an (r, m) array whose row i holds the i-th rows of all m
+    blocks, so that len(rows) * len(cols) counts the entries.
     """
     if part not in (1, 2):
         raise ValueError("part must be 1 or 2")
     part_mask = split.u1_mask if part == 1 else split.u2_mask
-    for t_mask in rows:
-        if t_mask & ~part_mask:
-            raise ValueError(f"row mask {t_mask:#x} is not within part {part}")
     if not isinstance(fam, Family):
         from .m61 import bracket
 
         first_bit, h = (0, split.h1) if part == 1 else (split.h1, split.h2)
-        entries = bracket(fam.values, first_bit, h, part_mask, rows, cols)
-        return SubMatrix(list(rows), list(cols), entries)
+        labels, entries = bracket(fam.values, first_bit, h, part_mask, rows, cols)
+        return SubMatrix(labels, list(cols), entries)
+    for t_mask in rows:
+        if t_mask & ~part_mask:
+            raise ValueError(f"row mask {t_mask:#x} is not within part {part}")
     ring = fam.ring
     members = [m.values for m in fam.members]
     mul = ring.mul
@@ -212,23 +221,29 @@ def build_submatrix(
 def _product_into(
     fam: Family,
     split: GroundSplit,
-    step: Product,
+    batch: list[Product],
     backend: RmmBackend,
     g: list,
     stats: PipelineStats | None,
 ) -> None:
+    """Run Product steps of one shape as one product (a batch on arrays)."""
     if stats is not None:
-        stats.columns_processed += len(step.cols)
-    rows1, cols, rows2 = step.rows1, step.cols, step.rows2
-    if not rows1 or not rows2 or not cols:
+        stats.columns_processed += sum(len(step.cols) for step in batch)
+    first = batch[0]
+    if not first.rows1 or not first.rows2 or not first.cols:
         return
+    cols = [c for step in batch for c in step.cols]
+    if isinstance(fam, Family):
+        rows1, rows2 = first.rows1, first.rows2  # one step on the list path
+    else:
+        rows1, rows2 = [s.rows1 for s in batch], [s.rows2 for s in batch]
     e1 = build_submatrix(fam, split, 1, rows1, cols)
     e2 = build_submatrix(fam, split, 2, rows2, cols)
     product = backend.multiply(fam.ring, e1, e2, stats)
     if not isinstance(product, list):
         from .m61 import scatter
 
-        scatter(g, rows1, rows2, product)
+        scatter(g, e1.rows, e2.rows, product)
         return
     add = fam.ring.add
     for i, t1 in enumerate(rows1):
@@ -313,22 +328,51 @@ def _execute(
     """Run a plan's steps in order into one output table.
 
     With `arrays` (for PrimeField(2^61 - 1) only) the steps run on the
-    array path; the table comes back as Python ints either way.
+    array path, where consecutive Product steps of one shape run as one
+    batched product; the table comes back as Python ints either way.
     """
     backend = backend or ClassicalBackend()
     if arrays:
-        from .m61 import M61Family
+        from .m61 import BATCH_OUTPUT_ENTRIES, M61Family
 
         fam = M61Family.of(fam)
         g = fam.zero_table()
+        max_entries = BATCH_OUTPUT_ENTRIES
     else:
         g = [fam.ring.zero] * (1 << fam.n)
-    for step in steps:
+        max_entries = 0
+    for step in _batched(steps, max_entries):
         if isinstance(step, Scan):
             _direct_scan(fam, step.cols, g, stats, split, step.thresholds)
         else:
             _product_into(fam, split, step, backend, g, stats)
     return SetFunction(fam.ring, fam.n, g.tolist() if arrays else g)
+
+
+def _batched(steps, max_entries: int):
+    """The steps, with each run of Products of one shape grouped into lists.
+
+    A shape is (len(rows1), len(cols), len(rows2)); a list grows while its
+    products' outputs hold at most max_entries entries in all (a product
+    larger than that is a list of its own).  Steps are pulled one at a
+    time, so a generated plan is never held whole.
+    """
+    batch, shape = [], None
+    for step in steps:
+        if isinstance(step, Product):
+            r1, c, r2 = len(step.rows1), len(step.cols), len(step.rows2)
+            if (r1, c, r2) == shape and (len(batch) + 1) * r1 * r2 <= max_entries:
+                batch.append(step)
+                continue
+        if batch:
+            yield batch
+        if isinstance(step, Product):
+            batch, shape = [step], (r1, c, r2)
+        else:
+            batch, shape = [], None
+            yield step
+    if batch:
+        yield batch
 
 
 def row_thresholds(split: GroundSplit, tau: float) -> tuple[int, int]:
@@ -398,12 +442,14 @@ def _cover_plan(split: GroundSplit):
 
     Columns come in classes by (popcount in part 1, popcount in part 2);
     covering designs tile each class into block pairs, and a covered-set
-    keeps every column's contribution counted exactly once.
+    keeps every column's contribution counted exactly once.  Each part-2
+    block's columns and rows are listed once per class.
 
-    Kept to reproduce the paper, not for speed.  Under the classical cost
-    model `MeasuredCostPlanner` picks blocks of exactly the column size
-    for every class, so each product covers one column and the run issues
-    3^n kernel multiplications, the naive pair count.
+    Under the classical cost model `MeasuredCostPlanner` picks blocks of
+    exactly the column size for every class at every n up to
+    MAX_GROUND_SET, so each product covers one column and the run issues
+    3^n kernel multiplications, the naive pair count.  The products of a
+    class share one shape, so the array path runs them in a few batches.
     """
     h1, h2 = split.h1, split.h2
     planner = MeasuredCostPlanner()
@@ -412,24 +458,20 @@ def _cover_plan(split: GroundSplit):
         for s2 in range(h2 + 1):
             k1, k2 = planner.select(split, s1, s2)
             design1 = greedy_cover(h1, k1, s1)
-            design2 = greedy_cover(h2, k2, s2)
+            blocks2 = [
+                (
+                    [m2 << h1 for m2 in subsets_of_size(key2, s2)],
+                    [t << h1 for t in range(1 << h2) if (t & key2).bit_count() >= s2],
+                )
+                for key2 in greedy_cover(h2, k2, s2).blocks
+            ]
             for key1 in design1.blocks:
                 cols1 = list(subsets_of_size(key1, s1))
                 rows1 = [t for t in range(1 << h1) if (t & key1).bit_count() >= s1]
-                for key2 in design2.blocks:
-                    cols = []
-                    for m1 in cols1:
-                        for m2 in subsets_of_size(key2, s2):
-                            c = m1 | (m2 << h1)
-                            if not covered[c]:
-                                cols.append(c)
+                for cols2, rows2 in blocks2:
+                    cols = [c for m1 in cols1 for m2 in cols2 if not covered[c := m1 | m2]]
                     if not cols:
                         continue
-                    rows2 = [
-                        t << h1
-                        for t in range(1 << h2)
-                        if (t & key2).bit_count() >= s2
-                    ]
                     for c in cols:
                         covered[c] = 1
                     yield Product(rows1, cols, rows2)

@@ -9,11 +9,15 @@ Entries are either lists of ring values, multiplied one Python ring
 operation per term, or (on the M61 array path) uint64 arrays in [0, p),
 multiplied exactly through float64 BLAS: each operand is split into four
 16-bit limbs, float64 products per column chunk sum the 16 limb-pair
-blocks exactly, and the blocks are recombined mod p.
+blocks exactly, and the blocks are recombined mod p.  An array operand
+may hold a batch of m equal-shape blocks, multiplied block by block; its
+labels count each block's rows and all m blocks' columns, so the count
+R1 * C * R2 covers the whole batch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .ring import Ring, is_m61
@@ -29,7 +33,10 @@ class SubMatrix:
 
     def __post_init__(self):
         if not isinstance(self.entries, list):
-            if self.entries.shape != (len(self.rows), len(self.cols)):
+            # A batch (m, r, c): rows[i] holds the i-th rows of the m blocks,
+            # cols their m column lists of length c concatenated.
+            *batch, r, c = self.entries.shape
+            if r != len(self.rows) or c * math.prod(batch) != len(self.cols):
                 raise ValueError("entry shape does not match row and column labels")
             return
         if len(self.entries) != len(self.rows):

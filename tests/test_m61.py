@@ -1,5 +1,6 @@
 """The M61 array path: exact arithmetic and agreement with the list path."""
 
+import math
 import random
 
 import numpy as np
@@ -23,13 +24,13 @@ from multisubset import (
     tian_he_sum,
 )
 from multisubset import m61
-from multisubset.mst import GroundSplit
+from multisubset.mst import GroundSplit, MeasuredCostPlanner, _cover_plan
 
 from helpers import random_family
 
 P = MERSENNE61
 EXTREMES = [0, 1, 2**32 - 1, 2**32, P - 1]
-ARRAY_ALGOS = ("columns", "rows-columns")
+ARRAY_ALGOS = ("columns", "rows-columns", "cover")
 
 
 def u64(values):
@@ -81,6 +82,19 @@ def test_kernel_random_entries_and_counts():
     assert stats.rmm_muls == 5 * len(cols) * 4
 
 
+@pytest.mark.parametrize("cols", [1, m61.KERNEL_CHUNK_COLUMNS + 3])
+def test_batched_kernel_matches_block_by_block(cols):
+    rng = random.Random(cols)
+    m, r1, r2 = 5, 3, 4
+    a = [[[rng.choice(EXTREMES + [rng.randrange(P)]) for _ in range(cols)] for _ in range(r1)]
+         for _ in range(m)]
+    b = [[[rng.choice(EXTREMES + [rng.randrange(P)]) for _ in range(cols)] for _ in range(r2)]
+         for _ in range(m)]
+    out = m61.product(u64(a), u64(b))
+    assert out.shape == (m, r1, r2)
+    assert out.tolist() == [_python_product(a[k], b[k]) for k in range(m)]
+
+
 def test_kernel_rejects_arrays_over_another_ring():
     a = SubMatrix([0], [0], u64([[1]]))
     with pytest.raises(ValueError):
@@ -100,6 +114,32 @@ def test_bracket_matrix_array_form(modp):
         assert isinstance(got.entries, np.ndarray)
         assert (got.rows, got.cols) == (want.rows, want.cols)
         assert got.entries.tolist() == want.entries
+
+
+def test_batched_bracket_matches_block_by_block(modp, monkeypatch):
+    # chunks of 3 columns cut across blocks of 2
+    monkeypatch.setattr(m61, "BUILD_CHUNK_COLUMNS", 3)
+    fam = random_family(modp, 7, seed=5)
+    split = GroundSplit.for_n(7)
+    arrays = m61.M61Family.of(fam)
+    blocks = {
+        1: [([0, 3, 5], [1, 6]), ([7, 1, 6], [3, 9]), ([2, 2, 15], [127, 0]), ([4, 0, 1], [5, 5])],
+        2: [([0, 0b10000], [33, 64]), ([0b1110000, 0b1010000], [80, 17])],
+    }
+    for part, parts in blocks.items():
+        rows = [r for r, _ in parts]
+        cols = [c for _, block_cols in parts for c in block_cols]
+        got = build_submatrix(arrays, split, part, rows, cols)
+        assert got.entries.shape == (len(parts), len(rows[0]), 2)
+        assert len(got.rows) * len(got.cols) == got.entries.size
+        for k, (block_rows, block_cols) in enumerate(parts):
+            assert got.rows[:, k].tolist() == block_rows
+            want = build_submatrix(fam, split, part, block_rows, block_cols)
+            assert got.entries[k].tolist() == want.entries
+    with pytest.raises(ValueError):
+        build_submatrix(arrays, split, 1, [[1], [0b10000000]], [0, 1])
+    with pytest.raises(ValueError):
+        build_submatrix(arrays, split, 2, [0b0001], [0])
 
 
 def _both_paths(algo, n, seed, sigma=None, tau=None):
@@ -183,19 +223,60 @@ def test_non_canonical_members_give_the_same_table():
     assert m61.canonical([odd]).tolist() == [[v % P for v in odd]]
 
 
+def test_batch_cap_below_one_product_does_not_change_the_table(monkeypatch):
+    # every product a batch of its own
+    monkeypatch.setattr(m61, "BATCH_OUTPUT_ENTRIES", 1)
+    for n in (5, 8):
+        (arr, arr_stats), (lst, lst_stats) = _both_paths("cover", n, 7)
+        assert arr == lst
+        assert arr_stats == lst_stats
+
+
 class _EntryTypes(ClassicalBackend):
     def __init__(self):
         self.seen = set()
+        self.shapes = []
 
     def multiply(self, ring, a, b, stats=None):
         self.seen.add(type(a.entries))
+        if not isinstance(a.entries, list):
+            self.shapes.append(a.entries.shape)
         return super().multiply(ring, a, b, stats)
+
+
+def test_wider_cover_blocks_match_the_list_path(monkeypatch):
+    # blocks one element wider than their columns: batches of products of
+    # several columns, and products shortened by columns already covered
+    def wider(self, split, s1, s2):
+        return min(s1 + 1, split.h1), min(s2 + 1, split.h2)
+
+    monkeypatch.setattr(MeasuredCostPlanner, "select", wider)
+    shapes = []
+    for n in (6, 9):
+        backend = _EntryTypes()
+        stats = PipelineStats()
+        fam = random_family(PrimeField(), n, n)
+        got = run_transform("cover", fam, backend=backend, stats=stats)
+        lst_stats = PipelineStats()
+        lst = run_transform("cover", random_family(CountingRing(PrimeField()), n, n), stats=lst_stats)
+        assert got.values == lst.values == mst_naive(fam).values
+        assert stats == lst_stats
+        shapes += backend.shapes
+    assert any(m > 1 and c > 1 for m, _, c in shapes)
+    split = GroundSplit.for_n(9)
+    shortened = 0
+    for step in _cover_plan(split):
+        s1 = (step.cols[0] & split.u1_mask).bit_count()
+        s2 = step.cols[0].bit_count() - s1
+        k1, k2 = wider(None, split, s1, s2)
+        shortened += len(step.cols) < math.comb(k1, s1) * math.comb(k2, s2)
+    assert shortened
 
 
 @pytest.mark.parametrize("algo,ring,array", [
     ("columns", PrimeField(), True),
     ("rows-columns", PrimeField(), True),
-    ("cover", PrimeField(), False),
+    ("cover", PrimeField(), True),
     ("columns", CountingRing(PrimeField()), False),
     ("columns", PrimeField(101), False),
 ])

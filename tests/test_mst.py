@@ -32,6 +32,7 @@ from multisubset.mst import (
     small_large_columns,
 )
 from multisubset.ring import is_m61
+from multisubset.setfn import MAX_GROUND_SET
 
 from helpers import random_family
 
@@ -270,6 +271,17 @@ def test_measured_planner_selection():
             assert s1 <= k1 <= split.h1
             assert s2 <= k2 <= split.h2
             assert (k1, k2) == planner.select(split, s1, s2)
+
+
+@pytest.mark.parametrize("n", range(MAX_GROUND_SET + 1))
+def test_measured_planner_picks_the_column_size_everywhere(n):
+    # cover's one column per product, and its 3^n kernel multiplications,
+    # hold for every ground set a family can have
+    split = GroundSplit.for_n(n)
+    planner = MeasuredCostPlanner()
+    for s1 in range(split.h1 + 1):
+        for s2 in range(split.h2 + 1):
+            assert planner.select(split, s1, s2) == (s1, s2)
 
 
 def test_empty_family(modp):
