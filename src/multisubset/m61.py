@@ -8,9 +8,9 @@ index run through float64 `np.bincount` on the 32-bit halves, and the
 matrix product through float64 BLAS on 16-bit limbs; both are exact
 while every float64 sum stays below 2^53.
 
-`mst` and `rmm` import this module on the first array-path call only,
-so the list path never loads it.  The chunk sizes below bound the
-working set of each step.
+`mst`, `rmm`, `setfn` and `dag` import this module on the first
+array-path call only, so the list path never loads it.  The chunk sizes
+below bound the working set of each step.
 """
 
 from __future__ import annotations
@@ -21,11 +21,13 @@ import numpy as np
 
 from .ring import MERSENNE61, Ring
 
-# Columns per bracket-build chunk and per kernel product: bound the
-# temporaries, and keep each float64 sum of limb products exact.
-BUILD_CHUNK_COLUMNS = 128
+# Entries of the bracket build's doubling table per column chunk (2^h rows
+# times the chunk's columns; a half of more rows takes one column at a time).
+BUILD_CHUNK_ENTRIES = 1 << 16
+# Columns per kernel product chunk: keep each float64 sum of limb products exact.
 KERNEL_CHUNK_COLUMNS = 128
-# (T, S) pairs per direct-scan chunk (a column with more is one chunk).
+# (T, S) pairs per direct-scan chunk, a power of two (a column with more is
+# one chunk).
 SCAN_CHUNK_PAIRS = 1 << 14
 # Output entries per batch of equal-shape products (a larger product is a
 # batch of its own).  Below 2^21 blocks per batch, the scatter's float64
@@ -102,8 +104,10 @@ def canonical(values: list[list]) -> np.ndarray:
 class M61Family:
     """A family over PrimeField(2^61 - 1) as one (n, 2^n) uint64 array in [0, p).
 
-    values[i, S] is f_i(S).  The array path builds it once per transform,
-    reducing member values that lie outside [0, p).
+    values[i, S] is f_i(S).  `of` builds it from a list `Family`, reducing
+    member values that lie outside [0, p); the DAG rounds build theirs
+    directly (`dag.round_families`), and `mst.run_transform` takes either
+    as it is.
     """
 
     ring: Ring
@@ -127,10 +131,11 @@ def bracket(values: np.ndarray, first_bit: int, h: int, part_mask: int,
     array; or, for a batch of m blocks, a list of m such lists with `cols`
     their m column lists of one length c concatenated, giving an (r, m)
     label array (row i of block k at [i, k]) and an (m, r, c) array.  A
-    row mask outside part_mask raises ValueError.  Per column chunk, the
-    products of every subset of the half come from doubling (subset
-    U + {b} is subset U times f_b); each column's block picks its rows,
-    and the entries whose column has half bits outside the row are zeroed.
+    row mask outside part_mask raises ValueError.  Per column chunk (at
+    most BUILD_CHUNK_ENTRIES table entries), the products of every subset
+    of the half come from doubling (subset U + {b} is subset U times f_b);
+    each column's block picks its rows, and the entries whose column has
+    half bits outside the row are zeroed.
     """
     by_row = np.array(rows, dtype=np.int64).T
     batch = by_row.ndim == 2
@@ -145,9 +150,10 @@ def bracket(values: np.ndarray, first_bit: int, h: int, part_mask: int,
     outside_row = ~by_row
     col_arr = np.array(cols, dtype=np.int64)
     out = np.empty((m, r, c), dtype=np.uint64)
-    table = np.empty((1 << h, min(len(cols), BUILD_CHUNK_COLUMNS)), dtype=np.uint64)
-    for c0 in range(0, len(cols), BUILD_CHUNK_COLUMNS):
-        chunk = col_arr[c0:c0 + BUILD_CHUNK_COLUMNS]
+    width = max(1, BUILD_CHUNK_ENTRIES >> h)
+    table = np.empty((1 << h, min(len(cols), width)), dtype=np.uint64)
+    for c0 in range(0, len(cols), width):
+        chunk = col_arr[c0:c0 + width]
         w = len(chunk)
         sub = table[:, :w]
         sub[0] = 1
@@ -228,11 +234,14 @@ def superset_scan(values: np.ndarray, cols: list[int], g: np.ndarray, cut) -> in
     """g[T] += prod_{i in T} f_i(S) for S in cols, T superset S; returns the pairs.
 
     `cut` (bytes, one per mask, or None) marks the T to leave out, and
-    the columns it marks are skipped.  The columns of one popcount share
-    their number of free bits, so they are batched, in chunks of at most
-    SCAN_CHUNK_PAIRS final pairs.  Each chunk runs on flat (T, S, product)
-    arrays and doubles over every bit: an entry whose T lacks the bit
-    gets a copy with it set and one more factor, unless the cut drops it.
+    the columns it marks are skipped.  A column S has at most 2^(n - |S|)
+    pairs.  Sorted by popcount, these bounds are powers of two in
+    descending order, so cutting the running total every SCAN_CHUNK_PAIRS
+    never splits a column's bound: the chunks hold columns of mixed
+    popcounts, at most SCAN_CHUNK_PAIRS pairs each (a larger column is a
+    chunk of its own).  Each chunk runs on flat (T, S, product) arrays
+    and doubles over every bit: an entry whose T lacks the bit gets a
+    copy with it set and one more factor, unless the cut drops it.
     """
     n = values.shape[0]
     size = 1 << n
@@ -240,38 +249,37 @@ def superset_scan(values: np.ndarray, cols: list[int], g: np.ndarray, cut) -> in
     if cut is not None:
         cut = np.frombuffer(cut, dtype=np.bool_)
         col_arr = col_arr[~cut[col_arr]]
-    pops = np.zeros(len(col_arr), dtype=np.int64)
+    pops = np.bitwise_count(col_arr).astype(np.int64)
+    order = np.argsort(pops, kind="stable")
+    col_arr, pops = col_arr[order], pops[order]
     roots = np.ones(len(col_arr), dtype=np.uint64)  # prod over i in S of f_i(S)
     for b in range(n):
-        has = (col_arr >> b) & 1
-        pops += has
-        has = np.flatnonzero(has)
+        has = np.flatnonzero((col_arr >> b) & 1)
         roots[has] = mul(roots[has], values[b, col_arr[has]])
+    bound = np.left_shift(1, n - pops)
+    chunk_of = (np.cumsum(bound) - bound) // SCAN_CHUNK_PAIRS
+    edges = [*np.flatnonzero(np.diff(chunk_of, prepend=-1)).tolist(), len(col_arr)]
     lo, hi = np.zeros(size), np.zeros(size)
     pairs = since_fold = 0
-    for d in range(n + 1):
-        batch = np.flatnonzero(pops == d)
-        per = max(1, SCAN_CHUNK_PAIRS >> (n - d))
-        for c0 in range(0, len(batch), per):
-            chunk = batch[c0:c0 + per]
-            t_all, p_all = _doubling(values, col_arr[chunk], roots[chunk], n - d, cut)
-            pairs += len(t_all)
-            if since_fold + len(chunk) > SCAN_FOLD_COLUMNS:
-                add(g, _sum_halves(lo, hi))
-                lo[:] = hi[:] = 0.0
-                since_fold = 0
-            since_fold += len(chunk)
-            chunk_lo, chunk_hi = _halves_by_index(t_all, p_all, size)
-            lo += chunk_lo
-            hi += chunk_hi
+    for c0, c1 in zip(edges, edges[1:]):
+        t_all, p_all = _doubling(values, col_arr[c0:c1], roots[c0:c1],
+                                 int(bound[c0:c1].sum()), cut)
+        pairs += len(t_all)
+        if since_fold + c1 - c0 > SCAN_FOLD_COLUMNS:
+            add(g, _sum_halves(lo, hi))
+            lo[:] = hi[:] = 0.0
+            since_fold = 0
+        since_fold += c1 - c0
+        chunk_lo, chunk_hi = _halves_by_index(t_all, p_all, size)
+        lo += chunk_lo
+        hi += chunk_hi
     add(g, _sum_halves(lo, hi))
     return pairs
 
 
-def _doubling(values: np.ndarray, s: np.ndarray, roots: np.ndarray, free: int, cut):
-    """(T, product) of every kept superset T of each column in s (free bits each)."""
+def _doubling(values: np.ndarray, s: np.ndarray, roots: np.ndarray, cap: int, cut):
+    """(T, product) of every kept superset T of each column in s (at most cap in all)."""
     n = values.shape[0]
-    cap = len(s) << free
     t_all = np.empty(cap, dtype=np.int64)
     s_all = np.empty(cap, dtype=np.int64)
     p_all = np.empty(cap, dtype=np.uint64)
@@ -292,6 +300,22 @@ def _doubling(values: np.ndarray, s: np.ndarray, roots: np.ndarray, free: int, c
             p_all[m:m + k] = mul(p_all[idx], values[b, s_new])
             m += k
     return t_all[:m], p_all[:m]
+
+
+def zeta(x: np.ndarray, subtract: bool = False) -> np.ndarray:
+    """Zeta transform mod p over the last axis of x (length 2^n), in place.
+
+    x[..., T] becomes the sum of x[..., S] over S subset of T; with
+    `subtract`, the Moebius inverse.  Bit i is one butterfly on x viewed
+    as (..., 2^(n-1-i), 2, 2^i): the half with the bit gets the half
+    without it added (or subtracted).  x must be C-contiguous in [0, p).
+    """
+    size = x.shape[-1]
+    for i in range(size.bit_length() - 1):
+        halves = x.reshape(*x.shape[:-1], size >> (i + 1), 2, 1 << i)
+        low, high = halves[..., 0, :], halves[..., 1, :]
+        add(high, P - low if subtract else low)
+    return x
 
 
 def _halves_by_index(idx: np.ndarray, vals: np.ndarray, size: int):

@@ -24,7 +24,8 @@ The executor has two paths.  The list path runs every ring operation as
 one Python call on the ring; it serves every ring and plan and is the
 one `CountingRing` counts.  The array path runs the three fast plans
 over exactly `PrimeField(2^61 - 1)`: the members become one uint64
-array, the bracket build, the scatter and the direct scan are numpy
+array (or arrive as one, an `m61.M61Family`, as the DAG rounds hand
+them over), the bracket build, the scatter and the direct scan are numpy
 operations mod p, and the kernel multiplies the bracket arrays exactly
 through float64 BLAS (all in `m61`).  Consecutive products of one shape
 run as one batched product, so `cover`'s thousands of one-column
@@ -45,6 +46,7 @@ and the control that no array kernel touches.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -272,14 +274,7 @@ def _direct_scan(
     """
     ring = fam.ring
     n = fam.n
-    cut = None
-    if thresholds is not None:
-        t1, t2 = thresholds
-        u1 = split.u1_mask
-        cut = bytearray(
-            (t & u1).bit_count() > t1 and (t & ~u1).bit_count() > t2
-            for t in range(1 << n)
-        )
+    cut = None if thresholds is None else scan_cut(split, thresholds)
     if not isinstance(fam, Family):
         from .m61 import superset_scan
 
@@ -328,14 +323,16 @@ def _execute(
     """Run a plan's steps in order into one output table.
 
     With `arrays` (for PrimeField(2^61 - 1) only) the steps run on the
-    array path, where consecutive Product steps of one shape run as one
-    batched product; the table comes back as Python ints either way.
+    array path, on `fam` as it is when it is already an `m61.M61Family`,
+    and consecutive Product steps of one shape run as one batched
+    product; the table comes back as Python ints either way.
     """
     backend = backend or ClassicalBackend()
     if arrays:
         from .m61 import BATCH_OUTPUT_ENTRIES, M61Family
 
-        fam = M61Family.of(fam)
+        if isinstance(fam, Family):
+            fam = M61Family.of(fam)
         g = fam.zero_table()
         max_entries = BATCH_OUTPUT_ENTRIES
     else:
@@ -386,10 +383,24 @@ def _half_rows(split: GroundSplit, part: int, above: int = -1) -> list[int]:
 
 
 def small_large_columns(n: int, s0: int) -> tuple[list[int], list[int]]:
-    small, large = [], []
-    for s_mask in range(1 << n):
-        (small if s_mask.bit_count() <= s0 else large).append(s_mask)
-    return small, large
+    """Masks of popcount at most s0, and the rest, each ascending."""
+    # Imported on first use: importing numpy before the package's larger
+    # modules are compiled raises the peak RSS of a run without bytecode
+    # caching.
+    import numpy as np
+
+    small = np.bitwise_count(np.arange(1 << n)) <= s0
+    return np.flatnonzero(small).tolist(), np.flatnonzero(~small).tolist()
+
+
+def scan_cut(split: GroundSplit, thresholds: tuple[int, int]) -> bytearray:
+    """One byte per mask T: 1 when both half-sizes of T exceed (t1, t2)."""
+    import numpy as np
+
+    t1, t2 = thresholds
+    t = np.arange(1 << split.n)
+    both = (np.bitwise_count(t & split.u1_mask) > t1) & (np.bitwise_count(t & split.u2_mask) > t2)
+    return bytearray(both.tobytes())
 
 
 class MeasuredCostPlanner:
@@ -402,15 +413,21 @@ class MeasuredCostPlanner:
     """
 
     def select(self, split: GroundSplit, s1: int, s2: int) -> tuple[int, int]:
-        best = (split.h1, split.h2)
-        best_cost = None
-        for k1 in range(s1, split.h1 + 1):
-            for k2 in range(s2, split.h2 + 1):
-                cost = _block_cost(split.h1, split.h2, s1, s2, k1, k2)
-                if best_cost is None or cost < best_cost:
-                    best = (k1, k2)
-                    best_cost = cost
-        return best
+        return _cheapest_blocks(split.h1, split.h2, s1, s2)
+
+
+# One entry per (h1, h2, s1, s2): at most 13^4 for n <= MAX_GROUND_SET = 24.
+@functools.lru_cache(maxsize=None)
+def _cheapest_blocks(h1: int, h2: int, s1: int, s2: int) -> tuple[int, int]:
+    best = (h1, h2)
+    best_cost = None
+    for k1 in range(s1, h1 + 1):
+        for k2 in range(s2, h2 + 1):
+            cost = _block_cost(h1, h2, s1, s2, k1, k2)
+            if best_cost is None or cost < best_cost:
+                best = (k1, k2)
+                best_cost = cost
+    return best
 
 
 def _cover_size_estimate(v: int, k: int, s: int) -> int:
@@ -530,10 +547,18 @@ def run_transform(
     backend: RmmBackend | None = None,
     stats: PipelineStats | None = None,
 ) -> SetFunction:
-    """Run `algo` (see ALGORITHMS): the naive oracle or a fast plan."""
+    """Run `algo` (see ALGORITHMS): the naive oracle or a fast plan.
+
+    `fam` may also be the array path's `m61.M61Family`, which runs as it
+    is; naive rejects it with ValueError.  The table comes back as a list
+    either way.
+    """
     sigma, tau = check_algorithm(algo, sigma, tau)
+    given_arrays = not isinstance(fam, Family)
     if algo == "naive":
+        if given_arrays:
+            raise ValueError("naive runs on list families only")
         return mst_naive(fam, stats)
     split = GroundSplit.for_n(fam.n)
-    arrays = algo in ARRAY_ALGORITHMS and is_m61(fam.ring)
+    arrays = given_arrays or (algo in ARRAY_ALGORITHMS and is_m61(fam.ring))
     return _execute(fam, split, _plan(algo, split, sigma, tau), backend, stats, arrays)

@@ -4,10 +4,10 @@ Set-function values are plain Python objects (ints for the prime field,
 floats for f64); a Ring object supplies the arithmetic.  This keeps the
 transforms generic: the same butterfly or matrix kernel runs over exact
 modular arithmetic, floating point, or an operation-counting wrapper.
-The one exception is the array path of the `columns` and `rows-columns`
-transforms over exactly `PrimeField(2^61 - 1)` (see `is_m61`): it
-converts the values to uint64 arrays and runs its own arithmetic (the
-`m61` module), returning Python ints again.
+The one exception is the array path over exactly `PrimeField(2^61 - 1)`
+(see `is_m61`): the fast transforms, the zeta and Moebius transforms and
+the DAG rounds convert the values to uint64 arrays and run their own
+arithmetic (the `m61` module), returning Python ints again.
 """
 
 from __future__ import annotations

@@ -4,6 +4,12 @@ A set function is a dense table of 2**n ring values indexed by bitmask.
 Provides the fast zeta transform (sums over subsets), its Moebius
 inverse, and subset convolution in both the naive 3**n form and the
 ranked O(2**n * n**2) form.
+
+Over exactly `PrimeField(2^61 - 1)` the zeta and Moebius transforms run
+as reshaped butterflies on one uint64 array (`m61.zeta`, imported on the
+first such call); they still take and return list-valued set functions,
+with every value reduced into [0, p).  Every other ring, `CountingRing`
+included, runs the list butterfly, one ring operation per addition.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .bitops import size_buckets, submasks
-from .ring import Ring
+from .ring import Ring, is_m61
 
 MAX_GROUND_SET = 24
 
@@ -87,6 +93,8 @@ def zeta_transform(f: SetFunction) -> SetFunction:
 
     Standard in-place butterfly, exactly n * 2**(n-1) ring additions.
     """
+    if is_m61(f.ring):
+        return _array_butterfly(f, subtract=False)
     ring = f.ring
     vals = list(f.values)
     size = 1 << f.n
@@ -100,6 +108,8 @@ def zeta_transform(f: SetFunction) -> SetFunction:
 
 def moebius_transform(g: SetFunction) -> SetFunction:
     """Inverse of zeta_transform; n * 2**(n-1) addition-class operations."""
+    if is_m61(g.ring):
+        return _array_butterfly(g, subtract=True)
     ring = g.ring
     vals = list(g.values)
     size = 1 << g.n
@@ -109,6 +119,17 @@ def moebius_transform(g: SetFunction) -> SetFunction:
             if mask & bit:
                 vals[mask] = ring.sub(vals[mask], vals[mask ^ bit])
     return SetFunction(ring, g.n, vals)
+
+
+def _array_butterfly(f: SetFunction, subtract: bool) -> SetFunction:
+    """Zeta (or Moebius) over PrimeField(2^61 - 1) on one uint64 array.
+
+    The same sums as the list butterfly, with every value reduced into
+    [0, p), f(empty set) too.
+    """
+    from .m61 import canonical, zeta
+
+    return SetFunction(f.ring, f.n, zeta(canonical([f.values]), subtract)[0].tolist())
 
 
 def _check_pair(f: SetFunction, g: SetFunction):

@@ -6,6 +6,7 @@ import pytest
 from multisubset import (
     DagSumResult,
     PipelineStats,
+    PrimeField,
     SetFunction,
     WeightSystem,
     brute_force_dag_sum,
@@ -15,6 +16,7 @@ from multisubset import (
     tian_he_sum,
 )
 from multisubset.dag import round_families
+from multisubset.m61 import M61Family
 
 # labeled acyclic digraph counts, cross-checked by digraph enumeration
 ACYCLIC_COUNTS = [1, 1, 3, 25, 543, 29281, 3781503]
@@ -134,6 +136,20 @@ def test_build_dag_family_shape(modp, collect):
     assert rounds == n
 
 
+def test_array_rounds_equal_the_list_rounds(modp):
+    # each round's uint64 block keeps its own values, also after later rounds
+    n = 4
+    wsys = random_weights(modp, n, seed=5)
+    a_table = tian_he_sum(wsys).a
+    lists = list(round_families(wsys, a_table))
+    arrays = list(round_families(wsys, a_table, arrays=True))
+    assert [t for t, _ in arrays] == [t for t, _ in lists] == list(range(1, n + 1))
+    for (_, fam), (_, arr) in zip(lists, arrays):
+        assert isinstance(arr, M61Family)
+        assert (arr.ring, arr.n) == (fam.ring, fam.n)
+        assert arr.values.tolist() == M61Family.of(fam).values.tolist()
+
+
 def test_round_extraction_matches_recurrence(modp):
     # one transform round really produces the next diagonal of a[.]
     n = 4
@@ -175,3 +191,29 @@ def test_naive_rounds_pair_count(modp, n):
     stats = PipelineStats()
     sum_acyclic_digraphs(random_weights(modp, n, seed=n), algo="naive", stats=stats)
     assert stats.pair_iterations == sum(comb(n, t) << (t + 1) for t in range(1, n + 1))
+
+
+# Largest relative error of an f64 DAG table against exact integer weights
+# for n <= 8; measured at most 9.9e-16 (naive), see the README.
+F64_DAG_RTOL = 1e-14
+
+
+@pytest.mark.parametrize("algo", ["tian-he", "naive", "columns", "rows-columns", "cover"])
+def test_f64_dag_relative_error(f64, algo):
+    # exact: a[S] < 2^40 digraphs times (2^53)^8 < 2^521 - 1, so the prime
+    # field holds every value as the integer itself
+    exact_ring = PrimeField((1 << 521) - 1)
+
+    def weights(ring, ints):
+        n = len(ints)
+        return WeightSystem(ring, n, [SetFunction(ring, n, [ring.from_int(v) for v in row])
+                                      for row in ints])
+
+    for n in range(1, 9):
+        rng = random.Random(n)
+        ints = [[0 if (m >> i) & 1 else rng.randrange(1 << 53) for m in range(1 << n)]
+                for i in range(n)]
+        exact = tian_he_sum(weights(exact_ring, ints)).a
+        wsys = weights(f64, ints)
+        got = tian_he_sum(wsys).a if algo == "tian-he" else sum_acyclic_digraphs(wsys, algo).a
+        assert max(abs(g - e) / e for g, e in zip(got, exact)) <= F64_DAG_RTOL

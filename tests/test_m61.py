@@ -25,6 +25,7 @@ from multisubset import (
 )
 from multisubset import m61
 from multisubset.mst import GroundSplit, MeasuredCostPlanner, _cover_plan
+from multisubset.ring import is_m61
 
 from helpers import random_family
 
@@ -117,8 +118,6 @@ def test_bracket_matrix_array_form(modp):
 
 
 def test_batched_bracket_matches_block_by_block(modp, monkeypatch):
-    # chunks of 3 columns cut across blocks of 2
-    monkeypatch.setattr(m61, "BUILD_CHUNK_COLUMNS", 3)
     fam = random_family(modp, 7, seed=5)
     split = GroundSplit.for_n(7)
     arrays = m61.M61Family.of(fam)
@@ -126,16 +125,20 @@ def test_batched_bracket_matches_block_by_block(modp, monkeypatch):
         1: [([0, 3, 5], [1, 6]), ([7, 1, 6], [3, 9]), ([2, 2, 15], [127, 0]), ([4, 0, 1], [5, 5])],
         2: [([0, 0b10000], [33, 64]), ([0b1110000, 0b1010000], [80, 17])],
     }
-    for part, parts in blocks.items():
-        rows = [r for r, _ in parts]
-        cols = [c for _, block_cols in parts for c in block_cols]
-        got = build_submatrix(arrays, split, part, rows, cols)
-        assert got.entries.shape == (len(parts), len(rows[0]), 2)
-        assert len(got.rows) * len(got.cols) == got.entries.size
-        for k, (block_rows, block_cols) in enumerate(parts):
-            assert got.rows[:, k].tolist() == block_rows
-            want = build_submatrix(fam, split, part, block_rows, block_cols)
-            assert got.entries[k].tolist() == want.entries
+    # 48 entries: chunks of 3 columns of the 16-row part-1 table cut across
+    # blocks of 2; 24 entries: chunks of 3 columns of the 8-row part 2
+    for entries in (48, 24):
+        monkeypatch.setattr(m61, "BUILD_CHUNK_ENTRIES", entries)
+        for part, parts in blocks.items():
+            rows = [r for r, _ in parts]
+            cols = [c for _, block_cols in parts for c in block_cols]
+            got = build_submatrix(arrays, split, part, rows, cols)
+            assert got.entries.shape == (len(parts), len(rows[0]), 2)
+            assert len(got.rows) * len(got.cols) == got.entries.size
+            for k, (block_rows, block_cols) in enumerate(parts):
+                assert got.rows[:, k].tolist() == block_rows
+                want = build_submatrix(fam, split, part, block_rows, block_cols)
+                assert got.entries[k].tolist() == want.entries
     with pytest.raises(ValueError):
         build_submatrix(arrays, split, 1, [[1], [0b10000000]], [0, 1])
     with pytest.raises(ValueError):
@@ -165,16 +168,28 @@ def test_array_path_matches_list_path_and_naive(n):
 
 
 def test_chunk_sizes_and_folds_do_not_change_the_table(monkeypatch):
-    # tiny chunks: many kernel and build chunks, scan chunks of single
-    # columns larger than the chunk, and a fold after every few columns
-    monkeypatch.setattr(m61, "BUILD_CHUNK_COLUMNS", 5)
+    # tiny chunks: many kernel chunks; build chunks of 5 columns, and of one
+    # column when a half has more rows than the entry bound; scan chunks of
+    # single columns larger than the chunk and of columns of mixed
+    # popcounts; and a fold after every few columns
+    pops_per_chunk = []
+    doubling = m61._doubling
+
+    def recording(values, s, *args):
+        pops_per_chunk.append(set(np.bitwise_count(s).tolist()))
+        return doubling(values, s, *args)
+
+    monkeypatch.setattr(m61, "_doubling", recording)
     monkeypatch.setattr(m61, "KERNEL_CHUNK_COLUMNS", 7)
-    monkeypatch.setattr(m61, "SCAN_CHUNK_PAIRS", 4)
     monkeypatch.setattr(m61, "SCAN_FOLD_COLUMNS", 3)
-    for algo in ARRAY_ALGOS:
-        (arr, arr_stats), (lst, lst_stats) = _both_paths(algo, 8, 3)
-        assert arr == lst
-        assert arr_stats == lst_stats
+    for build_entries, scan_pairs in ((5 << 4, 4), (1, 64)):
+        monkeypatch.setattr(m61, "BUILD_CHUNK_ENTRIES", build_entries)
+        monkeypatch.setattr(m61, "SCAN_CHUNK_PAIRS", scan_pairs)
+        for algo in ARRAY_ALGOS:
+            (arr, arr_stats), (lst, lst_stats) = _both_paths(algo, 8, 3)
+            assert arr == lst
+            assert arr_stats == lst_stats
+    assert any(len(pops) > 1 for pops in pops_per_chunk)
 
 
 @settings(max_examples=15, deadline=None)
@@ -192,15 +207,18 @@ def test_array_path_with_drawn_sigma_and_tau(n, seed, sigma, tau):
         assert arr_stats == lst_stats
 
 
-@pytest.mark.parametrize("n", range(1, 9))
-def test_array_path_dag_tables_equal_tian_he(n):
-    ring = PrimeField()
-    rng = random.Random(n)
+def _random_weights(ring, n, seed):
+    rng = random.Random(seed)
     weights = [
         SetFunction(ring, n, [0 if (m >> i) & 1 else rng.randrange(P) for m in range(1 << n)])
         for i in range(n)
     ]
-    wsys = WeightSystem(ring, n, weights)
+    return WeightSystem(ring, n, weights)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_array_path_dag_tables_equal_tian_he(n):
+    wsys = _random_weights(PrimeField(), n, n)
     expected = tian_he_sum(wsys).a
     for algo in ARRAY_ALGOS:
         assert sum_acyclic_digraphs(wsys, algo).a == expected
@@ -279,9 +297,38 @@ def test_wider_cover_blocks_match_the_list_path(monkeypatch):
     ("cover", PrimeField(), True),
     ("columns", CountingRing(PrimeField()), False),
     ("columns", PrimeField(101), False),
+    ("naive", PrimeField(), False),
 ])
 def test_which_runs_take_the_array_path(algo, ring, array):
+    # an M61Family runs as it is on the array path; naive rejects it
     backend = _EntryTypes()
-    g = run_transform(algo, random_family(ring, 5, seed=1), backend=backend)
-    assert backend.seen == {np.ndarray if array else list}
+    fam = random_family(ring, 5, seed=1)
+    g = run_transform(algo, fam, backend=backend)
+    assert backend.seen == ({np.ndarray if array else list} if algo != "naive" else set())
     assert all(type(v) is int for v in g.values)
+    if not is_m61(ring):
+        return
+    arrays = m61.M61Family.of(fam)
+    if algo == "naive":
+        with pytest.raises(ValueError):
+            run_transform(algo, arrays)
+        return
+    backend = _EntryTypes()
+    assert run_transform(algo, arrays, backend=backend).values == g.values
+    assert backend.seen == {np.ndarray}
+
+
+@settings(max_examples=12, deadline=None)
+@given(n=st.integers(0, 8), seed=st.integers(0, 10**6))
+def test_dag_array_route_matches_the_list_route(n, seed):
+    # the same weights over PrimeField (uint64 arrays from the weights to
+    # the last round) and over CountingRing(PrimeField()) (lists)
+    arr_wsys = _random_weights(PrimeField(), n, seed)
+    lst_wsys = _random_weights(CountingRing(PrimeField()), n, seed)
+    expected = tian_he_sum(arr_wsys).a
+    for algo in ARRAY_ALGOS:
+        arr_stats, lst_stats = PipelineStats(), PipelineStats()
+        arr = sum_acyclic_digraphs(arr_wsys, algo, stats=arr_stats).a
+        lst = sum_acyclic_digraphs(lst_wsys, algo, stats=lst_stats).a
+        assert arr == lst == expected
+        assert arr_stats == lst_stats

@@ -29,6 +29,7 @@ from multisubset.mst import (
     _guarded_floor,
     _half_rows,
     row_thresholds,
+    scan_cut,
     small_large_columns,
 )
 from multisubset.ring import is_m61
@@ -105,6 +106,24 @@ def test_small_large_split():
     assert sorted(small + large) == list(range(16))
     assert all(m.bit_count() <= 1 for m in small)
     assert all(m.bit_count() > 1 for m in large)
+
+
+def test_column_split_and_scan_cut_match_their_loops():
+    for n in range(15):
+        split = GroundSplit.for_n(n)
+        for s0 in range(-1, n + 1):
+            small = [m for m in range(1 << n) if m.bit_count() <= s0]
+            large = [m for m in range(1 << n) if m.bit_count() > s0]
+            assert small_large_columns(n, s0) == (small, large)
+        for t1 in range(-1, split.h1 + 1):
+            for t2 in range(-1, split.h2 + 1):
+                cut = scan_cut(split, (t1, t2))
+                assert isinstance(cut, bytearray)
+                assert cut == bytearray(
+                    (t & split.u1_mask).bit_count() > t1
+                    and (t & split.u2_mask).bit_count() > t2
+                    for t in range(1 << n)
+                )
 
 
 def test_bracket_matrix_semantics(modp):

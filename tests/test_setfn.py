@@ -99,6 +99,21 @@ def test_zeta_addition_count():
         assert counter.muls == 0
 
 
+def test_array_butterflies_match_the_list_path(modp):
+    # PrimeField(2^61 - 1) runs both transforms on one uint64 array; the
+    # list path (here through CountingRing) leaves f(empty set) unreduced
+    p = modp.p
+    odd = [p, -1, 2**64 + 9]
+    for n in range(13):
+        rng = random.Random(n)
+        values = [rng.choice(odd + [rng.randrange(p)] * 3) for _ in range(1 << n)]
+        for transform in (zeta_transform, moebius_transform):
+            got = transform(SetFunction(modp, n, list(values))).values
+            want = transform(SetFunction(CountingRing(modp), n, list(values))).values
+            assert got == [v % p for v in want]
+            assert all(type(v) is int for v in got)
+
+
 def test_subset_convolution_matches_naive(modp):
     for n in range(0, 7):
         f = random_setfn(modp, n, seed=2 * n)
