@@ -99,20 +99,20 @@ def _cmd_optimize(args) -> int:
     if args.target == "gamma" and args.mode is not None:
         raise ValueError("--mode does not apply to --target gamma")
     mode = args.mode or "paper"
+    kwargs = {}
+    if args.resolution is not None:
+        if args.target == "columns" or (args.target == "rows-columns" and mode != "table"):
+            raise ValueError("--resolution applies to --target gamma and to "
+                             "--target rows-columns --mode table only")
+        kwargs["resolution"] = args.resolution
     table = None
     if args.omega_table:
         table = jsonio.omega_table_from_dict(jsonio.load_json(args.omega_table))
     if args.target == "columns":
         report = optimize_columns(mode=mode, table=table)
     elif args.target == "rows-columns":
-        kwargs = {}
-        if args.resolution is not None:
-            kwargs["resolution"] = args.resolution
         report = optimize_rows_columns(mode=mode, table=table, **kwargs)
     else:
-        kwargs = {}
-        if args.resolution is not None:
-            kwargs["resolution"] = args.resolution
         if table is not None:
             # omega is convex in k, so chords between the file's anchors are valid bounds
             table = ConvexOmegaTable(table.anchors)

@@ -8,6 +8,14 @@ index run through float64 `np.bincount` on the 32-bit halves, and the
 matrix product through float64 BLAS on 16-bit limbs; both are exact
 while every float64 sum stays below 2^53.
 
+The BLAS products run on the calling thread: with its default threads,
+OpenBLAS hands each product to a second thread that then busy-waits
+while the rest of the call runs, nearly doubling the CPU seconds of a
+`columns` call with no gain in wall time at these sizes.  `product` sets
+the thread count of the OpenBLAS library numpy loaded to one for its
+matrix products and gives the previous count back afterwards; where no
+such library is found it runs them as numpy would.
+
 `mst`, `rmm`, `setfn` and `dag` import this module on the first
 array-path call only, so the list path never loads it.  The chunk sizes
 below bound the working set of each step.
@@ -15,6 +23,10 @@ below bound the working set of each step.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +54,13 @@ _MASK16 = np.uint64(0xFFFF)
 _MASK29 = np.uint64((1 << 29) - 1)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _U3, _U29, _U32, _U61 = (np.uint64(k) for k in (3, 29, 32, 61))
+
+# (get, set) thread-count functions of OpenBLAS: numpy's wheel, then a
+# plain build.
+_BLAS_THREAD_FUNCTIONS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
 
 
 def fold(x: np.ndarray) -> np.ndarray:
@@ -171,6 +190,62 @@ def bracket(values: np.ndarray, first_bit: int, h: int, part_mask: int,
     return (by_row, out) if batch else (list(rows), out[0])
 
 
+@functools.cache
+def _blas_thread_calls():
+    """OpenBLAS's (get, set) thread-count calls in the library numpy loaded, or None.
+
+    Looked up through numpy's core extension module, whose handle also
+    finds the symbols of the libraries it was linked against.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return None
+    for get_name, set_name in _BLAS_THREAD_FUNCTIONS:
+        try:
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+        except AttributeError:
+            continue
+        set_.restype = None
+        return get, set_
+    return None
+
+
+_blas_lock = threading.Lock()
+_blas_users = 0  # products inside _one_blas_thread
+_blas_before = 0  # the thread count when the first of them entered
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with OpenBLAS on one thread, then give the count back.
+
+    The count is process-wide, so products that overlap in several
+    Python threads share one setting: the first in sets it to one, the
+    last out restores it.
+    """
+    global _blas_users, _blas_before
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    with _blas_lock:
+        if _blas_users == 0:
+            _blas_before = get()
+            set_(1)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0:
+                set_(_blas_before)
+
+
 def _limb(x: np.ndarray, k: int, scratch: np.ndarray, out: np.ndarray) -> None:
     """Bits 16k .. 16k + 15 of x (uint64) as float64 into out."""
     np.right_shift(x, np.uint64(16 * k), out=scratch)
@@ -189,7 +264,8 @@ def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b.  A block entry sums w products below 2^32, an exact float64 for
     w < 2^21.  The blocks add up by degree i + j in uint64, below 2^64
     for fewer than 2^30 columns, and degree k weighs
-    2^(16 k) = 2^(16 k mod 61) (mod p).
+    2^(16 k) = 2^(16 k mod 61) (mod p).  The float64 products run on
+    the calling thread (`_one_blas_thread`).
     """
     if a.ndim == 2:
         return product(a[None], b[None])[0]
@@ -202,16 +278,17 @@ def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     lb, ub = np.empty((m, 4 * r2, width)), np.empty((m, r2, width), dtype=np.uint64)
     part = np.empty((m, r1, 4 * r2))
     block = np.empty((m, r1, r2), dtype=np.uint64)
-    for c0 in range(0, cols, KERNEL_CHUNK_COLUMNS):
-        w = min(width, cols - c0)
-        for j in range(4):
-            _limb(b[..., c0:c0 + w], j, ub[..., :w], lb[:, j * r2:(j + 1) * r2, :w])
-        for i in range(4):
-            _limb(a[..., c0:c0 + w], i, ua[..., :w], la[..., :w])
-            np.matmul(la[..., :w], lb[..., :w].swapaxes(1, 2), out=part)
+    with _one_blas_thread():
+        for c0 in range(0, cols, KERNEL_CHUNK_COLUMNS):
+            w = min(width, cols - c0)
             for j in range(4):
-                np.copyto(block, part[..., j * r2:(j + 1) * r2], casting="unsafe")
-                by_degree[i + j] += block
+                _limb(b[..., c0:c0 + w], j, ub[..., :w], lb[:, j * r2:(j + 1) * r2, :w])
+            for i in range(4):
+                _limb(a[..., c0:c0 + w], i, ua[..., :w], la[..., :w])
+                np.matmul(la[..., :w], lb[..., :w].swapaxes(1, 2), out=part)
+                for j in range(4):
+                    np.copyto(block, part[..., j * r2:(j + 1) * r2], casting="unsafe")
+                    by_degree[i + j] += block
     out = np.zeros((m, r1, r2), dtype=np.uint64)
     for k in range(7):
         out += shift(fold(by_degree[k]), 16 * k % 61)  # each term below p

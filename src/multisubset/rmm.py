@@ -9,10 +9,11 @@ Entries are either lists of ring values, multiplied one Python ring
 operation per term, or (on the M61 array path) uint64 arrays in [0, p),
 multiplied exactly through float64 BLAS: each operand is split into four
 16-bit limbs, float64 products per column chunk sum the 16 limb-pair
-blocks exactly, and the blocks are recombined mod p.  An array operand
-may hold a batch of m equal-shape blocks, multiplied block by block; its
-labels count each block's rows and all m blocks' columns, so the count
-R1 * C * R2 covers the whole batch.
+blocks exactly, and the blocks are recombined mod p.  The BLAS products
+run on the calling thread, so no OpenBLAS worker is left spinning.  An
+array operand may hold a batch of m equal-shape blocks, multiplied block
+by block; its labels count each block's rows and all m blocks' columns,
+so the count R1 * C * R2 covers the whole batch.
 """
 
 from __future__ import annotations
@@ -63,7 +64,9 @@ class RmmBackend:
 class ClassicalBackend(RmmBackend):
     """Triple loop on lists, the limb-split M61 product (`m61.product`) on arrays.
 
-    Either way the multiplication count is exactly R1 * C * R2.
+    The M61 product's float64 BLAS calls run on the calling thread alone
+    and leave OpenBLAS's thread count as they found it.  Either way the
+    multiplication count is exactly R1 * C * R2.
     """
 
     id = "classical"

@@ -20,6 +20,7 @@ from multisubset import (
 from multisubset.analysis import (
     COVER_OMEGA_TABLE,
     LINE_OMEGA_INTERCEPT,
+    MIN_GRID_RESOLUTION,
     columns_terms,
     gamma_inner_min,
     gamma_terms,
@@ -191,6 +192,11 @@ def test_rows_columns_table_mode():
     assert report.uncertainty == pytest.approx(2e-3)
     # staircase bound is weaker than the slope-one line in the used range
     assert report.exponent >= optimize_rows_columns().exponent - 1e-9
+    # the finest and the coarsest grids accepted, then steps outside them
+    assert optimize_rows_columns(mode="table", resolution=0.16).parameters["tau"] == pytest.approx(0.66)
+    for bad in (0.0, -0.01, MIN_GRID_RESOLUTION / 2, 1.0 / 6.0, math.nan):
+        with pytest.raises(ValueError):
+            optimize_rows_columns(mode="table", resolution=bad)
 
 
 def test_gamma_terms_special_cases():

@@ -175,6 +175,25 @@ def test_optimize_rows_columns_cli(tmp_path):
     assert abs(report["base"] - 2.985) < 1e-3
 
 
+def test_optimize_rows_columns_rejects_a_resolution_outside_its_grid():
+    # 0 divided by zero and -0.01 printed "base": Infinity, which is not JSON
+    for bad in ("0", "-0.01", "1e-7", "0.2", "nan"):
+        assert run_cli("optimize", "--target", "rows-columns", "--mode", "table",
+                       "--resolution", bad) == 2
+
+
+def test_optimize_rejects_a_resolution_it_would_ignore(tmp_path):
+    for target, modes in (("columns", (None, "paper", "line", "table")),
+                          ("rows-columns", (None, "paper", "line"))):
+        for mode in modes:
+            argv = ["optimize", "--target", target, "--resolution", "1e-3"]
+            assert run_cli(*argv, *(("--mode", mode) if mode else ())) == 2
+    out = tmp_path / "rc.json"
+    assert run_cli("optimize", "--target", "rows-columns", "--mode", "table",
+                   "--resolution", "1e-3", "--output", str(out)) == 0
+    assert load_json(str(out))["resolution"] == 1e-3
+
+
 def test_optimize_with_custom_omega_table(tmp_path):
     table = tmp_path / "omega.json"
     table.write_text(json.dumps({"anchors": [[0, 2.0], [1, 2.38], [1.8, 3.1]]}))

@@ -83,17 +83,53 @@ def test_kernel_random_entries_and_counts():
     assert stats.rmm_muls == 5 * len(cols) * 4
 
 
+def _random_batch(seed, m, r1, r2, cols):
+    """(m, r1, cols) and (m, r2, cols) nested lists of extreme and random entries."""
+    rng = random.Random(seed)
+    return [[[[rng.choice(EXTREMES + [rng.randrange(P)]) for _ in range(cols)]
+              for _ in range(r)] for _ in range(m)] for r in (r1, r2)]
+
+
 @pytest.mark.parametrize("cols", [1, m61.KERNEL_CHUNK_COLUMNS + 3])
 def test_batched_kernel_matches_block_by_block(cols):
-    rng = random.Random(cols)
     m, r1, r2 = 5, 3, 4
-    a = [[[rng.choice(EXTREMES + [rng.randrange(P)]) for _ in range(cols)] for _ in range(r1)]
-         for _ in range(m)]
-    b = [[[rng.choice(EXTREMES + [rng.randrange(P)]) for _ in range(cols)] for _ in range(r2)]
-         for _ in range(m)]
+    a, b = _random_batch(cols, m, r1, r2, cols)
     out = m61.product(u64(a), u64(b))
     assert out.shape == (m, r1, r2)
     assert out.tolist() == [_python_product(a[k], b[k]) for k in range(m)]
+
+
+def test_kernel_runs_on_one_blas_thread_and_restores_the_count(monkeypatch):
+    calls = m61._blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy's BLAS exposes no OpenBLAS thread-count functions")
+    get, set_ = calls
+    during = []
+    matmul = np.matmul
+
+    def recording(*args, **kwargs):
+        during.append(get())
+        return matmul(*args, **kwargs)
+
+    a, b = _random_batch(9, 3, 4, 2, 2 * m61.KERNEL_CHUNK_COLUMNS + 1)
+    original = get()
+    monkeypatch.setattr(np, "matmul", recording)
+    try:
+        for before in (2, 1):
+            set_(before)
+            during.clear()
+            out = m61.product(u64(a), u64(b))
+            assert get() == before
+            assert during and set(during) == {1}
+            assert out.tolist() == [_python_product(a[k], b[k]) for k in range(3)]
+    finally:
+        set_(original)
+
+
+def test_kernel_without_the_thread_calls_is_unchanged(monkeypatch):
+    monkeypatch.setattr(m61, "_blas_thread_calls", lambda: None)
+    a, b = _random_batch(10, 4, 3, 5, m61.KERNEL_CHUNK_COLUMNS + 9)
+    assert m61.product(u64(a), u64(b)).tolist() == [_python_product(a[k], b[k]) for k in range(4)]
 
 
 def test_kernel_rejects_arrays_over_another_ring():
