@@ -509,14 +509,18 @@ def gamma_search(
 
     Deterministic two-stage search: a coarse symmetric grid over
     sigma1 <= sigma2 (grid-seeded inner min only), then local patches at
-    the requested resolution around every near-maximal coarse point with
-    the fully refined inner minimization.  Reports gamma, the per-n
+    the requested resolution (a whole fraction of `coarse`) around every
+    near-maximal coarse point with the fully refined inner minimization.  Reports gamma, the per-n
     exponent gamma/2, and base 2^(gamma/2); the uncertainty field is the
     largest drop to a neighboring refined grid point.  Without a table
     omega is bounded by COVER_OMEGA_TABLE.
     """
     if resolution < 1e-3:
         raise ValueError("resolution below 1e-3 is not supported")
+    fine_per_coarse = round(coarse / resolution)
+    if fine_per_coarse < 1 or not math.isclose(coarse / resolution, fine_per_coarse):
+        raise ValueError(f"resolution {resolution} must divide the coarse step {coarse} "
+                         "a whole number of times")
     tab = table if table is not None else COVER_OMEGA_TABLE
 
     def coarse_value(s1: float, s2: float) -> float:
@@ -544,7 +548,6 @@ def gamma_search(
             cache[(si, sj)] = gamma_inner_min(s1, s2, tab)
         return cache[(si, sj)]
 
-    fine_per_coarse = int(round(coarse / resolution))
     fine_steps = steps * fine_per_coarse
     best = (-math.inf, 0, 0, 0.0, 0.0)
     for ci, cj in candidates:

@@ -8,6 +8,9 @@ index run through float64 `np.bincount` on the 32-bit halves, and the
 matrix product through float64 BLAS on 16-bit limbs; both are exact
 while every float64 sum stays below 2^53.
 
+The direct superset scan doubles the columns of one popcount together
+on dense tables, one broadcast product per free bit.
+
 The BLAS products run on the calling thread: with its default threads,
 OpenBLAS hands each product to a second thread that then busy-waits
 while the rest of the call runs, nearly doubling the CPU seconds of a
@@ -38,9 +41,10 @@ from .ring import MERSENNE61, Ring
 BUILD_CHUNK_ENTRIES = 1 << 16
 # Columns per kernel product chunk: keep each float64 sum of limb products exact.
 KERNEL_CHUNK_COLUMNS = 128
-# (T, S) pairs per direct-scan chunk, a power of two (a column with more is
-# one chunk).
-SCAN_CHUNK_PAIRS = 1 << 14
+# Entries of a direct-scan chunk's product table: each chunk holds columns
+# of one popcount p, 2^(n - p) entries per column (a column with more is a
+# chunk of its own).
+SCAN_CHUNK_PAIRS = 1 << 16
 # Output entries per batch of equal-shape products (a larger product is a
 # batch of its own).  Below 2^21 blocks per batch, the scatter's float64
 # sums stay exact.
@@ -72,8 +76,9 @@ def fold(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise a * b mod p for uint64 operands in [0, p); broadcasts."""
+def mul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise a * b mod p for uint64 operands in [0, p); broadcasts.
+    The product goes into `out` when given, which must not overlap a or b."""
     a_hi, b_hi = a >> _U32, b >> _U32
     a_lo, b_lo = a & _MASK32, b & _MASK32
     # a * b = hh 2^64 + mid 2^32 + ll with hh < 2^58, mid < 2^62, ll < 2^64
@@ -81,7 +86,7 @@ def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ll = a_lo * b_hi
     mid += ll
     np.multiply(a_lo, b_lo, out=ll)
-    out = a_hi * b_hi
+    out = np.multiply(a_hi, b_hi, out=out)
     out <<= _U3  # 2^64 = 2^3 (mod p)
     out += ll & P
     ll >>= _U61
@@ -311,14 +316,15 @@ def superset_scan(values: np.ndarray, cols: list[int], g: np.ndarray, cut) -> in
     """g[T] += prod_{i in T} f_i(S) for S in cols, T superset S; returns the pairs.
 
     `cut` (bytes, one per mask, or None) marks the T to leave out, and
-    the columns it marks are skipped.  A column S has at most 2^(n - |S|)
-    pairs.  Sorted by popcount, these bounds are powers of two in
-    descending order, so cutting the running total every SCAN_CHUNK_PAIRS
-    never splits a column's bound: the chunks hold columns of mixed
-    popcounts, at most SCAN_CHUNK_PAIRS pairs each (a larger column is a
-    chunk of its own).  Each chunk runs on flat (T, S, product) arrays
-    and doubles over every bit: an entry whose T lacks the bit gets a
-    copy with it set and one more factor, unless the cut drops it.
+    the columns it marks are skipped.  The columns run grouped by
+    popcount p, in chunks of one popcount holding at most
+    SCAN_CHUNK_PAIRS table entries (a column with a larger table is a
+    chunk of its own).  A chunk of c columns fills a dense (2^(n-p), c)
+    product table and a matching mask table by doubling over each
+    column's free bits in rank order: step q multiplies rows [0, 2^q)
+    by the column's q-th free factor into rows [2^q, 2^(q+1)) and sets
+    that bit in their masks.  Cut entries are computed, then dropped by
+    one mask before the sums per T.
     """
     n = values.shape[0]
     size = 1 << n
@@ -333,50 +339,43 @@ def superset_scan(values: np.ndarray, cols: list[int], g: np.ndarray, cut) -> in
     for b in range(n):
         has = np.flatnonzero((col_arr >> b) & 1)
         roots[has] = mul(roots[has], values[b, col_arr[has]])
-    bound = np.left_shift(1, n - pops)
-    chunk_of = (np.cumsum(bound) - bound) // SCAN_CHUNK_PAIRS
-    edges = [*np.flatnonzero(np.diff(chunk_of, prepend=-1)).tolist(), len(col_arr)]
     lo, hi = np.zeros(size), np.zeros(size)
     pairs = since_fold = 0
-    for c0, c1 in zip(edges, edges[1:]):
-        t_all, p_all = _doubling(values, col_arr[c0:c1], roots[c0:c1],
-                                 int(bound[c0:c1].sum()), cut)
-        pairs += len(t_all)
-        if since_fold + c1 - c0 > SCAN_FOLD_COLUMNS:
+    for c0, c1 in _scan_chunks(pops, n):
+        s, free = col_arr[c0:c1], n - int(pops[c0])
+        # the free bits of each column, ascending: (free, c)
+        free_bits = np.nonzero((s[:, None] >> np.arange(n)) & 1 == 0)[1].reshape(len(s), free).T
+        prods = np.empty((1 << free, len(s)), dtype=np.uint64)
+        masks = np.empty((1 << free, len(s)), dtype=np.int64)
+        prods[0], masks[0] = roots[c0:c1], s
+        factors, bits = values[free_bits, s], 1 << free_bits
+        for q in range(free):
+            mul(prods[:1 << q], factors[q], out=prods[1 << q:2 << q])
+            np.bitwise_or(masks[:1 << q], bits[q], out=masks[1 << q:2 << q])
+        if cut is not None:
+            kept = ~cut[masks]
+            masks, prods = masks[kept], prods[kept]
+        pairs += masks.size
+        if since_fold + len(s) > SCAN_FOLD_COLUMNS:
             add(g, _sum_halves(lo, hi))
             lo[:] = hi[:] = 0.0
             since_fold = 0
-        since_fold += c1 - c0
-        chunk_lo, chunk_hi = _halves_by_index(t_all, p_all, size)
+        since_fold += len(s)
+        chunk_lo, chunk_hi = _halves_by_index(masks.ravel(), prods.ravel(), size)
         lo += chunk_lo
         hi += chunk_hi
     add(g, _sum_halves(lo, hi))
     return pairs
 
 
-def _doubling(values: np.ndarray, s: np.ndarray, roots: np.ndarray, cap: int, cut):
-    """(T, product) of every kept superset T of each column in s (at most cap in all)."""
-    n = values.shape[0]
-    t_all = np.empty(cap, dtype=np.int64)
-    s_all = np.empty(cap, dtype=np.int64)
-    p_all = np.empty(cap, dtype=np.uint64)
-    m = len(s)
-    t_all[:m] = s_all[:m] = s
-    p_all[:m] = roots
-    for b in range(n):
-        bit = 1 << b
-        grow = (t_all[:m] & bit) == 0
-        if cut is not None:
-            grow &= ~cut[t_all[:m] | bit]
-        idx = np.flatnonzero(grow)
-        k = idx.size
-        if k:
-            t_all[m:m + k] = t_all[idx] | bit
-            s_new = s_all[m:m + k]
-            s_new[:] = s_all[idx]
-            p_all[m:m + k] = mul(p_all[idx], values[b, s_new])
-            m += k
-    return t_all[:m], p_all[:m]
+def _scan_chunks(pops: np.ndarray, n: int):
+    """(c0, c1) chunks of columns sorted by popcount: one popcount each,
+    at most SCAN_CHUNK_PAIRS table entries or one column."""
+    edges = [*np.flatnonzero(np.diff(pops, prepend=-1)).tolist(), len(pops)]
+    for p0, p1 in zip(edges, edges[1:]):
+        width = max(1, SCAN_CHUNK_PAIRS >> (n - int(pops[p0])))
+        for c0 in range(p0, p1, width):
+            yield c0, min(c0 + width, p1)
 
 
 def zeta(x: np.ndarray, subtract: bool = False) -> np.ndarray:

@@ -291,6 +291,13 @@ def test_gamma_search_trimmed():
         gamma_search(resolution=1e-4)
 
 
+@pytest.mark.parametrize("resolution", [0.02, 0.003])
+def test_gamma_search_rejects_a_resolution_that_does_not_divide_coarse(resolution):
+    # 0.02 gave no refinement patch at all (base 2.0), 0.003 misplaced them
+    with pytest.raises(ValueError):
+        gamma_search(resolution=resolution)
+
+
 def test_binom_facts():
     for n in (1, 3, 4, 10, 17, 25, 40):
         report = binom_facts_check(n)

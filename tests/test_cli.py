@@ -220,6 +220,11 @@ def test_optimize_gamma_reads_omega_table_as_chords(tmp_path):
     assert load_json(str(file_out))["base"] == load_json(str(default_out))["base"]
 
 
+@pytest.mark.parametrize("resolution", ["0.02", "0.003"])
+def test_optimize_gamma_rejects_a_resolution_that_does_not_divide_coarse(resolution):
+    assert run_cli("optimize", "--target", "gamma", "--resolution", resolution) == 2
+
+
 def test_optimize_gamma_rejects_mode():
     for mode in ("paper", "line", "table"):
         assert run_cli("optimize", "--target", "gamma", "--mode", mode) == 2

@@ -24,7 +24,14 @@ from multisubset import (
     tian_he_sum,
 )
 from multisubset import m61
-from multisubset.mst import GroundSplit, MeasuredCostPlanner, _cover_plan
+from multisubset.mst import (
+    GroundSplit,
+    MeasuredCostPlanner,
+    _cover_plan,
+    _direct_scan,
+    row_thresholds,
+    scan_cut,
+)
 from multisubset.ring import is_m61
 
 from helpers import random_family
@@ -206,26 +213,63 @@ def test_array_path_matches_list_path_and_naive(n):
 def test_chunk_sizes_and_folds_do_not_change_the_table(monkeypatch):
     # tiny chunks: many kernel chunks; build chunks of 5 columns, and of one
     # column when a half has more rows than the entry bound; scan chunks of
-    # single columns larger than the chunk and of columns of mixed
-    # popcounts; and a fold after every few columns
-    pops_per_chunk = []
-    doubling = m61._doubling
+    # one popcount, a column whose table is larger than the cap being a chunk
+    # of its own; and a fold after every few columns
+    scans = []  # per scan call: (popcounts, columns, table entries) of each chunk
+    scan_chunks = m61._scan_chunks
 
-    def recording(values, s, *args):
-        pops_per_chunk.append(set(np.bitwise_count(s).tolist()))
-        return doubling(values, s, *args)
+    def recording(pops, n):
+        scans.append([])
+        for c0, c1 in scan_chunks(pops, n):
+            scans[-1].append((set(pops[c0:c1].tolist()), c1 - c0, (c1 - c0) << (n - int(pops[c0]))))
+            yield c0, c1
 
-    monkeypatch.setattr(m61, "_doubling", recording)
+    monkeypatch.setattr(m61, "_scan_chunks", recording)
     monkeypatch.setattr(m61, "KERNEL_CHUNK_COLUMNS", 7)
     monkeypatch.setattr(m61, "SCAN_FOLD_COLUMNS", 3)
-    for build_entries, scan_pairs in ((5 << 4, 4), (1, 64)):
+    for build_entries, scan_entries in ((5 << 4, 4), (1, 64)):
         monkeypatch.setattr(m61, "BUILD_CHUNK_ENTRIES", build_entries)
-        monkeypatch.setattr(m61, "SCAN_CHUNK_PAIRS", scan_pairs)
+        monkeypatch.setattr(m61, "SCAN_CHUNK_PAIRS", scan_entries)
+        scans.clear()
         for algo in ARRAY_ALGOS:
             (arr, arr_stats), (lst, lst_stats) = _both_paths(algo, 8, 3)
             assert arr == lst
             assert arr_stats == lst_stats
-    assert any(len(pops) > 1 for pops in pops_per_chunk)
+        chunks = [chunk for scan in scans for chunk in scan]
+        assert all(len(pops) == 1 for pops, _, _ in chunks)
+        assert all(entries <= scan_entries for _, width, entries in chunks if width > 1)
+        assert any(width == 1 and entries > scan_entries for _, width, entries in chunks)
+        assert any(sum(pops == {p} for pops, _, _ in scan) > 1 for scan in scans for p in range(9))
+
+
+@st.composite
+def _scan_case(draw):
+    """n, seed, distinct column masks (the empty and the full set among them
+    when drawn) and row thresholds from a tau inside its interval, or None."""
+    n = draw(st.integers(0, 10))
+    full = (1 << n) - 1
+    cols = draw(st.lists(st.integers(0, full), unique=True, max_size=150))
+    for end in draw(st.sets(st.sampled_from([0, full]))):
+        if end not in cols:
+            cols.insert(draw(st.integers(0, len(cols))), end)
+    tau = draw(st.none() | st.floats(1 / 2, 2 / 3, exclude_min=True, exclude_max=True))
+    thresholds = None if tau is None else row_thresholds(GroundSplit.for_n(n), tau)
+    return n, draw(st.integers(0, 10**6)), cols, thresholds
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scan_case())
+def test_superset_scan_matches_the_list_scan(case):
+    n, seed, cols, thresholds = case
+    split = GroundSplit.for_n(n)
+    fam = random_family(PrimeField(), n, seed)
+    stats, want = PipelineStats(), [0] * (1 << n)
+    _direct_scan(fam, cols, want, stats, split, thresholds)
+    got = np.zeros(1 << n, dtype=np.uint64)
+    cut = None if thresholds is None else scan_cut(split, thresholds)
+    pairs = m61.superset_scan(m61.M61Family.of(fam).values, cols, got, cut)
+    assert got.tolist() == want
+    assert pairs == stats.pair_iterations
 
 
 @settings(max_examples=15, deadline=None)
