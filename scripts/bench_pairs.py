@@ -1,10 +1,13 @@
 """Alternating parent/change runs of perfbench, written as one BENCH_<short>.json.
 
-Runs the unchanged `perfbench/run.py` of two checkouts, a parent and a
+Runs the unchanged benchmark command of two checkouts, a parent and a
 change, one process at a time: for each workload and seed one `--trace 0`
 run per side, the side that goes first alternating from seed to seed,
-then one `--trace 1` run per side on the first seed.  This script times
-nothing itself; every number comes from perfbench's report lines.
+then one `--trace 1` run per side on the first seed.  The command, the
+run length, the workloads and the end-to-end metrics come from each
+checkout's BENCHMARK.json, which must be the same on both sides.  This
+script times nothing itself; every number comes from perfbench's report
+lines.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --short dense_scan --seeds 61-70 --what "..."
@@ -28,8 +31,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("mst-bulk", "mst-fine", "dag-rounds")
-METRICS = ("rmm_algo_cpu_s", "scan_algo_cpu_s", "setup_s", "peak_rss_mb")
 SIDES = ("parent", "change")
 # Fields of perfbench's env line kept as the file's environment.
 ENVIRONMENT = ("python", "numpy", "cpu", "nproc", "blas_threads")
@@ -47,10 +48,19 @@ def seed_list(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
-def run(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
+def benchmark(checkouts: dict) -> dict:
+    """The BENCHMARK.json both checkouts declare; exits if they differ."""
+    decl = {side: json.loads((checkouts[side] / "BENCHMARK.json").read_text())
+            for side in SIDES}
+    if decl["parent"] != decl["change"]:
+        raise SystemExit("BENCHMARK.json differs between the parent and the change")
+    return decl["parent"]
+
+
+def run(bench: dict, checkout: Path, workload: str, seed: int, trace: int) -> dict:
     """One perfbench run: its JSON line, env line and per-algorithm CPU/wall medians."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+    cmd = [*bench["command"], "--workload", workload, "--seed", str(seed),
+           "--seconds", str(bench["run_seconds"]), "--trace", str(trace)]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     done = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True)
     if done.returncode != 0:
@@ -85,9 +95,9 @@ def quartiles(values: list[float]) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def summarize(pairs: list[dict]) -> dict:
+def summarize(bench: dict, pairs: list[dict]) -> dict:
     summary = {}
-    for metric in METRICS:
+    for metric in (m["name"] for m in bench["end_to_end"]):
         per_side = {side: [value(p[side], metric) for p in pairs] for side in SIDES}
         lower = sum(c < p for p, c in zip(per_side["parent"], per_side["change"]))
         entry = {side: quartiles(per_side[side]) for side in SIDES}
@@ -116,26 +126,26 @@ def kept(side_run: dict) -> dict:
             "source_sha256": side_run["env"].get("source_sha256")}
 
 
-def bench_workload(args, workload: str) -> tuple[dict, dict]:
+def bench_workload(bench: dict, checkouts: dict, seeds: list[int],
+                   workload: str) -> tuple[dict, dict]:
     """The workload's entry of the BENCH file, and the env line of its first parent run."""
-    checkouts = {"parent": args.parent, "change": args.change}
     pairs, runs_env = [], None
-    for i, seed in enumerate(args.seeds):
+    for i, seed in enumerate(seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
-        runs = {side: run(checkouts[side], workload, seed, args.seconds, 0) for side in order}
+        runs = {side: run(bench, checkouts[side], workload, seed, 0) for side in order}
         runs_env = runs_env or runs["parent"]["env"]
         pairs.append({"seed": seed, "first": order[0], **{s: kept(runs[s]) for s in SIDES}})
-        print(f"{workload} seed {seed}: " + ", ".join(
-            f"{s} {value(runs[s], 'rmm_algo_cpu_s'):.4f}/{value(runs[s], 'scan_algo_cpu_s'):.4f} s"
+        print(f"{workload} seed {seed}: " + "; ".join(
+            f"{s} " + " ".join(f"{m['name']}={value(runs[s], m['name']):.4g}"
+                               for m in bench["end_to_end"])
             for s in SIDES), file=sys.stderr)
     out = {
         "pairs": pairs,
-        "summary": summarize(pairs),
+        "summary": summarize(bench, pairs),
         "cpu_vs_wall": cpu_vs_wall(pairs),
         "failed": {side: sum(p[side]["json"]["failed"] for p in pairs) for side in SIDES},
     }
-    traces = {side: run(checkouts[side], workload, args.trace_seed, args.seconds, 1)
-              for side in SIDES}
+    traces = {side: run(bench, checkouts[side], workload, seeds[0], 1) for side in SIDES}
     out["trace_split"] = {
         side: {f"{role}.{name}": value(traces[side], f"{role}.{name}")
                for role in ("rmm_algo", "scan_algo") for name in SPLIT}
@@ -152,30 +162,26 @@ def parse_args(argv=None):
     p.add_argument("--change", type=Path, required=True, help="checkout of the change")
     p.add_argument("--short", required=True, help="file name part: BENCH_<short>.json")
     p.add_argument("--seeds", type=seed_list, required=True, help="'61-70' or '61,62,...'")
-    p.add_argument("--workloads", nargs="+", default=list(WORKLOADS), choices=WORKLOADS)
-    p.add_argument("--seconds", type=int, default=30)
-    p.add_argument("--trace-seed", type=int, default=None,
-                   help="seed of one --trace 1 run per side (default: the first seed)")
     p.add_argument("--what", default="", help="free text describing the runs")
     p.add_argument("--output-dir", type=Path, default=Path("."))
-    args = p.parse_args(argv)
-    if args.trace_seed is None:
-        args.trace_seed = args.seeds[0]
-    return args
+    return p.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    checkouts = {"parent": args.parent, "change": args.change}
+    bench = benchmark(checkouts)
     path = args.output_dir / f"BENCH_{args.short}.json"
     doc = {
         "what": args.what,
         "parent_commit": None,
-        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds} --trace 0",
+        "command": " ".join(bench["command"])
+        + f" --workload W --seed S --seconds {bench['run_seconds']} --trace 0",
         "workloads": {},
         "environment": {},
     }
-    for workload in args.workloads:
-        doc["workloads"][workload], env = bench_workload(args, workload)
+    for workload in (w["name"] for w in bench["workloads"]):
+        doc["workloads"][workload], env = bench_workload(bench, checkouts, args.seeds, workload)
         if not doc["environment"]:
             doc["parent_commit"] = env.get("commit")
             doc["environment"] = {k: env.get(k) for k in ENVIRONMENT}

@@ -510,10 +510,11 @@ def gamma_search(
     Deterministic two-stage search: a coarse symmetric grid over
     sigma1 <= sigma2 (grid-seeded inner min only), then local patches at
     the requested resolution (a whole fraction of `coarse`) around every
-    near-maximal coarse point with the fully refined inner minimization.  Reports gamma, the per-n
-    exponent gamma/2, and base 2^(gamma/2); the uncertainty field is the
-    largest drop to a neighboring refined grid point.  Without a table
-    omega is bounded by COVER_OMEGA_TABLE.
+    near-maximal coarse point with the fully refined inner
+    minimization.  Reports gamma, the per-n exponent gamma/2, and base
+    2^(gamma/2); the uncertainty field is the largest drop to a
+    neighboring refined grid point.  Without a table omega is bounded by
+    COVER_OMEGA_TABLE.
     """
     if resolution < 1e-3:
         raise ValueError("resolution below 1e-3 is not supported")

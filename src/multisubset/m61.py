@@ -44,7 +44,7 @@ KERNEL_CHUNK_COLUMNS = 128
 # Entries of a direct-scan chunk's product table: each chunk holds columns
 # of one popcount p, 2^(n - p) entries per column (a column with more is a
 # chunk of its own).
-SCAN_CHUNK_PAIRS = 1 << 16
+SCAN_CHUNK_ENTRIES = 1 << 16
 # Output entries per batch of equal-shape products (a larger product is a
 # batch of its own).  Below 2^21 blocks per batch, the scatter's float64
 # sums stay exact.
@@ -318,7 +318,7 @@ def superset_scan(values: np.ndarray, cols: list[int], g: np.ndarray, cut) -> in
     `cut` (bytes, one per mask, or None) marks the T to leave out, and
     the columns it marks are skipped.  The columns run grouped by
     popcount p, in chunks of one popcount holding at most
-    SCAN_CHUNK_PAIRS table entries (a column with a larger table is a
+    SCAN_CHUNK_ENTRIES table entries (a column with a larger table is a
     chunk of its own).  A chunk of c columns fills a dense (2^(n-p), c)
     product table and a matching mask table by doubling over each
     column's free bits in rank order: step q multiplies rows [0, 2^q)
@@ -370,10 +370,10 @@ def superset_scan(values: np.ndarray, cols: list[int], g: np.ndarray, cut) -> in
 
 def _scan_chunks(pops: np.ndarray, n: int):
     """(c0, c1) chunks of columns sorted by popcount: one popcount each,
-    at most SCAN_CHUNK_PAIRS table entries or one column."""
+    at most SCAN_CHUNK_ENTRIES table entries or one column."""
     edges = [*np.flatnonzero(np.diff(pops, prepend=-1)).tolist(), len(pops)]
     for p0, p1 in zip(edges, edges[1:]):
-        width = max(1, SCAN_CHUNK_PAIRS >> (n - int(pops[p0])))
+        width = max(1, SCAN_CHUNK_ENTRIES >> (n - int(pops[p0])))
         for c0 in range(p0, p1, width):
             yield c0, min(c0 + width, p1)
 

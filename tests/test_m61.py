@@ -229,7 +229,7 @@ def test_chunk_sizes_and_folds_do_not_change_the_table(monkeypatch):
     monkeypatch.setattr(m61, "SCAN_FOLD_COLUMNS", 3)
     for build_entries, scan_entries in ((5 << 4, 4), (1, 64)):
         monkeypatch.setattr(m61, "BUILD_CHUNK_ENTRIES", build_entries)
-        monkeypatch.setattr(m61, "SCAN_CHUNK_PAIRS", scan_entries)
+        monkeypatch.setattr(m61, "SCAN_CHUNK_ENTRIES", scan_entries)
         scans.clear()
         for algo in ARRAY_ALGOS:
             (arr, arr_stats), (lst, lst_stats) = _both_paths(algo, 8, 3)
