@@ -2,21 +2,21 @@
 
 Everything here works with exponents per ground-set element: an
 algorithm touching 2^(c*n) cells has exponent c and "base" 2^c.  The
-cost of the rectangular products is expressed through an upper-bound
-table for the exponent of N x N^k x N matrix multiplication, and the
+cost of the rectangular products is expressed through an upper bound on
+omega(k), the exponent of N x N^k x N matrix multiplication, and the
 parameter optimizers pick the column fraction sigma (and row fraction
 tau, and per-round block profile kappa) that balance the rectangular
 work against the direct superset scans.
 
-Two bound modes are supported everywhere:
+The columns and rows-columns optimizers take one of two bound modes:
 
 * "line": the slope-one affine bound k + 1.271591 through the k = 1.75
   anchor, which is what the closed-form balance equations assume; the
   CLI accepts "paper" as an alias for this mode.
-* "table": the envelope of all anchors in an OmegaTable.
+* "table": chords between the anchors of an OmegaTable.
 
-The cover search reads omega through COVER_OMEGA_TABLE by default: the
-same published anchors plus alpha, interpolated along chords.
+The cover search always reads omega through an OmegaTable.  Every table
+argument defaults to DEFAULT_OMEGA_TABLE, the cited anchors below.
 """
 
 from __future__ import annotations
@@ -26,15 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-# Anchors (k, bound) for the exponent of N x N^k x N products: the
-# outer-product bound at k=0 and the best published bounds at 1, 1.75, 2.
-DEFAULT_OMEGA_ANCHORS: tuple[tuple[float, float], ...] = (
-    (0.0, 2.0),
-    (1.0, 2.3728639),
-    (1.75, 3.021591),
-    (2.0, 3.252),
-)
 
 # Intercept of the slope-one line through the (1.75, 3.021591) anchor.
 LINE_OMEGA_INTERCEPT = 3.021591 - 1.75
@@ -66,7 +57,13 @@ def _entropy_np(x: np.ndarray) -> np.ndarray:
 
 
 def omega_line(k: float) -> float:
-    """Slope-one upper bound k + 1.271591 anchored at k = 1.75."""
+    """Slope-one line k + 1.271591 through the k = 1.75 anchor.
+
+    It is a proven bound on omega(k) only for k >= 1.75, where it is the
+    slope-one continuation of that anchor.  Below it undercuts known
+    bounds: at k = 0 it gives 1.27, under omega(0) = 2.  The published
+    columns and rows-columns constants are derived with it.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
     return LINE_OMEGA_INTERCEPT + k
@@ -74,50 +71,36 @@ def omega_line(k: float) -> float:
 
 @dataclass(frozen=True)
 class OmegaTable:
-    """Upper bounds for the rectangular multiplication exponent omega(k).
+    """Upper bound on omega(k) by chords between anchors (k_i, w_i).
 
-    The derived bound at any k is the envelope over anchors (k_i, w_i) of
-    w_i + max(0, k - k_i): monotonicity covers k below an anchor and the
-    split-into-column-blocks argument covers k above it.
+    omega(k) is convex in k (Lotti and Romani, TCS 1983), so the chord
+    between two valid bounds is itself a valid bound.  Below the first
+    anchor the bound stays flat (monotonicity), above the last it
+    continues with slope one (column-block splitting).  Anchors must rise
+    with slope between zero and one: omega is nondecreasing and
+    omega(k + d) <= omega(k) + d, so a steeper or falling anchor is
+    implied by its neighbour, and the chords never exceed the staircase
+    min_i w_i + max(0, k - k_i).
     """
 
-    anchors: tuple[tuple[float, float], ...] = DEFAULT_OMEGA_ANCHORS
+    anchors: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
         anchors = tuple((float(k), float(w)) for k, w in self.anchors)
         if not anchors:
             raise ValueError("need at least one anchor")
-        ks = [k for k, _ in anchors]
-        if ks != sorted(ks):
-            raise ValueError("anchors must be sorted by k")
+        if not all(math.isfinite(k) and math.isfinite(w) for k, w in anchors):
+            raise ValueError("anchors must be finite")
         if any(k < 0.0 or w < 2.0 for k, w in anchors):
             raise ValueError("anchors need k >= 0 and bound >= 2")
+        for (a, wa), (b, wb) in zip(anchors, anchors[1:]):
+            if not a < b:
+                raise ValueError("anchor k values must be strictly increasing")
+            if not 0.0 <= wb - wa <= b - a:
+                raise ValueError(
+                    f"bound from k={a:g} to k={b:g} must rise by between 0 and {b - a:g}"
+                )
         object.__setattr__(self, "anchors", anchors)
-
-    def upper(self, k: float) -> float:
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        return min(w + max(0.0, k - a) for a, w in self.anchors)
-
-    def upper_np(self, k: np.ndarray) -> np.ndarray:
-        k = np.asarray(k, dtype=float)
-        return np.minimum.reduce(
-            [w + np.maximum(0.0, k - a) for a, w in self.anchors]
-        )
-
-
-DEFAULT_OMEGA_TABLE = OmegaTable()
-
-
-class ConvexOmegaTable(OmegaTable):
-    """Omega bound by linear interpolation between consecutive anchors.
-
-    omega(k) is convex in k (Lotti and Romani, TCS 1983), so the chord
-    between two valid bounds is itself a valid bound.  Above the last
-    anchor the bound continues with slope one (column-block splitting),
-    below the first it stays flat (monotonicity).  For anchors that rise
-    with slope at most one this is never above the staircase envelope.
-    """
 
     def upper(self, k: float) -> float:
         if k < 0:
@@ -139,8 +122,8 @@ class ConvexOmegaTable(OmegaTable):
         return np.where(k > ks[-1], ws[-1] + (k - ks[-1]), np.interp(k, ks, ws))
 
 
-# The cover search's omega bound; each anchor is a proven upper bound.
-COVER_OMEGA_TABLE = ConvexOmegaTable((
+# Each anchor is a proven upper bound on omega(k).
+DEFAULT_OMEGA_TABLE = OmegaTable((
     # outer product: N x 1 x N needs N^2 multiplications
     (0.0, 2.0),
     # alpha > 0.31389: Le Gall and Urrutia, "Improved rectangular matrix
@@ -159,10 +142,11 @@ COVER_OMEGA_TABLE = ConvexOmegaTable((
 def resolve_omega(mode: str, table: OmegaTable | None = None):
     """Map a mode id to (canonical mode, omega bound function)."""
     if mode in (MODE_LINE, "paper"):
+        if table is not None:
+            raise ValueError("an omega table applies to table mode only")
         return MODE_LINE, omega_line
     if mode == MODE_TABLE:
-        tab = table if table is not None else DEFAULT_OMEGA_TABLE
-        return MODE_TABLE, tab.upper
+        return MODE_TABLE, (table or DEFAULT_OMEGA_TABLE).upper
     raise ValueError(f"unknown mode {mode!r}; expected 'line'/'paper' or 'table'")
 
 
@@ -333,7 +317,7 @@ def optimize_rows_columns(
             notes="balance equations solved by bisection",
         )
 
-    tab = table if table is not None else DEFAULT_OMEGA_TABLE
+    tab = table or DEFAULT_OMEGA_TABLE
     sig_grid = np.arange(1.0 / 3.0 + resolution, 0.5, resolution)
     tau_grid = np.arange(0.5 + resolution, 2.0 / 3.0, resolution)
     hs = _entropy_np(sig_grid)
@@ -404,9 +388,8 @@ def gamma_value(
 
     The rectangular product runs on beta_min-sized square outer
     dimensions; beta_min = 0 degenerates to the linear term alpha1+alpha2.
-    Without a table omega is bounded by COVER_OMEGA_TABLE.
     """
-    tab = table if table is not None else COVER_OMEGA_TABLE
+    tab = table or DEFAULT_OMEGA_TABLE
     a1, a2, b1, b2, bmin = gamma_terms(s1, s2, k1, k2)
     core = entropy(s1) + entropy(s2) - a1 - a2 + b1 + b2
     if bmin <= 0.0:
@@ -468,10 +451,9 @@ def gamma_inner_min(
     """min over (kappa1, kappa2) of gamma_value: (value, kappa1, kappa2).
 
     Grid seed (first-occurrence argmin, i.e. ties toward smaller kappa)
-    followed by golden-section coordinate descent.  Without a table omega
-    is bounded by COVER_OMEGA_TABLE.
+    followed by golden-section coordinate descent.
     """
-    tab = table if table is not None else COVER_OMEGA_TABLE
+    tab = table or DEFAULT_OMEGA_TABLE
     kap1 = np.linspace(s1, 1.0, grid_points)
     kap2 = np.linspace(s2, 1.0, grid_points)
     grid = _gamma_value_grid(s1, s2, kap1, kap2, tab)
@@ -513,8 +495,7 @@ def gamma_search(
     near-maximal coarse point with the fully refined inner
     minimization.  Reports gamma, the per-n exponent gamma/2, and base
     2^(gamma/2); the uncertainty field is the largest drop to a
-    neighboring refined grid point.  Without a table omega is bounded by
-    COVER_OMEGA_TABLE.
+    neighboring refined grid point.
     """
     if resolution < 1e-3:
         raise ValueError("resolution below 1e-3 is not supported")
@@ -522,7 +503,7 @@ def gamma_search(
     if fine_per_coarse < 1 or not math.isclose(coarse / resolution, fine_per_coarse):
         raise ValueError(f"resolution {resolution} must divide the coarse step {coarse} "
                          "a whole number of times")
-    tab = table if table is not None else COVER_OMEGA_TABLE
+    tab = table or DEFAULT_OMEGA_TABLE
 
     def coarse_value(s1: float, s2: float) -> float:
         return gamma_inner_min(s1, s2, tab, grid_points=121, refine=False)[0]

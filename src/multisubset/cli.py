@@ -14,12 +14,7 @@ import sys
 from dataclasses import asdict
 
 from . import jsonio
-from .analysis import (
-    ConvexOmegaTable,
-    gamma_search,
-    optimize_columns,
-    optimize_rows_columns,
-)
+from .analysis import gamma_search, optimize_columns, optimize_rows_columns
 from .cover import greedy_cover
 from .dag import robinson_count, sum_acyclic_digraphs
 from .mst import ALGORITHMS, PipelineStats, run_transform
@@ -113,9 +108,6 @@ def _cmd_optimize(args) -> int:
     elif args.target == "rows-columns":
         report = optimize_rows_columns(mode=mode, table=table, **kwargs)
     else:
-        if table is not None:
-            # omega is convex in k, so chords between the file's anchors are valid bounds
-            table = ConvexOmegaTable(table.anchors)
         report = gamma_search(table=table, **kwargs)
     _emit(args, report.to_json_dict())
     return 0
@@ -179,7 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["paper", "line", "table"], default=None,
                    help="omega bound for columns and rows-columns (default: paper)")
     p.add_argument("--resolution", type=float, default=None)
-    p.add_argument("--omega-table", default=None)
+    p.add_argument("--omega-table", default=None,
+                   help='JSON {"anchors": [[k, bound], ...]}; omega is bounded by '
+                        "chords between them (table mode and --target gamma)")
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_optimize)
 

@@ -23,6 +23,17 @@ def _encode_value(ring: Ring, value):
     return str(value) if ring.exact else float(value)
 
 
+def _field(data, key: str, kind: type):
+    """data[key] as an int or list; a ValueError naming the key otherwise."""
+    if not isinstance(data, dict) or key not in data:
+        raise ValueError(f"expected a JSON object with key {key!r}")
+    value = data[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        what = "an integer" if kind is int else "an array"
+        raise ValueError(f"key {key!r} must hold {what}")
+    return value
+
+
 def _decode_value(ring: Ring, raw):
     if ring.exact:
         if isinstance(raw, float):
@@ -31,10 +42,15 @@ def _decode_value(ring: Ring, raw):
     return float(raw)
 
 
-def _decode_values(ring: Ring, raws, n: int) -> list:
+def _decode_values(ring: Ring, raws, n: int, where: str) -> list:
+    if not isinstance(raws, list):
+        raise ValueError(f"{where} must be an array of values")
     if len(raws) != 1 << n:
-        raise ValueError(f"expected {1 << n} values, got {len(raws)}")
-    return [_decode_value(ring, raw) for raw in raws]
+        raise ValueError(f"{where}: expected {1 << n} values, got {len(raws)}")
+    try:
+        return [_decode_value(ring, raw) for raw in raws]
+    except TypeError as exc:
+        raise ValueError(f"{where} holds a value that is not a number") from exc
 
 
 def set_function_to_dict(f: SetFunction) -> dict:
@@ -42,8 +58,9 @@ def set_function_to_dict(f: SetFunction) -> dict:
 
 
 def set_function_from_dict(ring: Ring, data: dict) -> SetFunction:
-    n = int(data["n"])
-    return SetFunction(ring, n, _decode_values(ring, data["values"], n))
+    n = _field(data, "n", int)
+    values = _field(data, "values", list)
+    return SetFunction(ring, n, _decode_values(ring, values, n, "'values'"))
 
 
 def family_to_dict(fam: Family) -> dict:
@@ -57,12 +74,12 @@ def family_to_dict(fam: Family) -> dict:
 
 
 def family_from_dict(ring: Ring, data: dict) -> Family:
-    n = int(data["n"])
-    functions = data["functions"]
+    n = _field(data, "n", int)
+    functions = _field(data, "functions", list)
     if len(functions) != n:
         raise ValueError(f"family needs exactly {n} functions, got {len(functions)}")
     members = [
-        SetFunction(ring, n, _decode_values(ring, values, n))
+        SetFunction(ring, n, _decode_values(ring, values, n, "each of 'functions'"))
         for values in functions
     ]
     return Family(ring, n, members)
@@ -79,14 +96,17 @@ def weight_system_to_dict(wsys: WeightSystem) -> dict:
 
 
 def weight_system_from_dict(ring: Ring, data: dict) -> WeightSystem:
-    n = int(data["n"])
-    weights = data["weights"]
+    n = _field(data, "n", int)
+    weights = _field(data, "weights", list)
     if len(weights) != n:
         raise ValueError(f"expected {n} weight arrays, got {len(weights)}")
     return WeightSystem(
         ring,
         n,
-        [SetFunction(ring, n, _decode_values(ring, values, n)) for values in weights],
+        [
+            SetFunction(ring, n, _decode_values(ring, values, n, "each of 'weights'"))
+            for values in weights
+        ],
     )
 
 
@@ -100,16 +120,19 @@ def cover_design_to_dict(design: CoverDesign) -> dict:
 
 
 def cover_design_from_dict(data: dict) -> CoverDesign:
-    return CoverDesign(
-        int(data["v"]),
-        int(data["k"]),
-        int(data["s"]),
-        tuple(int(b) for b in data["blocks"]),
-    )
+    blocks = _field(data, "blocks", list)
+    if not all(isinstance(b, int) for b in blocks):
+        raise ValueError("key 'blocks' must hold integers")
+    v, k, s = (_field(data, key, int) for key in ("v", "k", "s"))
+    return CoverDesign(v, k, s, tuple(blocks))
 
 
 def omega_table_from_dict(data: dict) -> OmegaTable:
-    anchors = tuple((float(k), float(w)) for k, w in data["anchors"])
+    pairs = _field(data, "anchors", list)
+    try:
+        anchors = tuple((float(k), float(w)) for k, w in pairs)
+    except (TypeError, ValueError) as exc:
+        raise ValueError("key 'anchors' must hold [k, bound] pairs of numbers") from exc
     return OmegaTable(anchors)
 
 

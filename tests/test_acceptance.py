@@ -33,7 +33,7 @@ from multisubset import (
     verify_cover,
     zeta_transform,
 )
-from multisubset.analysis import COVER_OMEGA_TABLE, DEFAULT_OMEGA_TABLE
+from multisubset.analysis import DEFAULT_OMEGA_TABLE
 from multisubset.bench import predicted_pair_iterations
 from multisubset.mst import COLUMNS_SIGMA, _guarded_floor
 
@@ -130,7 +130,7 @@ def test_cover_exponent_estimate_window():
         ok,
         f"measured base {report.base:.5f} (gamma {report.parameters['gamma']:.5f}, "
         f"grid uncertainty {report.uncertainty:.2e}); omega bounded by chords "
-        f"through the anchors {COVER_OMEGA_TABLE.anchors} -- see README, "
+        f"through the anchors {DEFAULT_OMEGA_TABLE.anchors} -- see README, "
         "'Acceptance status'",
     )
 

@@ -18,7 +18,6 @@ from multisubset import (
     optimize_rows_columns,
 )
 from multisubset.analysis import (
-    COVER_OMEGA_TABLE,
     LINE_OMEGA_INTERCEPT,
     MIN_GRID_RESOLUTION,
     columns_terms,
@@ -60,6 +59,10 @@ def test_omega_line():
     assert omega_line(1.75) == pytest.approx(3.021591, abs=1e-12)
     assert omega_line(0.0) == LINE_OMEGA_INTERCEPT
     assert omega_line(2.0) - omega_line(1.0) == pytest.approx(1.0)
+    # a proven bound only from k = 1.75 on: below it the line undercuts the table
+    assert omega_line(0.0) < 2.0
+    for k in (1.75, 2.0, 2.5):
+        assert omega_line(k) >= DEFAULT_OMEGA_TABLE.upper(k) - 1e-12
     with pytest.raises(ValueError):
         omega_line(-0.5)
 
@@ -71,7 +74,10 @@ def test_omega_table_envelope():
     assert tab.upper(1.75) == pytest.approx(3.021591)
     assert tab.upper(2.0) == pytest.approx(3.252)
     assert tab.upper(2.5) == pytest.approx(3.752)  # slope-one continuation
-    assert tab.upper(0.5) == pytest.approx(2.3728639)  # flat until the anchor
+    assert tab.upper(0.2) == 2.0  # flat up to alpha = 0.31389
+    # chords between the alpha, omega and k = 1.75 anchors
+    assert tab.upper(0.5) == pytest.approx(2.101141, abs=1e-6)
+    assert tab.upper(1.5) == pytest.approx(2.805349, abs=1e-6)
     with pytest.raises(ValueError):
         tab.upper(-1.0)
 
@@ -100,10 +106,23 @@ def test_omega_table_validation():
         OmegaTable(anchors=((0.0, 1.9),))  # below the trivial bound
     with pytest.raises(ValueError):
         OmegaTable(anchors=((-1.0, 2.5),))
+    with pytest.raises(ValueError):
+        OmegaTable(anchors=((0.0, 2.0), (1.0, math.nan)))  # not finite
+    with pytest.raises(ValueError):
+        OmegaTable(anchors=((0.0, 2.0), (math.inf, 3.0)))
+    with pytest.raises(ValueError):
+        OmegaTable(anchors=((0.0, 2.0), (1.0, 2.3), (1.0, 2.38)))  # repeated k
+    with pytest.raises(ValueError):
+        OmegaTable(anchors=((0.0, 2.0), (1.0, 3.5)))  # rises faster than k
+    with pytest.raises(ValueError):
+        OmegaTable(anchors=((0.0, 2.5), (1.0, 2.3)))  # falls
+    # the steepest and flattest rises allowed
+    assert OmegaTable(anchors=((0.0, 2.0), (2.0, 4.0))).upper(1.0) == 3.0
+    assert OmegaTable(anchors=((0.0, 2.0), (2.0, 2.0))).upper(1.0) == 2.0
 
 
 def test_cover_omega_table_is_valid():
-    tab = COVER_OMEGA_TABLE
+    tab = DEFAULT_OMEGA_TABLE
     for k, w in tab.anchors:
         assert tab.upper(k) == pytest.approx(w, abs=1e-12)
     # alpha > 0.31389 (Le Gall and Urrutia 2018)
@@ -112,8 +131,10 @@ def test_cover_omega_table_is_valid():
     ks = np.linspace(0.0, 3.0, 3001)
     vals = np.array([tab.upper(float(k)) for k in ks])
     assert np.allclose(tab.upper_np(ks), vals, rtol=0.0, atol=1e-12)
-    # no looser than the staircase, no tighter than the floor under every bound
-    assert np.all(vals <= DEFAULT_OMEGA_TABLE.upper_np(ks) + 1e-12)
+    # no looser than the staircase envelope of the same anchors, no tighter
+    # than the floor under every bound
+    staircase = np.minimum.reduce([w + np.maximum(0.0, ks - a) for a, w in tab.anchors])
+    assert np.all(vals <= staircase + 1e-12)
     assert np.all(vals >= np.maximum(2.0, 1.0 + ks) - 1e-12)
     steps = np.diff(vals)
     dk = ks[1] - ks[0]
@@ -133,6 +154,10 @@ def test_resolve_omega_modes():
     assert fn(1.75) == pytest.approx(3.021591)
     with pytest.raises(ValueError):
         resolve_omega("oracle")
+    # line mode would ignore a table, so it refuses one
+    for mode in ("paper", "line"):
+        with pytest.raises(ValueError):
+            resolve_omega(mode, DEFAULT_OMEGA_TABLE)
 
 
 def test_columns_optimum():
@@ -190,8 +215,9 @@ def test_rows_columns_table_mode():
     assert report.mode == "table"
     assert report.resolution == 1e-3
     assert report.uncertainty == pytest.approx(2e-3)
-    # staircase bound is weaker than the slope-one line in the used range
-    assert report.exponent >= optimize_rows_columns().exponent - 1e-9
+    # the chords undercut the slope-one line in the used range
+    assert report.exponent < optimize_rows_columns().exponent
+    assert report.base == pytest.approx(2.98087, abs=1e-5)
     # the finest and the coarsest grids accepted, then steps outside them
     assert optimize_rows_columns(mode="table", resolution=0.16).parameters["tau"] == pytest.approx(0.66)
     for bad in (0.0, -0.01, MIN_GRID_RESOLUTION / 2, 1.0 / 6.0, math.nan):
@@ -284,8 +310,8 @@ def test_gamma_search_trimmed():
     assert set(p) == {"sigma1", "sigma2", "kappa1", "kappa2", "gamma"}
     assert report.exponent == pytest.approx(p["gamma"] / 2.0)
     assert report.base == pytest.approx(2.0 ** report.exponent)
-    # the default staircase table lands here; see the acceptance run for context
-    assert p["gamma"] == pytest.approx(3.13353, abs=2e-3)
+    # the default table lands here; see the acceptance run for context
+    assert p["gamma"] == pytest.approx(3.11016, abs=2e-3)
     assert 2.9 < report.base < 3.0
     with pytest.raises(ValueError):
         gamma_search(resolution=1e-4)

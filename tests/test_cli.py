@@ -3,7 +3,7 @@ import json
 import pytest
 
 from multisubset import make_ring, robinson_count, sum_acyclic_digraphs
-from multisubset.analysis import COVER_OMEGA_TABLE
+from multisubset.analysis import DEFAULT_OMEGA_TABLE
 from multisubset.cli import main
 from multisubset.jsonio import load_json, weight_system_from_dict
 
@@ -75,6 +75,32 @@ def test_wrong_shape_is_validation_error(tmp_path):
     fam = tmp_path / "fam.json"
     fam.write_text(json.dumps({"n": 2, "functions": [["1", "2", "3", "4"]]}))
     assert run_cli("mst", "--input", str(fam)) == 2
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"n": 2}, "functions"),
+    ([], "n"),
+    ({"n": 1, "functions": [5]}, "functions"),
+    ({"n": "1", "functions": [["1", "2"]]}, "n"),
+    ({"n": 1, "functions": [[None, "2"]]}, "functions"),
+])
+def test_mst_input_missing_key_or_wrong_type_exits_2(tmp_path, capsys, data, key):
+    # these crashed with a KeyError or TypeError traceback and exit code 1
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps(data))
+    assert run_cli("mst", "--input", str(fam)) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"n": 2}, "weights"),
+    ({"n": 1, "weights": ["0"]}, "weights"),
+])
+def test_dag_sum_weights_missing_key_or_wrong_type_exits_2(tmp_path, capsys, data, key):
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps(data))
+    assert run_cli("dag-sum", "--weights", str(weights)) == 2
+    assert repr(key) in capsys.readouterr().err
 
 
 def test_unknown_choice_exits_via_argparse(tmp_path):
@@ -211,13 +237,52 @@ def test_optimize_with_custom_omega_table(tmp_path):
 def test_optimize_gamma_reads_omega_table_as_chords(tmp_path):
     # a file holding exactly the default anchors reproduces the default bound
     table = tmp_path / "omega.json"
-    table.write_text(json.dumps({"anchors": [list(a) for a in COVER_OMEGA_TABLE.anchors]}))
+    table.write_text(json.dumps({"anchors": [list(a) for a in DEFAULT_OMEGA_TABLE.anchors]}))
     default_out, file_out = tmp_path / "default.json", tmp_path / "file.json"
-    assert run_cli("optimize", "--target", "gamma", "--resolution", "0.01",
-                   "--output", str(default_out)) == 0
-    assert run_cli("optimize", "--target", "gamma", "--resolution", "0.01",
-                   "--omega-table", str(table), "--output", str(file_out)) == 0
-    assert load_json(str(file_out))["base"] == load_json(str(default_out))["base"]
+    for flags in (["--target", "gamma", "--resolution", "0.01"],
+                  ["--target", "columns", "--mode", "table"],
+                  ["--target", "rows-columns", "--mode", "table", "--resolution", "1e-3"]):
+        assert run_cli("optimize", *flags, "--output", str(default_out)) == 0
+        assert run_cli("optimize", *flags, "--omega-table", str(table),
+                       "--output", str(file_out)) == 0
+        assert load_json(str(file_out)) == load_json(str(default_out))
+
+
+@pytest.mark.parametrize("target", ["columns", "rows-columns"])
+@pytest.mark.parametrize("mode", [None, "paper", "line"])
+def test_optimize_rejects_an_omega_table_that_line_mode_ignores(tmp_path, target, mode):
+    # this exited 0 with the published constants, the file unread
+    table = tmp_path / "omega.json"
+    table.write_text(json.dumps({"anchors": [[0, 2.0], [1, 2.38], [1.8, 3.1]]}))
+    argv = ["optimize", "--target", target, "--omega-table", str(table)]
+    assert run_cli(*argv, *(("--mode", mode) if mode else ())) == 2
+
+
+@pytest.mark.parametrize("data", [
+    {"anker": []},
+    [1, 2],
+    {"anchors": 2.0},
+    {"anchors": [[0, 2.0, 1.0]]},
+    {"anchors": [[0, None]]},
+])
+def test_optimize_omega_table_missing_key_or_wrong_type_exits_2(tmp_path, capsys, data):
+    table = tmp_path / "omega.json"
+    table.write_text(json.dumps(data))
+    assert run_cli("optimize", "--target", "gamma", "--omega-table", str(table)) == 2
+    assert "'anchors'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("anchors", [
+    "[[0, 2.0], [1, NaN]]",  # printed "base": Infinity in rows-columns table mode
+    "[[0, 2.0], [1, 2.3], [1, 2.38]]",  # a repeated k
+    "[[0, 2.0], [1, 3.5]]",  # a rise steeper than k
+])
+def test_optimize_rejects_invalid_omega_anchors(tmp_path, anchors):
+    table = tmp_path / "omega.json"
+    table.write_text('{"anchors": %s}' % anchors)
+    assert run_cli("optimize", "--target", "gamma", "--omega-table", str(table)) == 2
+    assert run_cli("optimize", "--target", "rows-columns", "--mode", "table",
+                   "--resolution", "1e-3", "--omega-table", str(table)) == 2
 
 
 @pytest.mark.parametrize("resolution", ["0.02", "0.003"])

@@ -72,6 +72,28 @@ def test_shape_rejections(modp):
         weight_system_from_dict(modp, {"n": 1, "weights": []})
 
 
+@pytest.mark.parametrize("data", [
+    {"values": ["1", "2"]},
+    [],
+    {"n": 1.0, "values": ["1", "2"]},
+    {"n": True, "values": ["1", "2"]},
+    {"n": 1, "values": "12"},
+    {"n": 1, "values": [["1"], "2"]},
+])
+def test_set_function_missing_key_or_wrong_type(modp, data):
+    with pytest.raises(ValueError, match="'(n|values)'"):
+        set_function_from_dict(modp, data)
+
+
+def test_cover_design_missing_key_or_wrong_type():
+    data = cover_design_to_dict(greedy_cover(4, 3, 2))
+    for key, bad in (("v", "4"), ("blocks", 7), ("blocks", [1.5])):
+        with pytest.raises(ValueError, match=repr(key)):
+            cover_design_from_dict({**data, key: bad})
+    with pytest.raises(ValueError, match="'s'"):
+        cover_design_from_dict({k: v for k, v in data.items() if k != "s"})
+
+
 def test_cover_design_roundtrip():
     design = greedy_cover(6, 3, 2)
     back = cover_design_from_dict(cover_design_to_dict(design))
@@ -83,6 +105,9 @@ def test_omega_table_from_dict():
     assert tab.upper(1.0) == pytest.approx(2.38)
     with pytest.raises(ValueError):
         omega_table_from_dict({"anchors": [[1, 2.38], [0, 2.0]]})
+    for bad in ({"anker": []}, [1, 2], {"anchors": [5]}, {"anchors": [["a", 2.0]]}):
+        with pytest.raises(ValueError, match="'anchors'"):
+            omega_table_from_dict(bad)
 
 
 def test_dumps_deterministic(modp):
