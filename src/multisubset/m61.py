@@ -5,8 +5,12 @@ uint64: each operand is split into 32-bit halves, every partial product
 fits in 64 bits, and the parts above 2^61 fold back with 2^61 = 1
 (mod p); multiplying by a power of two is a 61-bit rotation.  Sums by
 index run through float64 `np.bincount` on the 32-bit halves, and the
-matrix product through float64 BLAS on 16-bit limbs; both are exact
-while every float64 sum stays below 2^53.
+matrix product through float64 BLAS on three limbs of at most 21 bits;
+both are exact while every float64 sum stays at most 2^53.  A kernel
+block entry sums one limb product below 2^42 per column, so a chunk
+holds at most 2^11 columns; the blocks of one degree add up in uint64,
+at most three such products per column, and are folded mod p every
+2^20 columns, before they can pass 2^64.
 
 The direct superset scan doubles the columns of one popcount together
 on dense tables, one broadcast product per free bit.
@@ -22,12 +26,22 @@ such library is found it runs them as numpy would.
 `mst`, `rmm`, `setfn` and `dag` import this module on the first
 array-path call only, so the list path never loads it.  The chunk sizes
 below bound the working set of each step.
+
+On import the module asks glibc's malloc to keep `HEAP_TOP_PAD_BYTES`
+of freed memory at the top of the heap (`mallopt(M_TOP_PAD)`).  With
+glibc's default pad, freeing a step's temporaries (about 0.5 MB each)
+trims the heap, and the next chunk faults the same pages back in: some
+2700 minor faults per n = 13 `columns` call, none with the pad.  The
+price is that once the array path has run, the process keeps up to the
+pad of freed heap instead of returning it to the OS.  Without glibc's
+`mallopt` (another libc, macOS, Windows) nothing changes.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -39,8 +53,12 @@ from .ring import MERSENNE61, Ring
 # Entries of the bracket build's doubling table per column chunk (2^h rows
 # times the chunk's columns; a half of more rows takes one column at a time).
 BUILD_CHUNK_ENTRIES = 1 << 16
-# Columns per kernel product chunk: keep each float64 sum of limb products exact.
+# Columns per kernel product chunk: keep each float64 sum of limb products
+# exact (at most 2^11 columns of products below 2^42).
 KERNEL_CHUNK_COLUMNS = 128
+# Kernel columns summed in uint64 per degree between folds mod p: a value
+# below p plus 2^20 columns of three products below 2^42 is below 2^64.
+KERNEL_FOLD_COLUMNS = 1 << 20
 # Entries of a direct-scan chunk's product table: each chunk holds columns
 # of one popcount p, 2^(n - p) entries per column (a column with more is a
 # chunk of its own).
@@ -53,8 +71,16 @@ BATCH_OUTPUT_ENTRIES = 1 << 14
 # one pair per column, so its 32-bit halves sum below 2^32 * 2^21 = 2^53.
 SCAN_FOLD_COLUMNS = 1 << 21
 
+# Freed heap glibc keeps above the top of the heap: the smallest of 4, 8
+# and 16 MiB under which the steady-state calls of the benchmark's
+# workloads fault no page back in (4 MiB left 120-195 faults per n = 13
+# `columns` call).
+HEAP_TOP_PAD_BYTES = 8 << 20
+_M_TOP_PAD = -2  # glibc's mallopt parameter number
+
 P = np.uint64(MERSENNE61)
-_MASK16 = np.uint64(0xFFFF)
+_LIMB_BITS = 21
+_MASK21 = np.uint64((1 << _LIMB_BITS) - 1)
 _MASK29 = np.uint64((1 << 29) - 1)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _U3, _U29, _U32, _U61 = (np.uint64(k) for k in (3, 29, 32, 61))
@@ -65,6 +91,22 @@ _BLAS_THREAD_FUNCTIONS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
+
+
+def _pad_heap_top() -> bool:
+    """Set glibc's M_TOP_PAD to HEAP_TOP_PAD_BYTES; False where there is no glibc."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return False
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, ValueError, OSError):  # no confstr, name or library
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return mallopt(_M_TOP_PAD, HEAP_TOP_PAD_BYTES) == 1
+
+
+HEAP_TOP_PADDED = _pad_heap_top()
 
 
 def fold(x: np.ndarray) -> np.ndarray:
@@ -252,9 +294,9 @@ def _one_blas_thread():
 
 
 def _limb(x: np.ndarray, k: int, scratch: np.ndarray, out: np.ndarray) -> None:
-    """Bits 16k .. 16k + 15 of x (uint64) as float64 into out."""
-    np.right_shift(x, np.uint64(16 * k), out=scratch)
-    scratch &= _MASK16
+    """Bits 21k .. 21k + 20 of x (uint64) as float64 into out."""
+    np.right_shift(x, np.uint64(_LIMB_BITS * k), out=scratch)
+    scratch &= _MASK21
     out[...] = scratch
 
 
@@ -264,12 +306,12 @@ def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Given (m, r1, c) and (m, r2, c) arrays, a batch of m blocks, the
     product is taken block by block into (m, r1, r2).  One column makes
     it an elementwise outer product.  Otherwise, per column chunk of width
-    w, the four 16-bit limbs of b form one (4 r2 x w) float64 matrix;
-    limb i of a times it gives the blocks (i, j) for all four limbs j of
-    b.  A block entry sums w products below 2^32, an exact float64 for
-    w < 2^21.  The blocks add up by degree i + j in uint64, below 2^64
-    for fewer than 2^30 columns, and degree k weighs
-    2^(16 k) = 2^(16 k mod 61) (mod p).  The float64 products run on
+    w, the three 21-bit limbs of b form one (3 r2 x w) float64 matrix;
+    limb i of a times it gives the blocks (i, j) for all three limbs j of
+    b.  A block entry sums w products below 2^42, an exact float64 for
+    w <= 2^11.  The blocks add up by degree i + j in uint64, folded mod p
+    every KERNEL_FOLD_COLUMNS columns, and degree k weighs
+    2^(21 k) = 2^(21 k mod 61) (mod p).  The float64 products run on
     the calling thread (`_one_blas_thread`).
     """
     if a.ndim == 2:
@@ -277,26 +319,31 @@ def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (m, r1, cols), r2 = a.shape, b.shape[1]
     if cols == 1:
         return mul(a, b[:, None, :, 0])
-    by_degree = np.zeros((7, m, r1, r2), dtype=np.uint64)
+    by_degree = np.zeros((5, m, r1, r2), dtype=np.uint64)
     width = min(cols, KERNEL_CHUNK_COLUMNS)
     la, ua = np.empty((m, r1, width)), np.empty((m, r1, width), dtype=np.uint64)
-    lb, ub = np.empty((m, 4 * r2, width)), np.empty((m, r2, width), dtype=np.uint64)
-    part = np.empty((m, r1, 4 * r2))
+    lb, ub = np.empty((m, 3 * r2, width)), np.empty((m, r2, width), dtype=np.uint64)
+    part = np.empty((m, r1, 3 * r2))
     block = np.empty((m, r1, r2), dtype=np.uint64)
+    since_fold = 0
     with _one_blas_thread():
         for c0 in range(0, cols, KERNEL_CHUNK_COLUMNS):
             w = min(width, cols - c0)
-            for j in range(4):
+            if since_fold + w > KERNEL_FOLD_COLUMNS:
+                fold(by_degree)
+                since_fold = 0
+            since_fold += w
+            for j in range(3):
                 _limb(b[..., c0:c0 + w], j, ub[..., :w], lb[:, j * r2:(j + 1) * r2, :w])
-            for i in range(4):
+            for i in range(3):
                 _limb(a[..., c0:c0 + w], i, ua[..., :w], la[..., :w])
                 np.matmul(la[..., :w], lb[..., :w].swapaxes(1, 2), out=part)
-                for j in range(4):
+                for j in range(3):
                     np.copyto(block, part[..., j * r2:(j + 1) * r2], casting="unsafe")
                     by_degree[i + j] += block
     out = np.zeros((m, r1, r2), dtype=np.uint64)
-    for k in range(7):
-        out += shift(fold(by_degree[k]), 16 * k % 61)  # each term below p
+    for k in range(5):
+        out += shift(fold(by_degree[k]), _LIMB_BITS * k % 61)  # each term below p
     return fold(out)
 
 

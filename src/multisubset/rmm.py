@@ -7,9 +7,9 @@ multiplications, counted in `PipelineStats.rmm_muls`.
 
 Entries are either lists of ring values, multiplied one Python ring
 operation per term, or (on the M61 array path) uint64 arrays in [0, p),
-multiplied exactly through float64 BLAS: each operand is split into four
-16-bit limbs, float64 products per column chunk sum the 16 limb-pair
-blocks exactly, and the blocks are recombined mod p.  The BLAS products
+multiplied exactly through float64 BLAS: each operand is split into three
+limbs of at most 21 bits, float64 products per column chunk sum the 9
+limb-pair blocks exactly, and the blocks are recombined mod p.  The BLAS products
 run on the calling thread, so no OpenBLAS worker is left spinning.  An
 array operand may hold a batch of m equal-shape blocks, multiplied block
 by block; its labels count each block's rows and all m blocks' columns,

@@ -1,12 +1,17 @@
 """The M61 array path: exact arithmetic and agreement with the list path."""
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import multisubset
 from multisubset import (
     MERSENNE61,
     ClassicalBackend,
@@ -74,6 +79,47 @@ def test_kernel_with_every_entry_p_minus_1(cols):
     a = [[P - 1] * cols for _ in range(3)]
     b = [[P - 1] * cols for _ in range(2)]
     assert m61.product(u64(a), u64(b)).tolist() == _python_product(a, b)
+
+
+def test_kernel_chunk_and_fold_bounds_keep_the_sums_exact():
+    # a chunk's float64 block entries: columns of limb products below 2^42
+    assert m61.KERNEL_CHUNK_COLUMNS <= 2**11
+    # a folded degree sum plus three such products per column until the next fold
+    assert P + m61.KERNEL_FOLD_COLUMNS * 3 * (2**21 - 1) ** 2 < 2**64
+
+
+def test_kernel_with_every_entry_p_minus_1_at_a_chunk_of_2_to_the_11(monkeypatch):
+    # two full chunks; 2^42 - 1 has both low limbs at their largest
+    monkeypatch.setattr(m61, "KERNEL_CHUNK_COLUMNS", 2**11)
+    cols = 2 * 2**11
+    a = [[P - 1] * cols, [2**42 - 1] * cols, [P - 1] * cols]
+    b = [[P - 1] * cols, [2**42 - 1] * cols]
+    assert m61.product(u64(a), u64(b)).tolist() == _python_product(a, b)
+
+
+def test_kernel_folds_its_degree_sums_every_chunk(monkeypatch):
+    folds = []
+    fold = m61.fold
+
+    def counting(x):
+        folds.append(x.shape)
+        return fold(x)
+
+    monkeypatch.setattr(m61, "fold", counting)
+    monkeypatch.setattr(m61, "KERNEL_FOLD_COLUMNS", m61.KERNEL_CHUNK_COLUMNS)
+    m, r1, r2, cols = 2, 3, 4, 3 * m61.KERNEL_CHUNK_COLUMNS + 5
+    a, b = _random_batch(11, m, r1, r2, cols)
+    assert m61.product(u64(a), u64(b)).tolist() == [_python_product(a[k], b[k]) for k in range(m)]
+    assert folds.count((5, m, r1, r2)) == 3
+
+
+def test_kernel_sums_past_the_uint64_range_of_one_fold(monkeypatch):
+    # 3 * 2^20 columns of p - 1: unfolded, the degree-2 sums (about 1.5 * 2^42
+    # per column) would pass 2^64; (p - 1)^2 = 1 (mod p)
+    monkeypatch.setattr(m61, "KERNEL_CHUNK_COLUMNS", 2**11)
+    cols = 3 << 20
+    a = np.broadcast_to(u64([P - 1]), (1, 1, cols))
+    assert m61.product(a, a).tolist() == [[[cols % P]]]
 
 
 def test_kernel_random_entries_and_counts():
@@ -226,6 +272,7 @@ def test_chunk_sizes_and_folds_do_not_change_the_table(monkeypatch):
 
     monkeypatch.setattr(m61, "_scan_chunks", recording)
     monkeypatch.setattr(m61, "KERNEL_CHUNK_COLUMNS", 7)
+    monkeypatch.setattr(m61, "KERNEL_FOLD_COLUMNS", 7)
     monkeypatch.setattr(m61, "SCAN_FOLD_COLUMNS", 3)
     for build_entries, scan_entries in ((5 << 4, 4), (1, 64)):
         monkeypatch.setattr(m61, "BUILD_CHUNK_ENTRIES", build_entries)
@@ -412,3 +459,35 @@ def test_dag_array_route_matches_the_list_route(n, seed):
         lst = sum_acyclic_digraphs(lst_wsys, algo, stats=lst_stats).a
         assert arr == lst == expected
         assert arr_stats == lst_stats
+
+
+@pytest.mark.skipif(not m61.HEAP_TOP_PADDED, reason="no glibc mallopt to keep freed heap")
+@pytest.mark.parametrize("algo", ["columns", "rows-columns"])
+def test_steady_state_calls_fault_no_heap_pages_back_in(algo):
+    resource = pytest.importorskip("resource")
+    fam = random_family(PrimeField(), 12, seed=2)
+    run_transform(algo, fam)  # warm-up: the heap grows to the call's working set
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_transform(algo, fam)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+
+
+def test_list_path_runs_never_import_the_array_module():
+    # m61 sets malloc options on import, so the list path must not load it
+    code = """
+import sys
+from multisubset import CountingRing, PrimeField, run_transform, sum_acyclic_digraphs
+from multisubset.jsonio import generate_family, generate_weight_system
+run_transform("naive", generate_family(5, PrimeField(), 1))
+for ring in (CountingRing(PrimeField()), PrimeField(101)):
+    for algo in ("naive", "columns", "rows-columns", "cover"):
+        run_transform(algo, generate_family(5, ring, 1))
+        sum_acyclic_digraphs(generate_weight_system(4, ring, 1), algo)
+print("multisubset.m61" in sys.modules)
+"""
+    src = str(Path(multisubset.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
