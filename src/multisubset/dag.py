@@ -9,14 +9,16 @@ recurrence over node subsets, and a reduction that evaluates the same
 recurrence through multi-subset transforms on a ground set extended by
 one auxiliary element.
 
-For the array algorithms (`mst.ARRAY_ALGORITHMS`) over exactly
-`PrimeField(2^61 - 1)`, the transform route stays on uint64 arrays from
-the weights to the last round: the weights' zeta transforms run as array
-butterflies, the node members are built once as one array block, and
-each round hands `run_transform` an `m61.M61Family` with that round's
-auxiliary row, so no round converts lists.  Each round still calls
-`zeta_transform` and `run_transform` through this module's namespace and
-reads its targets from the list table `run_transform` returns.
+The transform route stays on arrays of the ring's element form (uint64
+over exactly `PrimeField(2^61 - 1)`, object arrays over every other
+ring) from the weights to the last round: the weights' zeta transforms
+run as array butterflies, the node members are built once as one array
+block, and each round hands `run_transform` an `arrays.ArrayFamily` with
+that round's auxiliary row, so no round converts lists.  The naive
+route reads its targets from a list copy of each round's family.  Each
+round still calls `zeta_transform` and `run_transform` through this
+module's namespace and reads its targets from the list table
+`run_transform` returns.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bitops import bits_of, size_buckets
-from .mst import ARRAY_ALGORITHMS, PipelineStats, check_algorithm, naive_at, run_transform
-from .ring import Ring, is_m61
-from .setfn import MAX_GROUND_SET, Family, SetFunction, zeta_transform
+from .mst import PipelineStats, check_algorithm, naive_at, run_transform
+from .ring import Ring
+from .setfn import MAX_GROUND_SET, SetFunction, zeta_transform
 
 MAX_BRUTE_FORCE_N = 5
 MAX_ROBINSON_N = 25
@@ -169,80 +171,39 @@ def tian_he_sum(wsys: WeightSystem) -> DagSumResult:
     return DagSumResult(ring, n, a)
 
 
-def _signed_by_parity(ring: Ring, size: int, value):
-    return value if size % 2 == 0 else ring.neg(value)
-
-
-def _static_members(wsys: WeightSystem) -> list[SetFunction]:
-    """Transform inputs for the node elements, fixed across rounds.
-
-    Member i vanishes off the auxiliary half; on it, the value is 1 when
-    i belongs to the column's node part, else the zeta-transformed
-    weight (total weight of in-neighbor sets inside the column).
-    """
-    ring = wsys.ring
-    n = wsys.n
-    aux_bit = 1 << n
-    zetas = _zeta_weights(wsys)
-    members = []
-    for i in range(n):
-        vals = [ring.zero] * (1 << (n + 1))
-        for s_mask in range(1 << n):
-            if (s_mask >> i) & 1:
-                vals[s_mask | aux_bit] = ring.one
-            else:
-                vals[s_mask | aux_bit] = zetas[i][s_mask]
-        members.append(SetFunction(ring, n + 1, vals))
-    return members
-
-
-def round_families(wsys: WeightSystem, a: list, arrays: bool = False):
+def round_families(wsys: WeightSystem, a: list):
     """Yield (t, family) for rounds t = 1..n of the transform-based recurrence.
 
-    The node members are built once per call and shared by every round.
-    The auxiliary member carries (-1)^|S| * a[S] for |S| < t and zero for
-    larger S, which cuts off the recurrence exactly at round t.  It is read
-    from `a` when round t is requested, so a[S] for |S| = t - 1 must be
-    known by then; each round's family gets its own copy of that table.
-    With `arrays` (PrimeField(2^61 - 1) only) each family is an
-    `m61.M61Family`: a copy of one (n + 1, 2^(n + 1)) uint64 block, the
-    node rows built once and the auxiliary row filled in round by round.
+    Member i < n vanishes off the auxiliary half; on it, the value is 1
+    when i belongs to the column's node part, else the zeta-transformed
+    weight (total weight of in-neighbor sets inside the column).  These
+    node members are built once per call and shared by every round.  The
+    auxiliary member carries (-1)^|S| * a[S] for |S| < t and zero for
+    larger S, which cuts off the recurrence exactly at round t.  It is
+    read from `a` when round t is requested, so a[S] for |S| = t - 1 must
+    be known by then.  Each family is an `arrays.ArrayFamily` holding its
+    own copy of one (n + 1, 2^(n + 1)) block of the ring's element form,
+    the node rows built once and the auxiliary row filled in round by
+    round.
     """
-    if arrays:
-        yield from _array_rounds(wsys, a)
-        return
-    ring = wsys.ring
-    n = wsys.n
+    from .arrays import ArrayFamily, element_form
+
+    ring, n = wsys.ring, wsys.n
+    form = element_form(ring)
     aux_bit = 1 << n
-    members = _static_members(wsys)
-    aux_vals = [ring.zero] * (1 << (n + 1))
-    buckets = size_buckets(n)
-    for t in range(1, n + 1):
-        for s_mask in buckets[t - 1]:
-            aux_vals[s_mask | aux_bit] = _signed_by_parity(ring, t - 1, a[s_mask])
-        aux = SetFunction(ring, n + 1, list(aux_vals))
-        yield t, Family(ring, n + 1, members + [aux])
-
-
-def _array_rounds(wsys: WeightSystem, a: list):
-    """round_families on uint64 arrays: the same members, mod p."""
-    from .m61 import P, M61Family, canonical
-
-    n = wsys.n
-    aux_bit = 1 << n
-    zetas = canonical(_zeta_weights(wsys)).reshape(n, aux_bit)
-    block = np.zeros((n + 1, 2 * aux_bit), dtype=np.uint64)
-    inside = (np.arange(aux_bit) >> np.arange(n)[:, None]) & 1 == 1
-    block[:n, aux_bit:] = np.where(inside, np.uint64(1), zetas)
+    block = np.full((n + 1, 2 * aux_bit), form.zero, dtype=form.dtype)
+    nodes = block[:n, aux_bit:]
+    nodes[...] = form.from_rows(_zeta_weights(wsys)).reshape(n, aux_bit)
+    nodes[(np.arange(aux_bit) >> np.arange(n)[:, None]) & 1 == 1] = form.one
     aux = block[n, aux_bit:]
     buckets = size_buckets(n)
     for t in range(1, n + 1):
         masks = buckets[t - 1]
-        signed = canonical([[a[s_mask] for s_mask in masks]])[0]
+        signed = form.from_rows([[a[s_mask] for s_mask in masks]])[0]
         if (t - 1) % 2:
-            np.subtract(P, signed, out=signed, where=signed != 0)
+            form.neg(signed)
         aux[masks] = signed
-        yield t, M61Family(wsys.ring, n + 1, block.copy())
+        yield t, ArrayFamily(ring, n + 1, block.copy(), form)
 
 
 def sum_acyclic_digraphs(
@@ -266,10 +227,9 @@ def sum_acyclic_digraphs(
     a: list = [None] * (1 << n)
     a[0] = ring.one
     buckets = size_buckets(n)
-    arrays = algo in ARRAY_ALGORITHMS and is_m61(ring)
-    for t, fam in round_families(wsys, a, arrays):
+    for t, fam in round_families(wsys, a):
         if algo == "naive":
-            values = naive_at(fam, [m | aux_bit for m in buckets[t]], stats)
+            values = naive_at(fam.to_family(), [m | aux_bit for m in buckets[t]], stats)
         else:
             g = run_transform(
                 algo, fam, sigma=sigma, tau=tau, backend=backend, stats=stats

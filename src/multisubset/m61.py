@@ -1,4 +1,9 @@
-"""The array path of the fast transforms: exact arithmetic mod p = 2^61 - 1.
+"""The uint64 element form of the array executor: exact arithmetic mod p = 2^61 - 1.
+
+`arrays.element_form` returns this module itself for exactly
+`PrimeField(2^61 - 1)`; its `dtype`, `zero`, `one`, `from_rows`, `mul`,
+`add`, `sub`, `neg`, `product` and `add_at` are the operations the one
+executor (`mst`, `setfn`, `dag`) is written against.
 
 Every value is a uint64 in [0, p).  Elementwise products never leave
 uint64: each operand is split into 32-bit halves, every partial product
@@ -12,9 +17,6 @@ holds at most 2^11 columns; the blocks of one degree add up in uint64,
 at most three such products per column, and are folded mod p every
 2^20 columns, before they can pass 2^64.
 
-The direct superset scan doubles the columns of one popcount together
-on dense tables, one broadcast product per free bit.
-
 The BLAS products run on the calling thread: with its default threads,
 OpenBLAS hands each product to a second thread that then busy-waits
 while the rest of the call runs, nearly doubling the CPU seconds of a
@@ -23,16 +25,15 @@ the thread count of the OpenBLAS library numpy loaded to one for its
 matrix products and gives the previous count back afterwards; where no
 such library is found it runs them as numpy would.
 
-`mst`, `rmm`, `setfn` and `dag` import this module on the first
-array-path call only, so the list path never loads it.  The chunk sizes
-below bound the working set of each step.
+Only `arrays.element_form` imports this module, on the first call over
+`PrimeField(2^61 - 1)`, so runs over other rings never load it.
 
 On import the module asks glibc's malloc to keep `HEAP_TOP_PAD_BYTES`
 of freed memory at the top of the heap (`mallopt(M_TOP_PAD)`).  With
 glibc's default pad, freeing a step's temporaries (about 0.5 MB each)
 trims the heap, and the next chunk faults the same pages back in: some
 2700 minor faults per n = 13 `columns` call, none with the pad.  The
-price is that once the array path has run, the process keeps up to the
+price is that once the uint64 form has run, the process keeps up to the
 pad of freed heap instead of returning it to the OS.  Without glibc's
 `mallopt` (another libc, macOS, Windows) nothing changes.
 """
@@ -44,33 +45,17 @@ import functools
 import os
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
-from .ring import MERSENNE61, Ring
+from .ring import MERSENNE61
 
-# Entries of the bracket build's doubling table per column chunk (2^h rows
-# times the chunk's columns; a half of more rows takes one column at a time).
-BUILD_CHUNK_ENTRIES = 1 << 16
 # Columns per kernel product chunk: keep each float64 sum of limb products
 # exact (at most 2^11 columns of products below 2^42).
 KERNEL_CHUNK_COLUMNS = 128
 # Kernel columns summed in uint64 per degree between folds mod p: a value
 # below p plus 2^20 columns of three products below 2^42 is below 2^64.
 KERNEL_FOLD_COLUMNS = 1 << 20
-# Entries of a direct-scan chunk's product table: each chunk holds columns
-# of one popcount p, 2^(n - p) entries per column (a column with more is a
-# chunk of its own).
-SCAN_CHUNK_ENTRIES = 1 << 16
-# Output entries per batch of equal-shape products (a larger product is a
-# batch of its own).  Below 2^21 blocks per batch, the scatter's float64
-# sums stay exact.
-BATCH_OUTPUT_ENTRIES = 1 << 14
-# Scan columns summed in float64 between folds mod p.  Each T gets at most
-# one pair per column, so its 32-bit halves sum below 2^32 * 2^21 = 2^53.
-SCAN_FOLD_COLUMNS = 1 << 21
-
 # Freed heap glibc keeps above the top of the heap: the smallest of 4, 8
 # and 16 MiB under which the steady-state calls of the benchmark's
 # workloads fault no page back in (4 MiB left 120-195 faults per n = 13
@@ -79,6 +64,9 @@ HEAP_TOP_PAD_BYTES = 8 << 20
 _M_TOP_PAD = -2  # glibc's mallopt parameter number
 
 P = np.uint64(MERSENNE61)
+# The element form's array type and constants (see arrays.element_form).
+dtype = np.dtype(np.uint64)
+zero, one = 0, 1
 _LIMB_BITS = 21
 _MASK21 = np.uint64((1 << _LIMB_BITS) - 1)
 _MASK29 = np.uint64((1 << 29) - 1)
@@ -148,6 +136,17 @@ def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a
 
 
+def sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a - b mod p into a (uint64, both in [0, p)); returns a."""
+    return add(a, P - b)
+
+
+def neg(a: np.ndarray) -> np.ndarray:
+    """-a mod p in place (uint64 in [0, p)); returns a."""
+    np.subtract(P, a, out=a, where=a != 0)
+    return a
+
+
 def shift(x: np.ndarray, s: int) -> np.ndarray:
     """x * 2^s mod p for x < 2^61 and 0 <= s < 61: a 61-bit rotation."""
     if s == 0:
@@ -155,7 +154,7 @@ def shift(x: np.ndarray, s: int) -> np.ndarray:
     return ((x << np.uint64(s)) & P) | (x >> np.uint64(61 - s))
 
 
-def canonical(values: list[list]) -> np.ndarray:
+def from_rows(values: list[list]) -> np.ndarray:
     """2-D uint64 array in [0, p) from rows of Python ints of any sign and size."""
     try:
         arr = np.array(values, dtype=np.uint64)
@@ -164,77 +163,6 @@ def canonical(values: list[list]) -> np.ndarray:
     for row in arr:  # one row at a time keeps fold's temporaries small
         fold(row)
     return arr
-
-
-@dataclass
-class M61Family:
-    """A family over PrimeField(2^61 - 1) as one (n, 2^n) uint64 array in [0, p).
-
-    values[i, S] is f_i(S).  `of` builds it from a list `Family`, reducing
-    member values that lie outside [0, p); the DAG rounds build theirs
-    directly (`dag.round_families`), and `mst.run_transform` takes either
-    as it is.
-    """
-
-    ring: Ring
-    n: int
-    values: np.ndarray
-
-    @classmethod
-    def of(cls, fam) -> "M61Family":
-        values = canonical([m.values for m in fam.members])
-        return cls(fam.ring, fam.n, values.reshape(fam.n, 1 << fam.n))
-
-    def zero_table(self) -> np.ndarray:
-        return np.zeros(1 << self.n, dtype=np.uint64)
-
-
-def bracket(values: np.ndarray, first_bit: int, h: int, part_mask: int,
-            rows: list, cols: list[int]):
-    """Row labels and bracket entries of one half (bits first_bit .. first_bit + h - 1).
-
-    `rows` is a list of r masks, giving the labels list(rows) and an (r, c)
-    array; or, for a batch of m blocks, a list of m such lists with `cols`
-    their m column lists of one length c concatenated, giving an (r, m)
-    label array (row i of block k at [i, k]) and an (m, r, c) array.  A
-    row mask outside part_mask raises ValueError.  Per column chunk (at
-    most BUILD_CHUNK_ENTRIES table entries), the products of every subset
-    of the half come from doubling (subset U + {b} is subset U times f_b);
-    each column's block picks its rows, and the entries whose column has
-    half bits outside the row are zeroed.
-    """
-    by_row = np.array(rows, dtype=np.int64).T
-    batch = by_row.ndim == 2
-    if not batch:
-        by_row = by_row[:, None]
-    outside_part = by_row[(by_row & ~part_mask) != 0]
-    if outside_part.size:
-        raise ValueError(f"row mask {int(outside_part[0]):#x} is not within {part_mask:#x}")
-    r, m = by_row.shape
-    c = len(cols) // m
-    local = by_row >> first_bit
-    outside_row = ~by_row
-    col_arr = np.array(cols, dtype=np.int64)
-    out = np.empty((m, r, c), dtype=np.uint64)
-    width = max(1, BUILD_CHUNK_ENTRIES >> h)
-    table = np.empty((1 << h, min(len(cols), width)), dtype=np.uint64)
-    for c0 in range(0, len(cols), width):
-        chunk = col_arr[c0:c0 + width]
-        w = len(chunk)
-        sub = table[:, :w]
-        sub[0] = 1
-        for k in range(h):
-            sub[1 << k:2 << k] = mul(sub[:1 << k], values[first_bit + k, chunk])
-        if m == 1:  # one block: whole rows of the table
-            entries = out[0, :, c0:c0 + w]
-            np.take(sub, local[:, 0], axis=0, out=entries)
-            entries[((chunk & part_mask) & outside_row) != 0] = 0
-            continue
-        block, at = np.divmod(np.arange(c0, c0 + w), c)
-        entries = sub[local[:, block], np.arange(w)]  # (r, w)
-        entries[((chunk & part_mask) & outside_row[:, block]) != 0] = 0
-        out[block, :, at] = entries.T
-    return (by_row, out) if batch else (list(rows), out[0])
 
 
 @functools.cache
@@ -347,107 +275,9 @@ def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return fold(out)
 
 
-def scatter(g: np.ndarray, rows1: np.ndarray, rows2: np.ndarray, prod: np.ndarray) -> None:
-    """g[t1 | t2] += prod[k, i, j] mod p for t1 = rows1[i, k], t2 = rows2[j, k].
-
-    prod holds the (m, r1, r2) products of a batch, and rows1, rows2 its
-    (r1, m) and (r2, m) row labels (see `bracket`).  Blocks of one batch may
-    hit the same T, so the entries are summed per T by bincount on their
-    32-bit halves (exact: a T gets at most one entry per block).
-    """
-    idx = (rows1.T[:, :, None] | rows2.T[:, None, :]).ravel()
-    add(g, _sum_halves(*_halves_by_index(idx, prod.ravel(), len(g))))
-
-
-def superset_scan(values: np.ndarray, cols: list[int], g: np.ndarray, cut) -> int:
-    """g[T] += prod_{i in T} f_i(S) for S in cols, T superset S; returns the pairs.
-
-    `cut` (bytes, one per mask, or None) marks the T to leave out, and
-    the columns it marks are skipped.  The columns run grouped by
-    popcount p, in chunks of one popcount holding at most
-    SCAN_CHUNK_ENTRIES table entries (a column with a larger table is a
-    chunk of its own).  A chunk of c columns fills a dense (2^(n-p), c)
-    product table and a matching mask table by doubling over each
-    column's free bits in rank order: step q multiplies rows [0, 2^q)
-    by the column's q-th free factor into rows [2^q, 2^(q+1)) and sets
-    that bit in their masks.  Cut entries are computed, then dropped by
-    one mask before the sums per T.
-    """
-    n = values.shape[0]
-    size = 1 << n
-    col_arr = np.array(cols, dtype=np.int64)
-    if cut is not None:
-        cut = np.frombuffer(cut, dtype=np.bool_)
-        col_arr = col_arr[~cut[col_arr]]
-    pops = np.bitwise_count(col_arr).astype(np.int64)
-    order = np.argsort(pops, kind="stable")
-    col_arr, pops = col_arr[order], pops[order]
-    roots = np.ones(len(col_arr), dtype=np.uint64)  # prod over i in S of f_i(S)
-    for b in range(n):
-        has = np.flatnonzero((col_arr >> b) & 1)
-        roots[has] = mul(roots[has], values[b, col_arr[has]])
-    lo, hi = np.zeros(size), np.zeros(size)
-    pairs = since_fold = 0
-    for c0, c1 in _scan_chunks(pops, n):
-        s, free = col_arr[c0:c1], n - int(pops[c0])
-        # the free bits of each column, ascending: (free, c)
-        free_bits = np.nonzero((s[:, None] >> np.arange(n)) & 1 == 0)[1].reshape(len(s), free).T
-        prods = np.empty((1 << free, len(s)), dtype=np.uint64)
-        masks = np.empty((1 << free, len(s)), dtype=np.int64)
-        prods[0], masks[0] = roots[c0:c1], s
-        factors, bits = values[free_bits, s], 1 << free_bits
-        for q in range(free):
-            mul(prods[:1 << q], factors[q], out=prods[1 << q:2 << q])
-            np.bitwise_or(masks[:1 << q], bits[q], out=masks[1 << q:2 << q])
-        if cut is not None:
-            kept = ~cut[masks]
-            masks, prods = masks[kept], prods[kept]
-        pairs += masks.size
-        if since_fold + len(s) > SCAN_FOLD_COLUMNS:
-            add(g, _sum_halves(lo, hi))
-            lo[:] = hi[:] = 0.0
-            since_fold = 0
-        since_fold += len(s)
-        chunk_lo, chunk_hi = _halves_by_index(masks.ravel(), prods.ravel(), size)
-        lo += chunk_lo
-        hi += chunk_hi
-    add(g, _sum_halves(lo, hi))
-    return pairs
-
-
-def _scan_chunks(pops: np.ndarray, n: int):
-    """(c0, c1) chunks of columns sorted by popcount: one popcount each,
-    at most SCAN_CHUNK_ENTRIES table entries or one column."""
-    edges = [*np.flatnonzero(np.diff(pops, prepend=-1)).tolist(), len(pops)]
-    for p0, p1 in zip(edges, edges[1:]):
-        width = max(1, SCAN_CHUNK_ENTRIES >> (n - int(pops[p0])))
-        for c0 in range(p0, p1, width):
-            yield c0, min(c0 + width, p1)
-
-
-def zeta(x: np.ndarray, subtract: bool = False) -> np.ndarray:
-    """Zeta transform mod p over the last axis of x (length 2^n), in place.
-
-    x[..., T] becomes the sum of x[..., S] over S subset of T; with
-    `subtract`, the Moebius inverse.  Bit i is one butterfly on x viewed
-    as (..., 2^(n-1-i), 2, 2^i): the half with the bit gets the half
-    without it added (or subtracted).  x must be C-contiguous in [0, p).
-    """
-    size = x.shape[-1]
-    for i in range(size.bit_length() - 1):
-        halves = x.reshape(*x.shape[:-1], size >> (i + 1), 2, 1 << i)
-        low, high = halves[..., 0, :], halves[..., 1, :]
-        add(high, P - low if subtract else low)
-    return x
-
-
-def _halves_by_index(idx: np.ndarray, vals: np.ndarray, size: int):
-    """Float64 sums per index of the low and of the high 32-bit halves of vals."""
-    lo = np.bincount(idx, weights=(vals & _MASK32).astype(np.float64), minlength=size)
-    hi = np.bincount(idx, weights=(vals >> _U32).astype(np.float64), minlength=size)
-    return lo, hi
-
-
-def _sum_halves(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """(lo + hi * 2^32) mod p from exact float64 sums lo, hi < 2^53."""
-    return add(lo.astype(np.uint64), shift(hi.astype(np.uint64), 32))
+def add_at(g: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
+    """g[idx[k]] += vals[k] mod p, summed per index by float64 bincounts of
+    the 32-bit halves: exact while no index occurs 2^21 times or more."""
+    lo = np.bincount(idx, weights=(vals & _MASK32).astype(np.float64), minlength=len(g))
+    hi = np.bincount(idx, weights=(vals >> _U32).astype(np.float64), minlength=len(g))
+    add(g, add(lo.astype(np.uint64), shift(hi.astype(np.uint64), 32)))

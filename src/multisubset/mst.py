@@ -20,19 +20,18 @@ trimmed product covers.
 `run_transform` is the one entry point: `check_algorithm` resolves the
 algorithm's sigma and tau, and `_plan` builds its steps.
 
-The executor has two paths.  The list path runs every ring operation as
-one Python call on the ring; it serves every ring and plan and is the
-one `CountingRing` counts.  The array path runs the three fast plans
-over exactly `PrimeField(2^61 - 1)`: the members become one uint64
-array (or arrive as one, an `m61.M61Family`, as the DAG rounds hand
-them over), the bracket build, the scatter and the direct scan are numpy
-operations mod p, and the kernel multiplies the bracket arrays exactly
-through float64 BLAS (all in `m61`).  Consecutive products of one shape
-run as one batched product, so `cover`'s thousands of one-column
-products pay numpy's per-call overhead once per batch, not once each.
-Both paths give the same table and the same `PipelineStats`.  `naive`
-stays on lists: it is the oracle the fast plans are checked against,
-and the control that no array kernel touches.
+The executor runs every fast plan on numpy arrays, for every ring: the
+members become one array of the ring's element form (`arrays.ArrayFamily`,
+or arrive as one, as the DAG rounds hand them over).  Exactly
+`PrimeField(2^61 - 1)` takes the uint64 form (`m61`: arithmetic mod p,
+and a kernel through float64 BLAS); every other ring the object form,
+whose operations call the ring's own methods, so `CountingRing` counts
+them.  The bracket build, the scatter and the direct scan below are
+written once against the form's operations.  Consecutive products of
+one shape run as one batched product, so `cover`'s thousands of
+one-column products pay numpy's per-call overhead once per batch, not
+once each.  `naive` stays on lists: it is the oracle the fast plans are
+checked against, and the control that no array kernel touches.
 
 * `columns` sends every column of popcount <= floor(sigma*n) through one
   big rectangular multiplication and finishes the large columns by a
@@ -52,7 +51,6 @@ from dataclasses import dataclass
 
 from .bitops import bits_of, subsets_of_size
 from .cover import greedy_cover
-from .ring import is_m61
 from .rmm import ClassicalBackend, RmmBackend, SubMatrix
 from .setfn import Family, SetFunction
 
@@ -64,9 +62,18 @@ ROWS_COLUMNS_TAU = 0.59777
 ROWS_COLUMNS_SIGMA = 0.38185
 
 ALGORITHMS = ("naive", "columns", "rows-columns", "cover")
-# Algorithms whose plans run on the array path over PrimeField(2^61 - 1);
-# naive stays on lists as the oracle and control.
-ARRAY_ALGORITHMS = ("columns", "rows-columns", "cover")
+# Entries of the bracket build's doubling table per column chunk (2^h rows
+# times the chunk's columns; a half of more rows takes one column at a time).
+BUILD_CHUNK_ENTRIES = 1 << 16
+# Entries of a direct-scan chunk's product table: each chunk holds columns
+# of one popcount p, 2^(n - p) entries per column (a column with more is a
+# chunk of its own).  Below 2^21 columns per chunk, the uint64 form's scan
+# sums stay exact.
+SCAN_CHUNK_ENTRIES = 1 << 16
+# Output entries per batch of equal-shape products (a larger product is a
+# batch of its own).  Below 2^21 blocks per batch, the uint64 form's
+# scatter sums stay exact.
+BATCH_OUTPUT_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -170,195 +177,200 @@ def mst_naive(fam: Family, stats: PipelineStats | None = None) -> SetFunction:
 
 
 def build_submatrix(
-    fam: Family, split: GroundSplit, part: int, rows: list[int], cols: list[int]
+    fam, split: GroundSplit, part: int, rows: list, cols: list[int]
 ) -> SubMatrix:
-    """Bracket matrix for one half of the split.
+    """Bracket matrix for one half of the split, from an `arrays.ArrayFamily`.
 
     Entry (T_p, S) is prod over i in T_p of f_i(S) when S's part-p bits
     lie inside T_p, and zero otherwise (the bracket).  Row masks must
-    stay within their own half of the ground set.  Given the array path's
-    `m61.M61Family` in place of a `Family`, the entries are one uint64
-    array; otherwise they are lists.
+    stay within their own half of the ground set.  `rows` is a list of r
+    masks, giving an (r, c) array of the family's element form; or a
+    batch: a list of m row lists of one length r, with `cols` the m
+    blocks' column lists of one length c concatenated, giving an
+    (m, r, c) array, and as row labels an (r, m) array whose row i holds
+    the i-th rows of all m blocks, so that len(rows) * len(cols) counts
+    the entries.
 
-    On the array path, `rows` may also be a batch: a list of m row lists
-    of one length r, with `cols` the m blocks' column lists of one length
-    c concatenated.  The entries are then an (m, r, c) array, and the row
-    labels an (r, m) array whose row i holds the i-th rows of all m
-    blocks, so that len(rows) * len(cols) counts the entries.
+    Per column chunk (at most BUILD_CHUNK_ENTRIES table entries), the
+    products of every subset of the half come from doubling (subset
+    U + {b} is subset U times f_b); each column's block picks its rows,
+    and the entries whose column has half bits outside the row are zeroed.
     """
+    import numpy as np
+
     if part not in (1, 2):
         raise ValueError("part must be 1 or 2")
     part_mask = split.u1_mask if part == 1 else split.u2_mask
-    if not isinstance(fam, Family):
-        from .m61 import bracket
-
-        first_bit, h = (0, split.h1) if part == 1 else (split.h1, split.h2)
-        labels, entries = bracket(fam.values, first_bit, h, part_mask, rows, cols)
-        return SubMatrix(labels, list(cols), entries)
-    for t_mask in rows:
-        if t_mask & ~part_mask:
-            raise ValueError(f"row mask {t_mask:#x} is not within part {part}")
-    ring = fam.ring
-    members = [m.values for m in fam.members]
-    mul = ring.mul
-    zero, one = ring.zero, ring.one
-    entries = []
-    for t_mask in rows:
-        bits = bits_of(t_mask)
-        row = []
-        for s_mask in cols:
-            if (s_mask & part_mask) & ~t_mask:
-                row.append(zero)
-            elif not bits:
-                row.append(one)
-            else:
-                v = members[bits[0]][s_mask]
-                for i in bits[1:]:
-                    v = mul(v, members[i][s_mask])
-                row.append(v)
-        entries.append(row)
-    return SubMatrix(list(rows), list(cols), entries)
+    first_bit, h = (0, split.h1) if part == 1 else (split.h1, split.h2)
+    form = fam.form
+    by_row = np.array(rows, dtype=np.int64).T
+    batch = by_row.ndim == 2
+    if not batch:
+        by_row = by_row[:, None]
+    outside_part = by_row[(by_row & ~part_mask) != 0]
+    if outside_part.size:
+        raise ValueError(f"row mask {int(outside_part[0]):#x} is not within part {part}")
+    r, m = by_row.shape
+    c = len(cols) // m
+    local = by_row >> first_bit
+    outside_row = ~by_row
+    col_arr = np.array(cols, dtype=np.int64)
+    out = np.empty((m, r, c), dtype=form.dtype)
+    width = max(1, BUILD_CHUNK_ENTRIES >> h)
+    table = np.empty((1 << h, min(len(cols), width)), dtype=form.dtype)
+    for c0 in range(0, len(cols), width):
+        chunk = col_arr[c0:c0 + width]
+        w = len(chunk)
+        sub = table[:, :w]
+        sub[0] = form.one
+        for k in range(h):
+            form.mul(sub[:1 << k], fam.values[first_bit + k, chunk], out=sub[1 << k:2 << k])
+        if m == 1:  # one block: whole rows of the table
+            entries = out[0, :, c0:c0 + w]
+            np.take(sub, local[:, 0], axis=0, out=entries)
+            entries[((chunk & part_mask) & outside_row) != 0] = form.zero
+            continue
+        block, at = np.divmod(np.arange(c0, c0 + w), c)
+        entries = sub[local[:, block], np.arange(w)]  # (r, w)
+        entries[((chunk & part_mask) & outside_row[:, block]) != 0] = form.zero
+        out[block, :, at] = entries.T
+    if batch:
+        return SubMatrix(by_row, list(cols), out)
+    return SubMatrix(list(rows), list(cols), out[0])
 
 
 def _product_into(
-    fam: Family,
+    fam,
     split: GroundSplit,
     batch: list[Product],
     backend: RmmBackend,
-    g: list,
+    g,
     stats: PipelineStats | None,
 ) -> None:
-    """Run Product steps of one shape as one product (a batch on arrays)."""
+    """Run Product steps of one shape as one batched product, scattered into g."""
     if stats is not None:
         stats.columns_processed += sum(len(step.cols) for step in batch)
     first = batch[0]
     if not first.rows1 or not first.rows2 or not first.cols:
         return
     cols = [c for step in batch for c in step.cols]
-    if isinstance(fam, Family):
-        rows1, rows2 = first.rows1, first.rows2  # one step on the list path
-    else:
-        rows1, rows2 = [s.rows1 for s in batch], [s.rows2 for s in batch]
-    e1 = build_submatrix(fam, split, 1, rows1, cols)
-    e2 = build_submatrix(fam, split, 2, rows2, cols)
+    e1 = build_submatrix(fam, split, 1, [s.rows1 for s in batch], cols)
+    e2 = build_submatrix(fam, split, 2, [s.rows2 for s in batch], cols)
     product = backend.multiply(fam.ring, e1, e2, stats)
-    if not isinstance(product, list):
-        from .m61 import scatter
-
-        scatter(g, e1.rows, e2.rows, product)
-        return
-    add = fam.ring.add
-    for i, t1 in enumerate(rows1):
-        row = product[i]
-        for j, t2 in enumerate(rows2):
-            idx = t1 | t2
-            g[idx] = add(g[idx], row[j])
+    # g[t1 | t2] += product[k, i, j] for t1 = e1.rows[i, k], t2 = e2.rows[j, k]
+    idx = e1.rows.T[:, :, None] | e2.rows.T[:, None, :]
+    fam.form.add_at(g, idx.ravel(), product.ravel())
 
 
 def _direct_scan(
-    fam: Family,
+    fam,
     cols: list[int],
-    g: list,
+    g,
     stats: PipelineStats | None,
     split: GroundSplit | None = None,
     thresholds: tuple[int, int] | None = None,
 ) -> None:
     """Accumulate g[T] += prod_{i in T} f_i(S) for each S in cols, T superset S.
 
-    Each column builds its table of (T, product) pairs by doubling: for
-    each free bit in ascending order, every kept entry gets a copy with
-    the bit set and one more factor.  When row thresholds (t1, t2) are
-    given, a T whose half-sizes both exceed them is not kept (a trimmed
-    product covers it); the kept set is downward closed, so doubling
-    reaches exactly the uncut supersets of S.
+    When row thresholds (t1, t2) are given, a T whose half-sizes both
+    exceed them is left out (a trimmed product covers it), and so is a
+    column that is such a T itself.  The columns run grouped by popcount
+    p, in chunks of one popcount holding at most SCAN_CHUNK_ENTRIES table
+    entries (a column with a larger table is a chunk of its own).  A
+    chunk of c columns fills a dense (2^(n-p), c) product table and a
+    matching mask table by doubling over each column's free bits in rank
+    order: step q multiplies rows [0, 2^q) by the column's q-th free
+    factor into rows [2^q, 2^(q+1)) and sets that bit in their masks.
+    Cut entries are computed, then dropped by one mask before the
+    chunk's sums per T.
     """
-    ring = fam.ring
-    n = fam.n
-    cut = None if thresholds is None else scan_cut(split, thresholds)
-    if not isinstance(fam, Family):
-        from .m61 import superset_scan
+    import numpy as np
 
-        pairs = superset_scan(fam.values, cols, g, cut)
-        if stats is not None:
-            stats.pair_iterations += pairs
-        return
-    members = [m.values for m in fam.members]
-    add, mul = ring.add, ring.mul
+    form, values, n = fam.form, fam.values, fam.n
+    col_arr = np.array(cols, dtype=np.int64)
+    cut = None
+    if thresholds is not None:
+        cut = np.frombuffer(scan_cut(split, thresholds), dtype=np.bool_)
+        col_arr = col_arr[~cut[col_arr]]
+    pops = np.bitwise_count(col_arr).astype(np.int64)
+    order = np.argsort(pops, kind="stable")
+    col_arr, pops = col_arr[order], pops[order]
+    roots = np.full(len(col_arr), form.one, dtype=form.dtype)  # prod over i in S of f_i(S)
+    for b in range(n):
+        has = np.flatnonzero((col_arr >> b) & 1)
+        roots[has] = form.mul(roots[has], values[b, col_arr[has]])
     pairs = 0
-    for s_mask in cols:
-        if cut is not None and cut[s_mask]:
-            continue
-        col = [mv[s_mask] for mv in members]
-        base = ring.one
-        for i in bits_of(s_mask):
-            base = mul(base, col[i])
-        masks, prods = [s_mask], [base]
-        for b in range(n):
-            bit = 1 << b
-            if s_mask & bit:
-                continue
-            f = col[b]
-            if cut is None:
-                masks += [m | bit for m in masks]
-                prods += [mul(p, f) for p in prods]
-            else:
-                kept = [i for i, m in enumerate(masks) if not cut[m | bit]]
-                masks += [masks[i] | bit for i in kept]
-                prods += [mul(prods[i], f) for i in kept]
-        for t_mask, prod in zip(masks, prods):
-            g[t_mask] = add(g[t_mask], prod)
-        pairs += len(masks)
+    for c0, c1 in _scan_chunks(pops, n):
+        s, free = col_arr[c0:c1], n - int(pops[c0])
+        # the free bits of each column, ascending: (free, c)
+        free_bits = np.nonzero((s[:, None] >> np.arange(n)) & 1 == 0)[1].reshape(len(s), free).T
+        prods = np.empty((1 << free, len(s)), dtype=form.dtype)
+        masks = np.empty((1 << free, len(s)), dtype=np.int64)
+        prods[0], masks[0] = roots[c0:c1], s
+        factors, bits = values[free_bits, s], 1 << free_bits
+        for q in range(free):
+            form.mul(prods[:1 << q], factors[q], out=prods[1 << q:2 << q])
+            np.bitwise_or(masks[:1 << q], bits[q], out=masks[1 << q:2 << q])
+        if cut is not None:
+            kept = ~cut[masks]
+            masks, prods = masks[kept], prods[kept]
+        pairs += masks.size
+        form.add_at(g, masks.ravel(), prods.ravel())
     if stats is not None:
         stats.pair_iterations += pairs
 
 
+def _scan_chunks(pops, n: int):
+    """(c0, c1) chunks of columns sorted by popcount: one popcount each,
+    at most SCAN_CHUNK_ENTRIES table entries or one column."""
+    import numpy as np
+
+    edges = [*np.flatnonzero(np.diff(pops, prepend=-1)).tolist(), len(pops)]
+    for p0, p1 in zip(edges, edges[1:]):
+        width = max(1, SCAN_CHUNK_ENTRIES >> (n - int(pops[p0])))
+        for c0 in range(p0, p1, width):
+            yield c0, min(c0 + width, p1)
+
+
 def _execute(
-    fam: Family,
+    fam,
     split: GroundSplit,
     steps,
     backend: RmmBackend | None,
     stats: PipelineStats | None,
-    arrays: bool = False,
 ) -> SetFunction:
-    """Run a plan's steps in order into one output table.
+    """Run a plan's steps in order into one output table, on arrays.
 
-    With `arrays` (for PrimeField(2^61 - 1) only) the steps run on the
-    array path, on `fam` as it is when it is already an `m61.M61Family`,
-    and consecutive Product steps of one shape run as one batched
-    product; the table comes back as Python ints either way.
+    `fam` is a list `Family`, or an `arrays.ArrayFamily` that runs as it
+    is; consecutive Product steps of one shape run as one batched
+    product.  The table comes back as a list.
     """
-    backend = backend or ClassicalBackend()
-    if arrays:
-        from .m61 import BATCH_OUTPUT_ENTRIES, M61Family
+    from .arrays import ArrayFamily
 
-        if isinstance(fam, Family):
-            fam = M61Family.of(fam)
-        g = fam.zero_table()
-        max_entries = BATCH_OUTPUT_ENTRIES
-    else:
-        g = [fam.ring.zero] * (1 << fam.n)
-        max_entries = 0
-    for step in _batched(steps, max_entries):
+    backend = backend or ClassicalBackend()
+    fam = ArrayFamily.of(fam)
+    g = fam.zero_table()
+    for step in _batched(steps):
         if isinstance(step, Scan):
             _direct_scan(fam, step.cols, g, stats, split, step.thresholds)
         else:
             _product_into(fam, split, step, backend, g, stats)
-    return SetFunction(fam.ring, fam.n, g.tolist() if arrays else g)
+    return SetFunction(fam.ring, fam.n, g.tolist())
 
 
-def _batched(steps, max_entries: int):
+def _batched(steps):
     """The steps, with each run of Products of one shape grouped into lists.
 
     A shape is (len(rows1), len(cols), len(rows2)); a list grows while its
-    products' outputs hold at most max_entries entries in all (a product
-    larger than that is a list of its own).  Steps are pulled one at a
-    time, so a generated plan is never held whole.
+    products' outputs hold at most BATCH_OUTPUT_ENTRIES entries in all (a
+    product larger than that is a list of its own).  Steps are pulled one
+    at a time, so a generated plan is never held whole.
     """
     batch, shape = [], None
     for step in steps:
         if isinstance(step, Product):
             r1, c, r2 = len(step.rows1), len(step.cols), len(step.rows2)
-            if (r1, c, r2) == shape and (len(batch) + 1) * r1 * r2 <= max_entries:
+            if (r1, c, r2) == shape and (len(batch) + 1) * r1 * r2 <= BATCH_OUTPUT_ENTRIES:
                 batch.append(step)
                 continue
         if batch:
@@ -466,7 +478,7 @@ def _cover_plan(split: GroundSplit):
     exactly the column size for every class at every n up to
     MAX_GROUND_SET, so each product covers one column and the run issues
     3^n kernel multiplications, the naive pair count.  The products of a
-    class share one shape, so the array path runs them in a few batches.
+    class share one shape, so the executor runs them in a few batches.
     """
     h1, h2 = split.h1, split.h2
     planner = MeasuredCostPlanner()
@@ -549,16 +561,14 @@ def run_transform(
 ) -> SetFunction:
     """Run `algo` (see ALGORITHMS): the naive oracle or a fast plan.
 
-    `fam` may also be the array path's `m61.M61Family`, which runs as it
-    is; naive rejects it with ValueError.  The table comes back as a list
-    either way.
+    `fam` may also be an `arrays.ArrayFamily`, which the fast plans run
+    as it is; naive rejects it with ValueError.  The table comes back as
+    a list either way.
     """
     sigma, tau = check_algorithm(algo, sigma, tau)
-    given_arrays = not isinstance(fam, Family)
     if algo == "naive":
-        if given_arrays:
+        if not isinstance(fam, Family):
             raise ValueError("naive runs on list families only")
         return mst_naive(fam, stats)
     split = GroundSplit.for_n(fam.n)
-    arrays = given_arrays or (algo in ARRAY_ALGORITHMS and is_m61(fam.ring))
-    return _execute(fam, split, _plan(algo, split, sigma, tau), backend, stats, arrays)
+    return _execute(fam, split, _plan(algo, split, sigma, tau), backend, stats)

@@ -2,12 +2,13 @@
 
 Set-function values are plain Python objects (ints for the prime field,
 floats for f64); a Ring object supplies the arithmetic.  This keeps the
-transforms generic: the same butterfly or matrix kernel runs over exact
-modular arithmetic, floating point, or an operation-counting wrapper.
-The one exception is the array path over exactly `PrimeField(2^61 - 1)`
-(see `is_m61`): the fast transforms, the zeta and Moebius transforms and
-the DAG rounds convert the values to uint64 arrays and run their own
-arithmetic (the `m61` module), returning Python ints again.
+transforms generic: one executor runs the fast transforms, the zeta and
+Moebius transforms and the DAG rounds on arrays over any ring, in one of
+two element forms (`arrays.element_form`).  Exactly
+`PrimeField(2^61 - 1)` takes the uint64 form, with its own arithmetic
+mod p (the `m61` module); every other ring, `CountingRing` and
+`Float64Ring` included, the object form, whose operations are this
+ring's methods.  Values come back as Python objects either way.
 """
 
 from __future__ import annotations
@@ -116,11 +117,6 @@ class PrimeField(Ring):
 
     def __repr__(self):
         return f"PrimeField(p={self.p})"
-
-
-def is_m61(ring: Ring) -> bool:
-    """True for exactly PrimeField(2^61 - 1), not a wrapper of it."""
-    return type(ring) is PrimeField and ring.p == MERSENNE61
 
 
 class Float64Ring(Ring):

@@ -5,15 +5,17 @@ P[i][j] = sum_c A[i][c] * B[j][c], i.e. A times B transposed.  The
 classical kernel performs exactly rows(A) * cols * rows(B) ring
 multiplications, counted in `PipelineStats.rmm_muls`.
 
-Entries are either lists of ring values, multiplied one Python ring
-operation per term, or (on the M61 array path) uint64 arrays in [0, p),
-multiplied exactly through float64 BLAS: each operand is split into three
-limbs of at most 21 bits, float64 products per column chunk sum the 9
-limb-pair blocks exactly, and the blocks are recombined mod p.  The BLAS products
-run on the calling thread, so no OpenBLAS worker is left spinning.  An
-array operand may hold a batch of m equal-shape blocks, multiplied block
-by block; its labels count each block's rows and all m blocks' columns,
-so the count R1 * C * R2 covers the whole batch.
+Entries are arrays of the ring's element form (`arrays.element_form`),
+and the kernel is the form's `product`.  On the uint64 form of
+`PrimeField(2^61 - 1)` it multiplies exactly through float64 BLAS: each
+operand is split into three limbs of at most 21 bits, float64 products
+per column chunk sum the 9 limb-pair blocks exactly, and the blocks are
+recombined mod p, with the BLAS products on the calling thread.  On the
+object form it takes one outer product of ring values per column, summed
+from zero, so a `CountingRing` counts R1 * C * R2 muls and as many adds.
+An operand may hold a batch of m equal-shape blocks, multiplied block by
+block; its labels count each block's rows and all m blocks' columns, so
+the count R1 * C * R2 covers the whole batch.
 """
 
 from __future__ import annotations
@@ -21,30 +23,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ring import Ring, is_m61
+from .ring import Ring
 
 
 @dataclass
 class SubMatrix:
-    """Dense block with explicit row/column labels (bitmasks)."""
+    """Dense block with explicit row/column labels (bitmasks).
+
+    entries is an (r, c) array, or (m, r, c) for a batch: rows[i] then
+    holds the i-th rows of the m blocks, and cols their m column lists
+    of length c concatenated.
+    """
 
     rows: list[int]
     cols: list[int]
-    entries: list  # or, on the array path, a uint64 array
+    entries: object  # a numpy array of the ring's element form
 
     def __post_init__(self):
-        if not isinstance(self.entries, list):
-            # A batch (m, r, c): rows[i] holds the i-th rows of the m blocks,
-            # cols their m column lists of length c concatenated.
-            *batch, r, c = self.entries.shape
-            if r != len(self.rows) or c * math.prod(batch) != len(self.cols):
-                raise ValueError("entry shape does not match row and column labels")
-            return
-        if len(self.entries) != len(self.rows):
-            raise ValueError("entry row count does not match row labels")
-        for row in self.entries:
-            if len(row) != len(self.cols):
-                raise ValueError("entry column count does not match column labels")
+        *batch, r, c = self.entries.shape
+        if r != len(self.rows) or c * math.prod(batch) != len(self.cols):
+            raise ValueError("entry shape does not match row and column labels")
 
 
 class RmmBackend:
@@ -62,35 +60,23 @@ class RmmBackend:
 
 
 class ClassicalBackend(RmmBackend):
-    """Triple loop on lists, the limb-split M61 product (`m61.product`) on arrays.
+    """The element form's product: exactly R1 * C * R2 multiplications.
 
-    The M61 product's float64 BLAS calls run on the calling thread alone
-    and leave OpenBLAS's thread count as they found it.  Either way the
-    multiplication count is exactly R1 * C * R2.
+    The uint64 form's float64 BLAS calls run on the calling thread alone
+    and leave OpenBLAS's thread count as they found it.
     """
 
     id = "classical"
 
     def multiply(self, ring: Ring, a: SubMatrix, b: SubMatrix, stats=None):
+        from .arrays import element_form
+
         if a.cols != b.cols:
             raise ValueError("operands must share the column index set")
-        if isinstance(a.entries, list):
-            add, mul, zero = ring.add, ring.mul, ring.zero
-            out = []
-            for arow in a.entries:
-                orow = []
-                for brow in b.entries:
-                    acc = zero
-                    for x, y in zip(arow, brow):
-                        acc = add(acc, mul(x, y))
-                    orow.append(acc)
-                out.append(orow)
-        elif is_m61(ring):
-            from .m61 import product
-
-            out = product(a.entries, b.entries)
-        else:
-            raise ValueError("array entries need PrimeField(2^61 - 1)")
+        form = element_form(ring)
+        if a.entries.dtype != form.dtype or b.entries.dtype != form.dtype:
+            raise ValueError(f"entries must be {form.dtype} arrays for {ring!r}")
+        out = form.product(a.entries, b.entries)
         if stats is not None:
             stats.rmm_muls += len(a.rows) * len(a.cols) * len(b.rows)
         return out

@@ -5,11 +5,12 @@ Provides the fast zeta transform (sums over subsets), its Moebius
 inverse, and subset convolution in both the naive 3**n form and the
 ranked O(2**n * n**2) form.
 
-Over exactly `PrimeField(2^61 - 1)` the zeta and Moebius transforms run
-as reshaped butterflies on one uint64 array (`m61.zeta`, imported on the
-first such call); they still take and return list-valued set functions,
-with every value reduced into [0, p).  Every other ring, `CountingRing`
-included, runs the list butterfly, one ring operation per addition.
+The zeta and Moebius transforms run as reshaped butterflies on one
+array of the ring's element form (`arrays.element_form`, imported on the
+first call): uint64 over exactly `PrimeField(2^61 - 1)`, with every value
+reduced into [0, p), and object arrays calling the ring's own methods
+over every other ring, so `CountingRing` counts one operation per
+addition.  They still take and return list-valued set functions.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .bitops import size_buckets, submasks
-from .ring import Ring, is_m61
+from .ring import Ring
 
 MAX_GROUND_SET = 24
 
@@ -93,43 +94,29 @@ def zeta_transform(f: SetFunction) -> SetFunction:
 
     Standard in-place butterfly, exactly n * 2**(n-1) ring additions.
     """
-    if is_m61(f.ring):
-        return _array_butterfly(f, subtract=False)
-    ring = f.ring
-    vals = list(f.values)
-    size = 1 << f.n
-    for i in range(f.n):
-        bit = 1 << i
-        for mask in range(size):
-            if mask & bit:
-                vals[mask] = ring.add(vals[mask], vals[mask ^ bit])
-    return SetFunction(ring, f.n, vals)
+    return _butterfly(f, subtract=False)
 
 
 def moebius_transform(g: SetFunction) -> SetFunction:
     """Inverse of zeta_transform; n * 2**(n-1) addition-class operations."""
-    if is_m61(g.ring):
-        return _array_butterfly(g, subtract=True)
-    ring = g.ring
-    vals = list(g.values)
-    size = 1 << g.n
-    for i in range(g.n):
-        bit = 1 << i
-        for mask in range(size):
-            if mask & bit:
-                vals[mask] = ring.sub(vals[mask], vals[mask ^ bit])
-    return SetFunction(ring, g.n, vals)
+    return _butterfly(g, subtract=True)
 
 
-def _array_butterfly(f: SetFunction, subtract: bool) -> SetFunction:
-    """Zeta (or Moebius) over PrimeField(2^61 - 1) on one uint64 array.
+def _butterfly(f: SetFunction, subtract: bool) -> SetFunction:
+    """Zeta (or, with `subtract`, Moebius) on one array of the element form.
 
-    The same sums as the list butterfly, with every value reduced into
-    [0, p), f(empty set) too.
+    Bit i is one butterfly on the table viewed as (2^(n-1-i), 2, 2^i):
+    the half with the bit gets the half without it added (or subtracted).
     """
-    from .m61 import canonical, zeta
+    from .arrays import element_form
 
-    return SetFunction(f.ring, f.n, zeta(canonical([f.values]), subtract)[0].tolist())
+    form = element_form(f.ring)
+    x = form.from_rows([f.values])[0]
+    step = form.sub if subtract else form.add
+    for i in range(f.n):
+        halves = x.reshape(1 << (f.n - 1 - i), 2, 1 << i)
+        step(halves[:, 1, :], halves[:, 0, :])
+    return SetFunction(f.ring, f.n, x.tolist())
 
 
 def _check_pair(f: SetFunction, g: SetFunction):

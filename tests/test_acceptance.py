@@ -34,6 +34,7 @@ from multisubset import (
     zeta_transform,
 )
 from multisubset.analysis import DEFAULT_OMEGA_TABLE
+from multisubset.arrays import ArrayFamily
 from multisubset.bench import predicted_pair_iterations
 from multisubset.mst import COLUMNS_SIGMA, _guarded_floor
 
@@ -152,7 +153,7 @@ def test_structural_operation_counts(modp):
 
         split = GroundSplit.for_n(n)
         e1 = build_submatrix(
-            fam, split, 1, list(range(1 << split.h1)), list(range(1 << n))
+            ArrayFamily.of(fam), split, 1, list(range(1 << split.h1)), list(range(1 << n))
         )
         nonzero = sum(
             1 for row in e1.entries for v in row if v != modp.zero

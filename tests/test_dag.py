@@ -1,9 +1,11 @@
 import random
 from math import comb
 
+import numpy as np
 import pytest
 
 from multisubset import (
+    CountingRing,
     DagSumResult,
     PipelineStats,
     PrimeField,
@@ -15,8 +17,8 @@ from multisubset import (
     sum_acyclic_digraphs,
     tian_he_sum,
 )
+from multisubset.arrays import ArrayFamily
 from multisubset.dag import round_families
-from multisubset.m61 import M61Family
 
 # labeled acyclic digraph counts, cross-checked by digraph enumeration
 ACYCLIC_COUNTS = [1, 1, 3, 25, 543, 29281, 3781503]
@@ -111,7 +113,7 @@ def test_build_dag_family_shape(modp, collect):
         rounds += 1
         assert t == rounds
         assert fam.n == n + 1
-        members = fam.members
+        members = fam.to_family().members
         # no member carries mass on sets missing the auxiliary element
         for f in members:
             for s_mask in range(1 << n):
@@ -137,17 +139,21 @@ def test_build_dag_family_shape(modp, collect):
 
 
 def test_array_rounds_equal_the_list_rounds(modp):
-    # each round's uint64 block keeps its own values, also after later rounds
+    # the uint64 rounds of PrimeField equal the object rounds of the same
+    # weights over CountingRing, each block keeping its own values also
+    # after later rounds
     n = 4
     wsys = random_weights(modp, n, seed=5)
+    counted = random_weights(CountingRing(modp), n, seed=5)
     a_table = tian_he_sum(wsys).a
-    lists = list(round_families(wsys, a_table))
-    arrays = list(round_families(wsys, a_table, arrays=True))
-    assert [t for t, _ in arrays] == [t for t, _ in lists] == list(range(1, n + 1))
-    for (_, fam), (_, arr) in zip(lists, arrays):
-        assert isinstance(arr, M61Family)
-        assert (arr.ring, arr.n) == (fam.ring, fam.n)
-        assert arr.values.tolist() == M61Family.of(fam).values.tolist()
+    uint64 = list(round_families(wsys, a_table))
+    objects = list(round_families(counted, a_table))
+    assert [t for t, _ in uint64] == [t for t, _ in objects] == list(range(1, n + 1))
+    for (_, arr), (_, obj) in zip(uint64, objects):
+        assert isinstance(arr, ArrayFamily) and isinstance(obj, ArrayFamily)
+        assert (arr.ring, arr.n, obj.n) == (wsys.ring, n + 1, n + 1)
+        assert (arr.values.dtype, obj.values.dtype) == (np.uint64, object)
+        assert arr.values.tolist() == obj.values.tolist()
 
 
 def test_round_extraction_matches_recurrence(modp):
@@ -157,7 +163,7 @@ def test_round_extraction_matches_recurrence(modp):
     a_table = tian_he_sum(wsys).a
     aux_bit = 1 << n
     for t, fam in round_families(wsys, a_table):
-        g = run_transform("naive", fam)
+        g = run_transform("naive", fam.to_family())
         for t_mask in range(1 << n):
             if t_mask.bit_count() != t:
                 continue
@@ -174,6 +180,17 @@ def test_sum_acyclic_digraphs_all_algorithms(modp, algo):
         expected = tian_he_sum(wsys).a
         got = sum_acyclic_digraphs(wsys, algo=algo)
         assert got.a == expected
+
+
+@pytest.mark.parametrize("ring", [
+    CountingRing(PrimeField()), PrimeField(101), PrimeField((1 << 521) - 1),
+], ids=["counting", "p101", "p521"])
+def test_object_form_dag_tables_equal_tian_he(ring):
+    for n in range(0, 7):
+        wsys = random_weights(ring, n, seed=40 + n)
+        expected = tian_he_sum(wsys).a
+        for algo in ("naive", "columns", "rows-columns", "cover"):
+            assert sum_acyclic_digraphs(wsys, algo=algo).a == expected
 
 
 def test_targets_only_matches_full(modp):
@@ -194,7 +211,7 @@ def test_naive_rounds_pair_count(modp, n):
 
 
 # Largest relative error of an f64 DAG table against exact integer weights
-# for n <= 8; measured at most 9.9e-16 (naive), see the README.
+# for n <= 8; measured at most 1.09e-15 (naive), see the README.
 F64_DAG_RTOL = 1e-14
 
 

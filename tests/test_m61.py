@@ -1,4 +1,5 @@
-"""The M61 array path: exact arithmetic and agreement with the list path."""
+"""The uint64 form of PrimeField(2^61 - 1): exact arithmetic, and agreement
+with the object form (over CountingRing) and with the naive oracle."""
 
 import math
 import os
@@ -28,7 +29,9 @@ from multisubset import (
     sum_acyclic_digraphs,
     tian_he_sum,
 )
-from multisubset import m61
+from multisubset import m61, mst
+from multisubset.arrays import ArrayFamily
+from multisubset.bitops import bits_of
 from multisubset.mst import (
     GroundSplit,
     MeasuredCostPlanner,
@@ -37,7 +40,6 @@ from multisubset.mst import (
     row_thresholds,
     scan_cut,
 )
-from multisubset.ring import is_m61
 
 from helpers import random_family
 
@@ -86,6 +88,9 @@ def test_kernel_chunk_and_fold_bounds_keep_the_sums_exact():
     assert m61.KERNEL_CHUNK_COLUMNS <= 2**11
     # a folded degree sum plus three such products per column until the next fold
     assert P + m61.KERNEL_FOLD_COLUMNS * 3 * (2**21 - 1) ** 2 < 2**64
+    # sums per index (add_at): a T gets at most one entry per scan column
+    # or per batched block, and a chunk or batch has fewer than 2^21 of them
+    assert max(mst.SCAN_CHUNK_ENTRIES, mst.BATCH_OUTPUT_ENTRIES) < 2**21
 
 
 def test_kernel_with_every_entry_p_minus_1_at_a_chunk_of_2_to_the_11(monkeypatch):
@@ -194,22 +199,24 @@ def test_kernel_rejects_arrays_over_another_ring():
 
 
 def test_bracket_matrix_array_form(modp):
-    fam = random_family(modp, 7, seed=12)
+    # the uint64 form against the object form over the same values
     split = GroundSplit.for_n(7)
-    arrays = m61.M61Family.of(fam)
+    uint64 = ArrayFamily.of(random_family(modp, 7, seed=12))
+    objects = ArrayFamily.of(random_family(CountingRing(modp), 7, seed=12))
     cols = [m for m in range(1 << 7) if m % 5 != 1]
     for part, rows in ((1, [0, 3, 5, 15, 6]), (2, [0, 0b10000, 0b1110000, 0b1010000])):
-        want = build_submatrix(fam, split, part, rows, cols)
-        got = build_submatrix(arrays, split, part, rows, cols)
-        assert isinstance(got.entries, np.ndarray)
+        want = build_submatrix(objects, split, part, rows, cols)
+        got = build_submatrix(uint64, split, part, rows, cols)
+        assert (got.entries.dtype, want.entries.dtype) == (np.uint64, object)
         assert (got.rows, got.cols) == (want.rows, want.cols)
-        assert got.entries.tolist() == want.entries
+        assert got.entries.tolist() == want.entries.tolist()
 
 
 def test_batched_bracket_matches_block_by_block(modp, monkeypatch):
-    fam = random_family(modp, 7, seed=5)
+    # batches on the uint64 form against single blocks on the object form
     split = GroundSplit.for_n(7)
-    arrays = m61.M61Family.of(fam)
+    uint64 = ArrayFamily.of(random_family(modp, 7, seed=5))
+    objects = ArrayFamily.of(random_family(CountingRing(modp), 7, seed=5))
     blocks = {
         1: [([0, 3, 5], [1, 6]), ([7, 1, 6], [3, 9]), ([2, 2, 15], [127, 0]), ([4, 0, 1], [5, 5])],
         2: [([0, 0b10000], [33, 64]), ([0b1110000, 0b1010000], [80, 17])],
@@ -217,25 +224,25 @@ def test_batched_bracket_matches_block_by_block(modp, monkeypatch):
     # 48 entries: chunks of 3 columns of the 16-row part-1 table cut across
     # blocks of 2; 24 entries: chunks of 3 columns of the 8-row part 2
     for entries in (48, 24):
-        monkeypatch.setattr(m61, "BUILD_CHUNK_ENTRIES", entries)
+        monkeypatch.setattr(mst, "BUILD_CHUNK_ENTRIES", entries)
         for part, parts in blocks.items():
             rows = [r for r, _ in parts]
             cols = [c for _, block_cols in parts for c in block_cols]
-            got = build_submatrix(arrays, split, part, rows, cols)
+            got = build_submatrix(uint64, split, part, rows, cols)
             assert got.entries.shape == (len(parts), len(rows[0]), 2)
             assert len(got.rows) * len(got.cols) == got.entries.size
             for k, (block_rows, block_cols) in enumerate(parts):
                 assert got.rows[:, k].tolist() == block_rows
-                want = build_submatrix(fam, split, part, block_rows, block_cols)
-                assert got.entries[k].tolist() == want.entries
+                want = build_submatrix(objects, split, part, block_rows, block_cols)
+                assert got.entries[k].tolist() == want.entries.tolist()
     with pytest.raises(ValueError):
-        build_submatrix(arrays, split, 1, [[1], [0b10000000]], [0, 1])
+        build_submatrix(uint64, split, 1, [[1], [0b10000000]], [0, 1])
     with pytest.raises(ValueError):
-        build_submatrix(arrays, split, 2, [0b0001], [0])
+        build_submatrix(uint64, split, 2, [0b0001], [0])
 
 
-def _both_paths(algo, n, seed, sigma=None, tau=None):
-    """(table, stats) on the array path and on the list path (CountingRing)."""
+def _both_forms(algo, n, seed, sigma=None, tau=None):
+    """(table, stats) on the uint64 form and on the object form (CountingRing)."""
     out = []
     for ring in (PrimeField(), CountingRing(PrimeField())):
         stats = PipelineStats()
@@ -249,7 +256,7 @@ def test_array_path_matches_list_path_and_naive(n):
     for seed in (n, 100 + n):
         naive = mst_naive(random_family(PrimeField(), n, seed)).values if n <= 10 else None
         for algo in ARRAY_ALGOS:
-            (arr, arr_stats), (lst, lst_stats) = _both_paths(algo, n, seed)
+            (arr, arr_stats), (lst, lst_stats) = _both_forms(algo, n, seed)
             assert arr == lst
             assert arr_stats == lst_stats
             if naive is not None:
@@ -257,12 +264,12 @@ def test_array_path_matches_list_path_and_naive(n):
 
 
 def test_chunk_sizes_and_folds_do_not_change_the_table(monkeypatch):
-    # tiny chunks: many kernel chunks; build chunks of 5 columns, and of one
-    # column when a half has more rows than the entry bound; scan chunks of
-    # one popcount, a column whose table is larger than the cap being a chunk
-    # of its own; and a fold after every few columns
+    # tiny chunks: many kernel chunks and a fold after each; build chunks of
+    # 5 columns, and of one column when a half has more rows than the entry
+    # bound; scan chunks of one popcount, a column whose table is larger than
+    # the cap being a chunk of its own
     scans = []  # per scan call: (popcounts, columns, table entries) of each chunk
-    scan_chunks = m61._scan_chunks
+    scan_chunks = mst._scan_chunks
 
     def recording(pops, n):
         scans.append([])
@@ -270,17 +277,17 @@ def test_chunk_sizes_and_folds_do_not_change_the_table(monkeypatch):
             scans[-1].append((set(pops[c0:c1].tolist()), c1 - c0, (c1 - c0) << (n - int(pops[c0]))))
             yield c0, c1
 
-    monkeypatch.setattr(m61, "_scan_chunks", recording)
+    monkeypatch.setattr(mst, "_scan_chunks", recording)
     monkeypatch.setattr(m61, "KERNEL_CHUNK_COLUMNS", 7)
     monkeypatch.setattr(m61, "KERNEL_FOLD_COLUMNS", 7)
-    monkeypatch.setattr(m61, "SCAN_FOLD_COLUMNS", 3)
+    naive = mst_naive(random_family(PrimeField(), 8, 3)).values
     for build_entries, scan_entries in ((5 << 4, 4), (1, 64)):
-        monkeypatch.setattr(m61, "BUILD_CHUNK_ENTRIES", build_entries)
-        monkeypatch.setattr(m61, "SCAN_CHUNK_ENTRIES", scan_entries)
+        monkeypatch.setattr(mst, "BUILD_CHUNK_ENTRIES", build_entries)
+        monkeypatch.setattr(mst, "SCAN_CHUNK_ENTRIES", scan_entries)
         scans.clear()
         for algo in ARRAY_ALGOS:
-            (arr, arr_stats), (lst, lst_stats) = _both_paths(algo, 8, 3)
-            assert arr == lst
+            (arr, arr_stats), (lst, lst_stats) = _both_forms(algo, 8, 3)
+            assert arr == lst == naive
             assert arr_stats == lst_stats
         chunks = [chunk for scan in scans for chunk in scan]
         assert all(len(pops) == 1 for pops, _, _ in chunks)
@@ -304,19 +311,41 @@ def _scan_case(draw):
     return n, draw(st.integers(0, 10**6)), cols, thresholds
 
 
+def _scan_by_definition(fam, cols, cut):
+    """(table, pairs) of the scan by its definition: g[T] += prod_{i in T}
+    f_i(S) for each uncut column S and each uncut superset T of S."""
+    ring, members, full = fam.ring, [m.values for m in fam.members], (1 << fam.n) - 1
+    g, pairs = [ring.zero] * (1 << fam.n), 0
+    for s in cols:
+        free = sub = full & ~s
+        while True:
+            t = s | sub
+            if cut is None or not cut[t]:
+                prod = ring.one
+                for i in bits_of(t):
+                    prod = ring.mul(prod, members[i][s])
+                g[t] = ring.add(g[t], prod)
+                pairs += 1
+            if sub == 0:
+                break
+            sub = (sub - 1) & free
+    return g, pairs
+
+
 @settings(max_examples=60, deadline=None)
 @given(_scan_case())
 def test_superset_scan_matches_the_list_scan(case):
+    # both forms against the scan's definition
     n, seed, cols, thresholds = case
     split = GroundSplit.for_n(n)
-    fam = random_family(PrimeField(), n, seed)
-    stats, want = PipelineStats(), [0] * (1 << n)
-    _direct_scan(fam, cols, want, stats, split, thresholds)
-    got = np.zeros(1 << n, dtype=np.uint64)
     cut = None if thresholds is None else scan_cut(split, thresholds)
-    pairs = m61.superset_scan(m61.M61Family.of(fam).values, cols, got, cut)
-    assert got.tolist() == want
-    assert pairs == stats.pair_iterations
+    want, want_pairs = _scan_by_definition(random_family(PrimeField(), n, seed), cols, cut)
+    for ring in (PrimeField(), CountingRing(PrimeField())):
+        fam = ArrayFamily.of(random_family(ring, n, seed))
+        stats, got = PipelineStats(), fam.zero_table()
+        _direct_scan(fam, cols, got, stats, split, thresholds)
+        assert stats.pair_iterations == want_pairs
+        assert got.tolist() == want
 
 
 @settings(max_examples=15, deadline=None)
@@ -329,7 +358,7 @@ def test_superset_scan_matches_the_list_scan(case):
 def test_array_path_with_drawn_sigma_and_tau(n, seed, sigma, tau):
     naive = mst_naive(random_family(PrimeField(), n, seed)).values
     for algo, t in (("columns", None), ("rows-columns", tau)):
-        (arr, arr_stats), (lst, lst_stats) = _both_paths(algo, n, seed, sigma, t)
+        (arr, arr_stats), (lst, lst_stats) = _both_forms(algo, n, seed, sigma, t)
         assert arr == lst == naive
         assert arr_stats == lst_stats
 
@@ -365,14 +394,14 @@ def test_non_canonical_members_give_the_same_table():
     for algo in ARRAY_ALGOS:
         assert run_transform(algo, family(PrimeField())).values == naive
         assert run_transform(algo, family(CountingRing(PrimeField()))).values == naive
-    assert m61.canonical([odd]).tolist() == [[v % P for v in odd]]
+    assert m61.from_rows([odd]).tolist() == [[v % P for v in odd]]
 
 
 def test_batch_cap_below_one_product_does_not_change_the_table(monkeypatch):
     # every product a batch of its own
-    monkeypatch.setattr(m61, "BATCH_OUTPUT_ENTRIES", 1)
+    monkeypatch.setattr(mst, "BATCH_OUTPUT_ENTRIES", 1)
     for n in (5, 8):
-        (arr, arr_stats), (lst, lst_stats) = _both_paths("cover", n, 7)
+        (arr, arr_stats), (lst, lst_stats) = _both_forms("cover", n, 7)
         assert arr == lst
         assert arr_stats == lst_stats
 
@@ -383,9 +412,8 @@ class _EntryTypes(ClassicalBackend):
         self.shapes = []
 
     def multiply(self, ring, a, b, stats=None):
-        self.seen.add(type(a.entries))
-        if not isinstance(a.entries, list):
-            self.shapes.append(a.entries.shape)
+        self.seen.add(a.entries.dtype)
+        self.shapes.append(a.entries.shape)
         return super().multiply(ring, a, b, stats)
 
 
@@ -418,7 +446,7 @@ def test_wider_cover_blocks_match_the_list_path(monkeypatch):
     assert shortened
 
 
-@pytest.mark.parametrize("algo,ring,array", [
+@pytest.mark.parametrize("algo,ring,uint64", [
     ("columns", PrimeField(), True),
     ("rows-columns", PrimeField(), True),
     ("cover", PrimeField(), True),
@@ -426,30 +454,30 @@ def test_wider_cover_blocks_match_the_list_path(monkeypatch):
     ("columns", PrimeField(101), False),
     ("naive", PrimeField(), False),
 ])
-def test_which_runs_take_the_array_path(algo, ring, array):
-    # an M61Family runs as it is on the array path; naive rejects it
+def test_which_runs_take_the_array_path(algo, ring, uint64):
+    # which element form each run multiplies in (naive multiplies none);
+    # an ArrayFamily runs as it is, and naive rejects it
     backend = _EntryTypes()
     fam = random_family(ring, 5, seed=1)
     g = run_transform(algo, fam, backend=backend)
-    assert backend.seen == ({np.ndarray if array else list} if algo != "naive" else set())
+    form = {np.dtype(np.uint64 if uint64 else object)}
+    assert backend.seen == (form if algo != "naive" else set())
     assert all(type(v) is int for v in g.values)
-    if not is_m61(ring):
-        return
-    arrays = m61.M61Family.of(fam)
+    given = ArrayFamily.of(fam)
     if algo == "naive":
         with pytest.raises(ValueError):
-            run_transform(algo, arrays)
+            run_transform(algo, given)
         return
     backend = _EntryTypes()
-    assert run_transform(algo, arrays, backend=backend).values == g.values
-    assert backend.seen == {np.ndarray}
+    assert run_transform(algo, given, backend=backend).values == g.values
+    assert backend.seen == form
 
 
 @settings(max_examples=12, deadline=None)
 @given(n=st.integers(0, 8), seed=st.integers(0, 10**6))
 def test_dag_array_route_matches_the_list_route(n, seed):
     # the same weights over PrimeField (uint64 arrays from the weights to
-    # the last round) and over CountingRing(PrimeField()) (lists)
+    # the last round) and over CountingRing(PrimeField()) (object arrays)
     arr_wsys = _random_weights(PrimeField(), n, seed)
     lst_wsys = _random_weights(CountingRing(PrimeField()), n, seed)
     expected = tian_he_sum(arr_wsys).a
@@ -473,7 +501,7 @@ def test_steady_state_calls_fault_no_heap_pages_back_in(algo):
 
 
 def test_list_path_runs_never_import_the_array_module():
-    # m61 sets malloc options on import, so the list path must not load it
+    # m61 sets malloc options on import, so runs over other rings must not load it
     code = """
 import sys
 from multisubset import CountingRing, PrimeField, run_transform, sum_acyclic_digraphs

@@ -13,6 +13,7 @@ from multisubset import (
     MeasuredCostPlanner,
     OpCounter,
     PipelineStats,
+    PrimeField,
     ROWS_COLUMNS_SIGMA,
     ROWS_COLUMNS_TAU,
     SetFunction,
@@ -32,7 +33,7 @@ from multisubset.mst import (
     scan_cut,
     small_large_columns,
 )
-from multisubset.ring import is_m61
+from multisubset.arrays import ArrayFamily
 from multisubset.setfn import MAX_GROUND_SET
 
 from helpers import random_family
@@ -66,6 +67,18 @@ def test_fast_matches_naive(modp, algo, n):
     expected = mst_naive(fam)
     got = run_transform(algo, fam)
     assert values_equal(modp, got.values, expected.values)
+
+
+@pytest.mark.parametrize("ring", [
+    CountingRing(PrimeField()), PrimeField(101), PrimeField((1 << 521) - 1),
+], ids=["counting", "p101", "p521"])
+def test_object_form_rings_match_naive(ring):
+    # every fast plan on the object form equals the naive oracle
+    for n in (0, 1, 2, 5, 8, 10):
+        fam = random_family(ring, n, seed=n)
+        naive = mst_naive(fam).values
+        for algo in FAST:
+            assert run_transform(algo, fam).values == naive
 
 
 def test_f64_close():
@@ -131,7 +144,7 @@ def test_bracket_matrix_semantics(modp):
     split = GroundSplit.for_n(4)
     rows = list(range(1 << split.h1))
     cols = list(range(1 << 4))
-    e1 = build_submatrix(fam, split, 1, rows, cols)
+    e1 = build_submatrix(ArrayFamily.of(fam), split, 1, rows, cols)
     members = [m.values for m in fam.members]
     for i, t1 in enumerate(rows):
         for j, s in enumerate(cols):
@@ -154,7 +167,7 @@ def test_bracket_matrix_semantics(modp):
 
 
 def test_bracket_row_outside_part_rejected(modp):
-    fam = random_family(modp, 4, seed=9)
+    fam = ArrayFamily.of(random_family(modp, 4, seed=9))
     split = GroundSplit.for_n(4)
     with pytest.raises(ValueError):
         build_submatrix(fam, split, 1, [0b1000], [0])
@@ -165,11 +178,13 @@ def test_bracket_row_outside_part_rejected(modp):
 
 
 def _run_plan(fam, plan):
-    # the list path's table; on PrimeField(2^61 - 1) the array path must agree
+    # the plan's table on fam's element form; the object form (through
+    # CountingRing over the same values) must agree
     split = GroundSplit.for_n(fam.n)
     values = _execute(fam, split, plan, None, None).values
-    if is_m61(fam.ring):
-        assert _execute(fam, split, plan, None, None, arrays=True).values == values
+    ring = CountingRing(fam.ring)
+    counted = Family(ring, fam.n, [SetFunction(ring, fam.n, m.values) for m in fam.members])
+    assert _execute(counted, split, plan, None, None).values == values
     return values
 
 
@@ -209,8 +224,10 @@ def test_rows_trimmed_partial(modp):
 @pytest.mark.parametrize("trimmed", [False, True])
 @pytest.mark.parametrize("n", [6, 9, 11])
 def test_scan_ring_op_counts(n, trimmed):
-    # one add per visited pair; one mul per pair past each kept column's
-    # root, plus |S| muls for the root product of each kept column
+    # one add per visited pair; one mul per computed entry past each kept
+    # column's root, plus |S| muls for the root product of each kept
+    # column.  A kept column computes all 2^(n - |S|) supersets; the
+    # trimmed scan then drops the cut ones, which it does not visit.
     counter = OpCounter()
     fam = random_family(CountingRing(make_ring("modp"), counter), n, seed=n)
     split = GroundSplit.for_n(n)
@@ -228,10 +245,13 @@ def test_scan_ring_op_counts(n, trimmed):
             if not ((s & split.u1_mask).bit_count() > t1
                     and (s & split.u2_mask).bit_count() > t2)
         ]
+    computed = sum(1 << (n - s.bit_count()) for s in kept)
+    if thresholds is None:
+        assert stats.pair_iterations == computed
+    else:
+        assert stats.pair_iterations < computed
     assert counter.adds == stats.pair_iterations
-    assert counter.muls == (
-        stats.pair_iterations - len(kept) + sum(s.bit_count() for s in kept)
-    )
+    assert counter.muls == computed - len(kept) + sum(s.bit_count() for s in kept)
 
 
 def test_parameter_domains(modp):

@@ -101,7 +101,7 @@ def test_zeta_addition_count():
 
 def test_array_butterflies_match_the_list_path(modp):
     # PrimeField(2^61 - 1) runs both transforms on one uint64 array; the
-    # list path (here through CountingRing) leaves f(empty set) unreduced
+    # object form (here through CountingRing) leaves f(empty set) unreduced
     p = modp.p
     odd = [p, -1, 2**64 + 9]
     for n in range(13):
