@@ -41,11 +41,16 @@ SPLIT = ("rmm.kernel_s", "rmm.muls", "rmm.products", "mst.build_s", "mst.build_e
 
 
 def seed_list(text: str) -> list[int]:
-    """'61-70' or '61,63,65' as a list of seeds."""
+    """'61-70' or '61,63,65' as a list of at least two seeds (the summary's
+    quartiles need two runs a side)."""
     if "-" in text:
         lo, hi = text.split("-")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",")]
+        seeds = list(range(int(lo), int(hi) + 1))
+    else:
+        seeds = [int(s) for s in text.split(",")]
+    if len(seeds) < 2:
+        raise argparse.ArgumentTypeError(f"{text!r} names {len(seeds)} seeds; give at least two")
+    return seeds
 
 
 def benchmark(checkouts: dict) -> dict:

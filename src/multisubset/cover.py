@@ -17,6 +17,14 @@ from functools import lru_cache
 from .bitops import subsets_of_size
 
 MAX_V = 28
+# Entries C(v, k) * C(k, s) of the candidate s-subset sets greedy_cover
+# builds before its first pick; a larger design is rejected up front
+# ((28, 14, 7) would need 1.4e11).  Every design with v <= 12 fits (at
+# most 34650 entries, at (12, 8, 4)).  The largest accepted, (24, 22, 20)
+# and (24, 4, 2) with 63756 entries each, took 0.49 and 0.26 CPU seconds
+# and 33 and 38 MB peak RSS, 28 MB of it the imported package (Python
+# 3.11, one process on a 2-vCPU VM).
+MAX_CANDIDATE_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -38,6 +46,12 @@ def _check_params(v: int, k: int, s: int):
 def greedy_cover(v: int, k: int, s: int) -> CoverDesign:
     """Greedy (v, k, s) covering design with deterministic tie-breaking."""
     _check_params(v, k, s)
+    entries = math.comb(v, k) * math.comb(k, s)
+    if entries > MAX_CANDIDATE_ENTRIES:
+        raise ValueError(
+            f"(v, k, s) = ({v}, {k}, {s}) needs {entries} candidate entries; "
+            f"the limit is {MAX_CANDIDATE_ENTRIES}"
+        )
     full = (1 << v) - 1
     candidates = sorted(subsets_of_size(full, k))
     cand_sets = [frozenset(subsets_of_size(c, s)) for c in candidates]

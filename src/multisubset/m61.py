@@ -242,8 +242,6 @@ def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     2^(21 k) = 2^(21 k mod 61) (mod p).  The float64 products run on
     the calling thread (`_one_blas_thread`).
     """
-    if a.ndim == 2:
-        return product(a[None], b[None])[0]
     (m, r1, cols), r2 = a.shape, b.shape[1]
     if cols == 1:
         return mul(a, b[:, None, :, 0])

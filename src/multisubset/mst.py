@@ -11,11 +11,11 @@ product of a part-1 bracket and a part-2 bracket, so summing over a set
 of columns S is a rectangular product between the two bracket matrices.
 
 Each fast variant is a plan: an ordered sequence of steps that one
-executor runs into a single output table.  A `Product` step adds the
-terms of its columns to every cell T1 | T2 of its row lists by one
-rectangular product; a `Scan` step adds the terms of its columns to
-every superset T by a direct scan, optionally skipping the pairs a
-trimmed product covers.
+executor runs into a single output table.  A `Product` step is a batch
+of m rectangular products of one shape, held as int64 arrays: each adds
+the terms of its columns to every cell T1 | T2 of its row lists; a
+`Scan` step adds the terms of its columns to every superset T by a
+direct scan, optionally skipping the pairs a trimmed product covers.
 
 `run_transform` is the one entry point: `check_algorithm` resolves the
 algorithm's sigma and tau, and `_plan` builds its steps.
@@ -27,9 +27,9 @@ or arrive as one, as the DAG rounds hand them over).  Exactly
 and a kernel through float64 BLAS); every other ring the object form,
 whose operations call the ring's own methods, so `CountingRing` counts
 them.  The bracket build, the scatter and the direct scan below are
-written once against the form's operations.  Consecutive products of
-one shape run as one batched product, so `cover`'s thousands of
-one-column products pay numpy's per-call overhead once per batch, not
+written once against the form's operations.  The plan batches itself:
+`cover` emits its thousands of one-column products as a few batches of
+one shape, so they pay numpy's per-call overhead once per batch, not
 once each.  `naive` stays on lists: it is the oracle the fast plans are
 checked against, and the control that no array kernel touches.
 
@@ -70,8 +70,8 @@ BUILD_CHUNK_ENTRIES = 1 << 16
 # chunk of its own).  Below 2^21 columns per chunk, the uint64 form's scan
 # sums stay exact.
 SCAN_CHUNK_ENTRIES = 1 << 16
-# Output entries per batch of equal-shape products (a larger product is a
-# batch of its own).  Below 2^21 blocks per batch, the uint64 form's
+# Output entries per batch of equal-shape cover products (a larger product
+# is a batch of its own).  Below 2^21 blocks per batch, the uint64 form's
 # scatter sums stay exact.
 BATCH_OUTPUT_ENTRIES = 1 << 14
 
@@ -111,26 +111,28 @@ class PipelineStats:
 
 @dataclass
 class Product:
-    """Plan step: the columns' terms at every T1 | T2 by one rectangular product.
+    """Plan step: a batch of m rectangular products of one shape.
 
-    rows1 holds part-1 masks, rows2 part-2 masks; each (T1 | T2, S) pair
-    is summed once, so a plan must not give it to another step too.
+    rows1 (m, r1), cols (m, c) and rows2 (m, r2) are int64 mask arrays;
+    product k adds the terms of cols[k] at every T1 | T2 with T1 in
+    rows1[k] and T2 in rows2[k].  Each (T1 | T2, S) pair is summed once,
+    so a plan must not give it to another product or step too.
     """
 
-    rows1: list[int]
-    cols: list[int]
-    rows2: list[int]
+    rows1: object
+    cols: object
+    rows2: object
 
 
 @dataclass
 class Scan:
-    """Plan step: the columns' terms at every superset T by the direct scan.
-
-    With thresholds (t1, t2), every T with more than t1 part-1 and more
-    than t2 part-2 elements is skipped (a trimmed product covers it).
+    """Plan step: the terms of cols (1-D, int64) at every superset T by the
+    direct scan.  With thresholds (t1, t2), every T with more than t1
+    part-1 and more than t2 part-2 elements is skipped (a trimmed product
+    covers it).
     """
 
-    cols: list[int]
+    cols: object
     thresholds: tuple[int, int] | None = None
 
 
@@ -176,20 +178,17 @@ def mst_naive(fam: Family, stats: PipelineStats | None = None) -> SetFunction:
     return SetFunction(fam.ring, fam.n, naive_at(fam, range(1 << fam.n), stats))
 
 
-def build_submatrix(
-    fam, split: GroundSplit, part: int, rows: list, cols: list[int]
-) -> SubMatrix:
-    """Bracket matrix for one half of the split, from an `arrays.ArrayFamily`.
+def build_submatrix(fam, split: GroundSplit, part: int, rows, cols) -> SubMatrix:
+    """Bracket matrices of a batch of m blocks on one half of the split.
 
-    Entry (T_p, S) is prod over i in T_p of f_i(S) when S's part-p bits
-    lie inside T_p, and zero otherwise (the bracket).  Row masks must
-    stay within their own half of the ground set.  `rows` is a list of r
-    masks, giving an (r, c) array of the family's element form; or a
-    batch: a list of m row lists of one length r, with `cols` the m
-    blocks' column lists of one length c concatenated, giving an
-    (m, r, c) array, and as row labels an (r, m) array whose row i holds
-    the i-th rows of all m blocks, so that len(rows) * len(cols) counts
-    the entries.
+    `fam` is an `arrays.ArrayFamily`; `rows` is an (m, r) int64 array of
+    masks within part p of the ground set, `cols` an (m, c) one.  Entry
+    (k, i, j) of the (m, r, c) array is prod over i' in T_p of f_i'(S)
+    for T_p = rows[k, i] and S = cols[k, j] when S's part-p bits lie
+    inside T_p, and zero otherwise (the bracket).  The row labels are the
+    (r, m) array whose row i holds the i-th rows of the m blocks and the
+    column labels the m blocks' columns concatenated, so that
+    len(rows) * len(cols) counts the entries.
 
     Per column chunk (at most BUILD_CHUNK_ENTRIES table entries), the
     products of every subset of the half come from doubling (subset
@@ -203,23 +202,17 @@ def build_submatrix(
     part_mask = split.u1_mask if part == 1 else split.u2_mask
     first_bit, h = (0, split.h1) if part == 1 else (split.h1, split.h2)
     form = fam.form
-    by_row = np.array(rows, dtype=np.int64).T
-    batch = by_row.ndim == 2
-    if not batch:
-        by_row = by_row[:, None]
-    outside_part = by_row[(by_row & ~part_mask) != 0]
+    outside_part = rows[(rows & ~part_mask) != 0]
     if outside_part.size:
         raise ValueError(f"row mask {int(outside_part[0]):#x} is not within part {part}")
-    r, m = by_row.shape
-    c = len(cols) // m
-    local = by_row >> first_bit
-    outside_row = ~by_row
-    col_arr = np.array(cols, dtype=np.int64)
+    (m, r), c = rows.shape, cols.shape[1]
+    local = rows >> first_bit
+    flat = cols.ravel()
     out = np.empty((m, r, c), dtype=form.dtype)
     width = max(1, BUILD_CHUNK_ENTRIES >> h)
-    table = np.empty((1 << h, min(len(cols), width)), dtype=form.dtype)
-    for c0 in range(0, len(cols), width):
-        chunk = col_arr[c0:c0 + width]
+    table = np.empty((1 << h, min(flat.size, width)), dtype=form.dtype)
+    for c0 in range(0, flat.size, width):
+        chunk = flat[c0:c0 + width]
         w = len(chunk)
         sub = table[:, :w]
         sub[0] = form.one
@@ -227,44 +220,40 @@ def build_submatrix(
             form.mul(sub[:1 << k], fam.values[first_bit + k, chunk], out=sub[1 << k:2 << k])
         if m == 1:  # one block: whole rows of the table
             entries = out[0, :, c0:c0 + w]
-            np.take(sub, local[:, 0], axis=0, out=entries)
-            entries[((chunk & part_mask) & outside_row) != 0] = form.zero
+            np.take(sub, local[0], axis=0, out=entries)
+            entries[(chunk & part_mask) & ~rows[0, :, None] != 0] = form.zero
             continue
         block, at = np.divmod(np.arange(c0, c0 + w), c)
-        entries = sub[local[:, block], np.arange(w)]  # (r, w)
-        entries[((chunk & part_mask) & outside_row[:, block]) != 0] = form.zero
-        out[block, :, at] = entries.T
-    if batch:
-        return SubMatrix(by_row, list(cols), out)
-    return SubMatrix(list(rows), list(cols), out[0])
+        entries = sub[local[block], np.arange(w)[:, None]]  # (w, r)
+        entries[(chunk[:, None] & part_mask) & ~rows[block] != 0] = form.zero
+        out[block, :, at] = entries
+    return SubMatrix(rows.T, flat, out)
 
 
 def _product_into(
     fam,
     split: GroundSplit,
-    batch: list[Product],
+    step: Product,
     backend: RmmBackend,
     g,
     stats: PipelineStats | None,
 ) -> None:
-    """Run Product steps of one shape as one batched product, scattered into g."""
+    """Run a Product step's batch as one batched product, scattered into g."""
     if stats is not None:
-        stats.columns_processed += sum(len(step.cols) for step in batch)
-    first = batch[0]
-    if not first.rows1 or not first.rows2 or not first.cols:
+        stats.columns_processed += step.cols.size
+    if not (step.rows1.size and step.cols.size and step.rows2.size):
         return
-    cols = [c for step in batch for c in step.cols]
-    e1 = build_submatrix(fam, split, 1, [s.rows1 for s in batch], cols)
-    e2 = build_submatrix(fam, split, 2, [s.rows2 for s in batch], cols)
+    e1 = build_submatrix(fam, split, 1, step.rows1, step.cols)
+    e2 = build_submatrix(fam, split, 2, step.rows2, step.cols)
     product = backend.multiply(fam.ring, e1, e2, stats)
-    # g[t1 | t2] += product[k, i, j] for t1 = e1.rows[i, k], t2 = e2.rows[j, k]
-    idx = e1.rows.T[:, :, None] | e2.rows.T[:, None, :]
+    # g[t1 | t2] += product[k, i, j] for t1 = rows1[k, i], t2 = rows2[k, j]
+    idx = step.rows1[:, :, None] | step.rows2[:, None, :]
     fam.form.add_at(g, idx.ravel(), product.ravel())
 
 
 def _direct_scan(
     fam,
-    cols: list[int],
+    cols,
     g,
     stats: PipelineStats | None,
     split: GroundSplit | None = None,
@@ -272,11 +261,12 @@ def _direct_scan(
 ) -> None:
     """Accumulate g[T] += prod_{i in T} f_i(S) for each S in cols, T superset S.
 
-    When row thresholds (t1, t2) are given, a T whose half-sizes both
-    exceed them is left out (a trimmed product covers it), and so is a
-    column that is such a T itself.  The columns run grouped by popcount
-    p, in chunks of one popcount holding at most SCAN_CHUNK_ENTRIES table
-    entries (a column with a larger table is a chunk of its own).  A
+    cols is a 1-D int64 array.  When row thresholds (t1, t2) are given, a
+    T whose half-sizes both exceed them is left out (a trimmed product
+    covers it), and so is a column that is such a T itself.  The columns
+    run grouped by popcount p, in chunks of one popcount holding at most
+    SCAN_CHUNK_ENTRIES table entries (a column with a larger table is a
+    chunk of its own).  A
     chunk of c columns fills a dense (2^(n-p), c) product table and a
     matching mask table by doubling over each column's free bits in rank
     order: step q multiplies rows [0, 2^q) by the column's q-th free
@@ -287,21 +277,20 @@ def _direct_scan(
     import numpy as np
 
     form, values, n = fam.form, fam.values, fam.n
-    col_arr = np.array(cols, dtype=np.int64)
     cut = None
     if thresholds is not None:
-        cut = np.frombuffer(scan_cut(split, thresholds), dtype=np.bool_)
-        col_arr = col_arr[~cut[col_arr]]
-    pops = np.bitwise_count(col_arr).astype(np.int64)
+        cut = scan_cut(split, thresholds)
+        cols = cols[~cut[cols]]
+    pops = np.bitwise_count(cols).astype(np.int64)
     order = np.argsort(pops, kind="stable")
-    col_arr, pops = col_arr[order], pops[order]
-    roots = np.full(len(col_arr), form.one, dtype=form.dtype)  # prod over i in S of f_i(S)
+    cols, pops = cols[order], pops[order]
+    roots = np.full(len(cols), form.one, dtype=form.dtype)  # prod over i in S of f_i(S)
     for b in range(n):
-        has = np.flatnonzero((col_arr >> b) & 1)
-        roots[has] = form.mul(roots[has], values[b, col_arr[has]])
+        has = np.flatnonzero((cols >> b) & 1)
+        roots[has] = form.mul(roots[has], values[b, cols[has]])
     pairs = 0
     for c0, c1 in _scan_chunks(pops, n):
-        s, free = col_arr[c0:c1], n - int(pops[c0])
+        s, free = cols[c0:c1], n - int(pops[c0])
         # the free bits of each column, ascending: (free, c)
         free_bits = np.nonzero((s[:, None] >> np.arange(n)) & 1 == 0)[1].reshape(len(s), free).T
         prods = np.empty((1 << free, len(s)), dtype=form.dtype)
@@ -342,15 +331,14 @@ def _execute(
     """Run a plan's steps in order into one output table, on arrays.
 
     `fam` is a list `Family`, or an `arrays.ArrayFamily` that runs as it
-    is; consecutive Product steps of one shape run as one batched
-    product.  The table comes back as a list.
+    is.  The table comes back as a list.
     """
     from .arrays import ArrayFamily
 
     backend = backend or ClassicalBackend()
     fam = ArrayFamily.of(fam)
     g = fam.zero_table()
-    for step in _batched(steps):
+    for step in steps:
         if isinstance(step, Scan):
             _direct_scan(fam, step.cols, g, stats, split, step.thresholds)
         else:
@@ -358,61 +346,37 @@ def _execute(
     return SetFunction(fam.ring, fam.n, g.tolist())
 
 
-def _batched(steps):
-    """The steps, with each run of Products of one shape grouped into lists.
-
-    A shape is (len(rows1), len(cols), len(rows2)); a list grows while its
-    products' outputs hold at most BATCH_OUTPUT_ENTRIES entries in all (a
-    product larger than that is a list of its own).  Steps are pulled one
-    at a time, so a generated plan is never held whole.
-    """
-    batch, shape = [], None
-    for step in steps:
-        if isinstance(step, Product):
-            r1, c, r2 = len(step.rows1), len(step.cols), len(step.rows2)
-            if (r1, c, r2) == shape and (len(batch) + 1) * r1 * r2 <= BATCH_OUTPUT_ENTRIES:
-                batch.append(step)
-                continue
-        if batch:
-            yield batch
-        if isinstance(step, Product):
-            batch, shape = [step], (r1, c, r2)
-        else:
-            batch, shape = [], None
-            yield step
-    if batch:
-        yield batch
-
-
 def row_thresholds(split: GroundSplit, tau: float) -> tuple[int, int]:
     return _guarded_floor(tau * split.h1), _guarded_floor(tau * split.h2)
 
 
-def _half_rows(split: GroundSplit, part: int, above: int = -1) -> list[int]:
+def _half_rows(split: GroundSplit, part: int, above: int = -1):
     """Row masks of one half with more than `above` elements, ascending."""
+    import numpy as np
+
     h, shift = (split.h1, 0) if part == 1 else (split.h2, split.h1)
-    return [t << shift for t in range(1 << h) if t.bit_count() > above]
+    t = np.arange(1 << h)
+    return t[np.bitwise_count(t) > above] << shift
 
 
-def small_large_columns(n: int, s0: int) -> tuple[list[int], list[int]]:
-    """Masks of popcount at most s0, and the rest, each ascending."""
+def small_large_columns(n: int, s0: int):
+    """Masks of popcount at most s0, and the rest, each an ascending array."""
     # Imported on first use: importing numpy before the package's larger
     # modules are compiled raises the peak RSS of a run without bytecode
     # caching.
     import numpy as np
 
     small = np.bitwise_count(np.arange(1 << n)) <= s0
-    return np.flatnonzero(small).tolist(), np.flatnonzero(~small).tolist()
+    return np.flatnonzero(small), np.flatnonzero(~small)
 
 
-def scan_cut(split: GroundSplit, thresholds: tuple[int, int]) -> bytearray:
-    """One byte per mask T: 1 when both half-sizes of T exceed (t1, t2)."""
+def scan_cut(split: GroundSplit, thresholds: tuple[int, int]):
+    """A bool per mask T: True when both half-sizes of T exceed (t1, t2)."""
     import numpy as np
 
     t1, t2 = thresholds
     t = np.arange(1 << split.n)
-    both = (np.bitwise_count(t & split.u1_mask) > t1) & (np.bitwise_count(t & split.u2_mask) > t2)
-    return bytearray(both.tobytes())
+    return (np.bitwise_count(t & split.u1_mask) > t1) & (np.bitwise_count(t & split.u2_mask) > t2)
 
 
 class MeasuredCostPlanner:
@@ -467,43 +431,61 @@ def _block_cost(h1: int, h2: int, s1: int, s2: int, k1: int, k2: int) -> float:
 
 
 def _cover_plan(split: GroundSplit):
-    """One product per block pair, generated as the executor asks for it.
+    """Batches of one product per block pair, generated as the executor asks.
 
     Columns come in classes by (popcount in part 1, popcount in part 2);
-    covering designs tile each class into block pairs, and a covered-set
-    keeps every column's contribution counted exactly once.  Each part-2
-    block's columns and rows are listed once per class.
+    covering designs tile each class into block pairs (key1, key2), taken
+    key1-major.  A column goes to the first pair holding its halves: a
+    pair's columns are key1's own s1-subsets times key2's own s2-subsets
+    (`_design_blocks`), and a pair with none is skipped.  Each run of
+    pairs of one width is cut into batches of at most BATCH_OUTPUT_ENTRIES
+    outputs (a larger product is a batch of its own) within its class.
 
     Under the classical cost model `MeasuredCostPlanner` picks blocks of
     exactly the column size for every class at every n up to
     MAX_GROUND_SET, so each product covers one column and the run issues
-    3^n kernel multiplications, the naive pair count.  The products of a
-    class share one shape, so the executor runs them in a few batches.
+    3^n kernel multiplications, the naive pair count, in one run per class.
     """
+    import numpy as np
+
     h1, h2 = split.h1, split.h2
     planner = MeasuredCostPlanner()
-    covered = bytearray(1 << split.n)
     for s1 in range(h1 + 1):
         for s2 in range(h2 + 1):
             k1, k2 = planner.select(split, s1, s2)
-            design1 = greedy_cover(h1, k1, s1)
-            blocks2 = [
-                (
-                    [m2 << h1 for m2 in subsets_of_size(key2, s2)],
-                    [t << h1 for t in range(1 << h2) if (t & key2).bit_count() >= s2],
-                )
-                for key2 in greedy_cover(h2, k2, s2).blocks
-            ]
-            for key1 in design1.blocks:
-                cols1 = list(subsets_of_size(key1, s1))
-                rows1 = [t for t in range(1 << h1) if (t & key1).bit_count() >= s1]
-                for cols2, rows2 in blocks2:
-                    cols = [c for m1 in cols1 for m2 in cols2 if not covered[c := m1 | m2]]
-                    if not cols:
-                        continue
-                    for c in cols:
-                        covered[c] = 1
-                    yield Product(rows1, cols, rows2)
+            rows1, own1, count1 = _design_blocks(greedy_cover(h1, k1, s1), s1, 0)
+            rows2, own2, count2 = _design_blocks(greedy_cover(h2, k2, s2), s2, h1)
+            widths = (count1[:, None] * count2).ravel()
+            pairs = np.flatnonzero(widths)
+            widths = widths[pairs]
+            per_batch = max(1, BATCH_OUTPUT_ENTRIES // (rows1.shape[1] * rows2.shape[1]))
+            edges = [*np.flatnonzero(np.diff(widths, prepend=-1)).tolist(), len(pairs)]
+            for p0, p1 in zip(edges, edges[1:]):
+                at = np.arange(widths[p0])
+                for b0 in range(p0, p1, per_batch):
+                    i, j = np.divmod(pairs[b0:min(b0 + per_batch, p1)], len(count2))
+                    per2 = count2[j, None]
+                    cols = own1[i[:, None], at // per2] | own2[j[:, None], at % per2]
+                    yield Product(rows1[i], cols, rows2[j])
+
+
+def _design_blocks(design, s: int, shift: int):
+    """(rows, own, count) of a (h, k, s) design's K blocks, masks shifted left
+    by `shift`: rows[b] are the half's masks meeting block b in at least s
+    elements, ascending; own[b, :count[b]] are the s-subsets of block b
+    that no earlier block holds, in `subsets_of_size` order.
+    """
+    import numpy as np
+
+    keys = np.array(design.blocks, dtype=np.int64)
+    subsets = np.array([list(subsets_of_size(key, s)) for key in design.blocks], dtype=np.int64)
+    first = np.zeros(subsets.size, dtype=bool)
+    first[np.unique(subsets, return_index=True)[1]] = True
+    first = first.reshape(subsets.shape)
+    own = np.take_along_axis(subsets, np.argsort(~first, axis=1, kind="stable"), axis=1)
+    half = np.arange(1 << design.v)
+    rows = np.nonzero(np.bitwise_count(half & keys[:, None]) >= s)[1].reshape(len(keys), -1)
+    return rows << shift, own << shift, first.sum(axis=1)
 
 
 def check_algorithm(
@@ -538,17 +520,11 @@ def _plan(algo: str, split: GroundSplit, sigma: float | None, tau: float | None)
     if algo == "cover":
         return _cover_plan(split)
     small, large = small_large_columns(split.n, _guarded_floor(sigma * split.n))
+    t1, t2 = (-1, -1) if algo == "columns" else row_thresholds(split, tau)
+    product = Product(_half_rows(split, 1, t1)[None], small[None], _half_rows(split, 2, t2)[None])
     if algo == "columns":
-        return (
-            Product(_half_rows(split, 1), small, _half_rows(split, 2)),
-            Scan(large),
-        )
-    t1, t2 = row_thresholds(split, tau)
-    return (
-        Scan(small, (t1, t2)),
-        Product(_half_rows(split, 1, t1), small, _half_rows(split, 2, t2)),
-        Scan(large),
-    )
+        return product, Scan(large)
+    return Scan(small, (t1, t2)), product, Scan(large)
 
 
 def run_transform(

@@ -1,9 +1,12 @@
 """Rectangular matrix product kernels for the transform algorithms.
 
-Both operands share the column index set: multiply(A, B) returns
-P[i][j] = sum_c A[i][c] * B[j][c], i.e. A times B transposed.  The
-classical kernel performs exactly rows(A) * cols * rows(B) ring
-multiplications, counted in `PipelineStats.rmm_muls`.
+An operand is a batch of m blocks of one shape, as a plan's `Product`
+step issues them.  Both operands share the column index set:
+multiply(A, B) returns P[k][i][j] = sum_c A[k][i][c] * B[k][j][c], i.e.
+each block of A times the matching block of B transposed.  The classical
+kernel performs exactly rows(A) * cols * rows(B) ring multiplications,
+counted in `PipelineStats.rmm_muls`: the labels count each block's rows
+and all m blocks' columns, so the count covers the whole batch.
 
 Entries are arrays of the ring's element form (`arrays.element_form`),
 and the kernel is the form's `product`.  On the uint64 form of
@@ -13,14 +16,10 @@ per column chunk sum the 9 limb-pair blocks exactly, and the blocks are
 recombined mod p, with the BLAS products on the calling thread.  On the
 object form it takes one outer product of ring values per column, summed
 from zero, so a `CountingRing` counts R1 * C * R2 muls and as many adds.
-An operand may hold a batch of m equal-shape blocks, multiplied block by
-block; its labels count each block's rows and all m blocks' columns, so
-the count R1 * C * R2 covers the whole batch.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .ring import Ring
@@ -28,29 +27,28 @@ from .ring import Ring
 
 @dataclass
 class SubMatrix:
-    """Dense block with explicit row/column labels (bitmasks).
+    """A batch of m dense blocks with explicit row/column labels (bitmasks).
 
-    entries is an (r, c) array, or (m, r, c) for a batch: rows[i] then
-    holds the i-th rows of the m blocks, and cols their m column lists
-    of length c concatenated.
+    entries is an (m, r, c) array; rows[i] holds the i-th rows of the m
+    blocks, and cols their m column lists of length c concatenated.
     """
 
-    rows: list[int]
-    cols: list[int]
+    rows: object
+    cols: object
     entries: object  # a numpy array of the ring's element form
 
     def __post_init__(self):
-        *batch, r, c = self.entries.shape
-        if r != len(self.rows) or c * math.prod(batch) != len(self.cols):
+        m, r, c = self.entries.shape
+        if r != len(self.rows) or m * c != len(self.cols):
             raise ValueError("entry shape does not match row and column labels")
 
 
 class RmmBackend:
     """Interface for rectangular products of bracket matrices.
 
-    multiply(ring, a, b, stats) returns the R1 x R2 grid of inner
-    products between rows of `a` and rows of `b` (both indexed by the
-    shared column list), adding kernel multiplications to stats.rmm_muls.
+    multiply(ring, a, b, stats) returns the (m, R1, R2) inner products of
+    the rows of `a` with the rows of `b`, block by block over the shared
+    column labels, adding kernel multiplications to stats.rmm_muls.
     """
 
     id = "abstract"
@@ -69,9 +67,11 @@ class ClassicalBackend(RmmBackend):
     id = "classical"
 
     def multiply(self, ring: Ring, a: SubMatrix, b: SubMatrix, stats=None):
+        import numpy as np
+
         from .arrays import element_form
 
-        if a.cols != b.cols:
+        if not np.array_equal(a.cols, b.cols):
             raise ValueError("operands must share the column index set")
         form = element_form(ring)
         if a.entries.dtype != form.dtype or b.entries.dtype != form.dtype:

@@ -183,6 +183,13 @@ def test_cover_command(tmp_path):
     assert run_cli("cover", "--v", "3", "--k", "5", "--s", "1") == 2
 
 
+def test_cover_too_large_to_build_exits_2(capsys):
+    # C(28, 14) candidate blocks of C(14, 7) subsets each: 1.4e11 entries,
+    # rejected before any is built
+    assert run_cli("cover", "--v", "28", "--k", "14", "--s", "7") == 2
+    assert "candidate entries" in capsys.readouterr().err
+
+
 def test_optimize_paper_mode_is_line(tmp_path):
     out = tmp_path / "report.json"
     assert run_cli("optimize", "--target", "columns", "--mode", "paper",

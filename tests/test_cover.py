@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from multisubset import CoverDesign, cover_size_bound, greedy_cover, verify_cover
+from multisubset.cover import MAX_CANDIDATE_ENTRIES
 from multisubset.bitops import subsets_of_size
 
 
@@ -55,6 +56,16 @@ def test_parameter_validation():
     for v, k, s in [(-1, 0, 0), (3, 4, 1), (4, 2, 3), (29, 3, 2)]:
         with pytest.raises(ValueError):
             greedy_cover(v, k, s)
+
+
+def test_candidate_budget_keeps_every_design_up_to_v_12():
+    largest = max(comb(v, k) * comb(k, s) for v in range(13) for k in range(v + 1)
+                  for s in range(k + 1))
+    assert largest == comb(12, 8) * comb(8, 4) <= MAX_CANDIDATE_ENTRIES
+    # past the budget: rejected before any candidate set is built
+    with pytest.raises(ValueError, match="candidate entries"):
+        greedy_cover(24, 12, 6)
+    assert verify_cover(greedy_cover(24, 22, 20))  # 63756 entries, the largest accepted
 
 
 def test_verify_rejects_bad_designs():

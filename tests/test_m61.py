@@ -41,7 +41,7 @@ from multisubset.mst import (
     scan_cut,
 )
 
-from helpers import random_family
+from helpers import masks, one_wider_select, random_family
 
 P = MERSENNE61
 EXTREMES = [0, 1, 2**32 - 1, 2**32, P - 1]
@@ -80,7 +80,7 @@ def _python_product(a, b):
 def test_kernel_with_every_entry_p_minus_1(cols):
     a = [[P - 1] * cols for _ in range(3)]
     b = [[P - 1] * cols for _ in range(2)]
-    assert m61.product(u64(a), u64(b)).tolist() == _python_product(a, b)
+    assert m61.product(u64([a]), u64([b])).tolist() == [_python_product(a, b)]
 
 
 def test_kernel_chunk_and_fold_bounds_keep_the_sums_exact():
@@ -99,7 +99,7 @@ def test_kernel_with_every_entry_p_minus_1_at_a_chunk_of_2_to_the_11(monkeypatch
     cols = 2 * 2**11
     a = [[P - 1] * cols, [2**42 - 1] * cols, [P - 1] * cols]
     b = [[P - 1] * cols, [2**42 - 1] * cols]
-    assert m61.product(u64(a), u64(b)).tolist() == _python_product(a, b)
+    assert m61.product(u64([a]), u64([b])).tolist() == [_python_product(a, b)]
 
 
 def test_kernel_folds_its_degree_sums_every_chunk(monkeypatch):
@@ -134,10 +134,10 @@ def test_kernel_random_entries_and_counts():
     b = [[rng.choice(EXTREMES + [rng.randrange(P)]) for _ in cols] for _ in range(4)]
     stats = PipelineStats()
     out = ClassicalBackend().multiply(
-        PrimeField(), SubMatrix(list(range(5)), cols, u64(a)),
-        SubMatrix(list(range(4)), cols, u64(b)), stats,
+        PrimeField(), SubMatrix(list(range(5)), cols, u64([a])),
+        SubMatrix(list(range(4)), cols, u64([b])), stats,
     )
-    assert out.tolist() == _python_product(a, b)
+    assert out.tolist() == [_python_product(a, b)]
     assert stats.rmm_muls == 5 * len(cols) * 4
 
 
@@ -191,11 +191,11 @@ def test_kernel_without_the_thread_calls_is_unchanged(monkeypatch):
 
 
 def test_kernel_rejects_arrays_over_another_ring():
-    a = SubMatrix([0], [0], u64([[1]]))
+    a = SubMatrix([0], [0], u64([[[1]]]))
     with pytest.raises(ValueError):
         ClassicalBackend().multiply(PrimeField(101), a, a)
     with pytest.raises(ValueError):
-        SubMatrix([0, 1], [0], u64([[1]]))
+        SubMatrix([0, 1], [0], u64([[[1]]]))
 
 
 def test_bracket_matrix_array_form(modp):
@@ -203,12 +203,13 @@ def test_bracket_matrix_array_form(modp):
     split = GroundSplit.for_n(7)
     uint64 = ArrayFamily.of(random_family(modp, 7, seed=12))
     objects = ArrayFamily.of(random_family(CountingRing(modp), 7, seed=12))
-    cols = [m for m in range(1 << 7) if m % 5 != 1]
+    cols = masks([[m for m in range(1 << 7) if m % 5 != 1]])
     for part, rows in ((1, [0, 3, 5, 15, 6]), (2, [0, 0b10000, 0b1110000, 0b1010000])):
-        want = build_submatrix(objects, split, part, rows, cols)
-        got = build_submatrix(uint64, split, part, rows, cols)
+        want = build_submatrix(objects, split, part, masks([rows]), cols)
+        got = build_submatrix(uint64, split, part, masks([rows]), cols)
         assert (got.entries.dtype, want.entries.dtype) == (np.uint64, object)
-        assert (got.rows, got.cols) == (want.rows, want.cols)
+        assert got.rows.tolist() == want.rows.tolist() == [[r] for r in rows]
+        assert got.cols.tolist() == want.cols.tolist() == cols[0].tolist()
         assert got.entries.tolist() == want.entries.tolist()
 
 
@@ -226,19 +227,19 @@ def test_batched_bracket_matches_block_by_block(modp, monkeypatch):
     for entries in (48, 24):
         monkeypatch.setattr(mst, "BUILD_CHUNK_ENTRIES", entries)
         for part, parts in blocks.items():
-            rows = [r for r, _ in parts]
-            cols = [c for _, block_cols in parts for c in block_cols]
+            rows = masks([r for r, _ in parts])
+            cols = masks([block_cols for _, block_cols in parts])
             got = build_submatrix(uint64, split, part, rows, cols)
             assert got.entries.shape == (len(parts), len(rows[0]), 2)
             assert len(got.rows) * len(got.cols) == got.entries.size
             for k, (block_rows, block_cols) in enumerate(parts):
                 assert got.rows[:, k].tolist() == block_rows
-                want = build_submatrix(objects, split, part, block_rows, block_cols)
-                assert got.entries[k].tolist() == want.entries.tolist()
+                want = build_submatrix(objects, split, part, rows[k, None], cols[k, None])
+                assert got.entries[k].tolist() == want.entries[0].tolist()
     with pytest.raises(ValueError):
-        build_submatrix(uint64, split, 1, [[1], [0b10000000]], [0, 1])
+        build_submatrix(uint64, split, 1, masks([[1], [0b10000000]]), masks([[0], [1]]))
     with pytest.raises(ValueError):
-        build_submatrix(uint64, split, 2, [0b0001], [0])
+        build_submatrix(uint64, split, 2, masks([[0b0001]]), masks([[0]]))
 
 
 def _both_forms(algo, n, seed, sigma=None, tau=None):
@@ -343,7 +344,7 @@ def test_superset_scan_matches_the_list_scan(case):
     for ring in (PrimeField(), CountingRing(PrimeField())):
         fam = ArrayFamily.of(random_family(ring, n, seed))
         stats, got = PipelineStats(), fam.zero_table()
-        _direct_scan(fam, cols, got, stats, split, thresholds)
+        _direct_scan(fam, masks(cols), got, stats, split, thresholds)
         assert stats.pair_iterations == want_pairs
         assert got.tolist() == want
 
@@ -420,10 +421,7 @@ class _EntryTypes(ClassicalBackend):
 def test_wider_cover_blocks_match_the_list_path(monkeypatch):
     # blocks one element wider than their columns: batches of products of
     # several columns, and products shortened by columns already covered
-    def wider(self, split, s1, s2):
-        return min(s1 + 1, split.h1), min(s2 + 1, split.h2)
-
-    monkeypatch.setattr(MeasuredCostPlanner, "select", wider)
+    monkeypatch.setattr(MeasuredCostPlanner, "select", one_wider_select)
     shapes = []
     for n in (6, 9):
         backend = _EntryTypes()
@@ -439,10 +437,11 @@ def test_wider_cover_blocks_match_the_list_path(monkeypatch):
     split = GroundSplit.for_n(9)
     shortened = 0
     for step in _cover_plan(split):
-        s1 = (step.cols[0] & split.u1_mask).bit_count()
-        s2 = step.cols[0].bit_count() - s1
-        k1, k2 = wider(None, split, s1, s2)
-        shortened += len(step.cols) < math.comb(k1, s1) * math.comb(k2, s2)
+        s1 = int(step.cols[0, 0] & split.u1_mask).bit_count()
+        s2 = int(step.cols[0, 0]).bit_count() - s1
+        k1, k2 = one_wider_select(None, split, s1, s2)
+        m, c = step.cols.shape
+        shortened += m * (c < math.comb(k1, s1) * math.comb(k2, s2))
     assert shortened
 
 

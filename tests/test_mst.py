@@ -23,9 +23,12 @@ from multisubset import (
     run_transform,
     values_equal,
 )
+from multisubset import mst
 from multisubset.mst import (
+    BATCH_OUTPUT_ENTRIES,
     Product,
     Scan,
+    _cover_plan,
     _execute,
     _guarded_floor,
     _half_rows,
@@ -36,7 +39,7 @@ from multisubset.mst import (
 from multisubset.arrays import ArrayFamily
 from multisubset.setfn import MAX_GROUND_SET
 
-from helpers import random_family
+from helpers import masks, one_wider_select, random_family
 
 FAST = ("columns", "rows-columns", "cover")
 
@@ -116,7 +119,7 @@ def test_columns_structural_counts(modp):
 
 def test_small_large_split():
     small, large = small_large_columns(4, 1)
-    assert sorted(small + large) == list(range(16))
+    assert sorted(small.tolist() + large.tolist()) == list(range(16))
     assert all(m.bit_count() <= 1 for m in small)
     assert all(m.bit_count() > 1 for m in large)
 
@@ -127,16 +130,16 @@ def test_column_split_and_scan_cut_match_their_loops():
         for s0 in range(-1, n + 1):
             small = [m for m in range(1 << n) if m.bit_count() <= s0]
             large = [m for m in range(1 << n) if m.bit_count() > s0]
-            assert small_large_columns(n, s0) == (small, large)
+            assert [c.tolist() for c in small_large_columns(n, s0)] == [small, large]
         for t1 in range(-1, split.h1 + 1):
             for t2 in range(-1, split.h2 + 1):
                 cut = scan_cut(split, (t1, t2))
-                assert isinstance(cut, bytearray)
-                assert cut == bytearray(
+                assert cut.dtype == bool
+                assert cut.tolist() == [
                     (t & split.u1_mask).bit_count() > t1
                     and (t & split.u2_mask).bit_count() > t2
                     for t in range(1 << n)
-                )
+                ]
 
 
 def test_bracket_matrix_semantics(modp):
@@ -144,18 +147,18 @@ def test_bracket_matrix_semantics(modp):
     split = GroundSplit.for_n(4)
     rows = list(range(1 << split.h1))
     cols = list(range(1 << 4))
-    e1 = build_submatrix(ArrayFamily.of(fam), split, 1, rows, cols)
+    e1 = build_submatrix(ArrayFamily.of(fam), split, 1, masks(rows)[None], masks(cols)[None])
     members = [m.values for m in fam.members]
     for i, t1 in enumerate(rows):
         for j, s in enumerate(cols):
             if (s & split.u1_mask) & ~t1:
-                assert e1.entries[i][j] == modp.zero
+                assert e1.entries[0][i][j] == modp.zero
             else:
                 prod = modp.one
                 for b in range(4):
                     if (t1 >> b) & 1:
                         prod = modp.mul(prod, members[b][s])
-                assert e1.entries[i][j] == prod
+                assert e1.entries[0][i][j] == prod
     # structurally nonzero entries: sum over T1 of 2^|T1| * 2^h2 = 3^h1 * 2^h2
     nonzero_slots = sum(
         1
@@ -170,11 +173,11 @@ def test_bracket_row_outside_part_rejected(modp):
     fam = ArrayFamily.of(random_family(modp, 4, seed=9))
     split = GroundSplit.for_n(4)
     with pytest.raises(ValueError):
-        build_submatrix(fam, split, 1, [0b1000], [0])
+        build_submatrix(fam, split, 1, masks([[0b1000]]), masks([[0]]))
     with pytest.raises(ValueError):
-        build_submatrix(fam, split, 2, [0b0001], [0])
+        build_submatrix(fam, split, 2, masks([[0b0001]]), masks([[0]]))
     with pytest.raises(ValueError):
-        build_submatrix(fam, split, 3, [0], [0])
+        build_submatrix(fam, split, 3, masks([[0]]), masks([[0]]))
 
 
 def _run_plan(fam, plan):
@@ -189,13 +192,14 @@ def _run_plan(fam, plan):
 
 
 def _full_product(split, cols):
-    return Product(_half_rows(split, 1), cols, _half_rows(split, 2))
+    return Product(_half_rows(split, 1)[None], masks(cols)[None], _half_rows(split, 2)[None])
 
 
 def _trimmed_plan(split, tau, cols):
     # the trimmed scan and the product over the rows above the thresholds
     t1, t2 = row_thresholds(split, tau)
-    return [Scan(cols, (t1, t2)), Product(_half_rows(split, 1, t1), cols, _half_rows(split, 2, t2))]
+    rows1, rows2 = _half_rows(split, 1, t1)[None], _half_rows(split, 2, t2)[None]
+    return [Scan(masks(cols), (t1, t2)), Product(rows1, masks(cols)[None], rows2)]
 
 
 def test_fast_rmm_and_direct_scan_compose(modp):
@@ -206,7 +210,7 @@ def test_fast_rmm_and_direct_scan_compose(modp):
     split = GroundSplit.for_n(n)
     cols_a = [m for m in range(1 << n) if m % 3 == 0]
     cols_b = [m for m in range(1 << n) if m % 3 != 0]
-    got = _run_plan(fam, [_full_product(split, cols_a), Scan(cols_b)])
+    got = _run_plan(fam, [_full_product(split, cols_a), Scan(masks(cols_b))])
     assert values_equal(modp, got, mst_naive(fam).values)
 
 
@@ -235,7 +239,7 @@ def test_scan_ring_op_counts(n, trimmed):
     cols = list(range(1 << n))
     counter.reset()
     stats = PipelineStats()
-    _execute(fam, split, [Scan(cols, thresholds)], None, stats)
+    _execute(fam, split, [Scan(masks(cols), thresholds)], None, stats)
     if thresholds is None:
         kept = cols
     else:
@@ -299,6 +303,43 @@ def test_cover_counts_one_column_per_product(modp, n):
     run_transform("cover", random_family(modp, n, seed=n), stats=stats)
     assert stats.rmm_muls == 3**n
     assert stats.columns_processed == 2**n
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_default_cover_products_take_one_column_and_its_supersets(n):
+    # rows1 and rows2 of each product are exactly the supersets, in each
+    # half, of its one column's halves
+    split = GroundSplit.for_n(n)
+    halves = [(list(range(1 << split.h1)), split.u1_mask),
+              ([t << split.h1 for t in range(1 << split.h2)], split.u2_mask)]
+    for step in _cover_plan(split):
+        assert step.cols.shape[1] == 1
+        for rows1, (col,), rows2 in zip(*(a.tolist() for a in (step.rows1, step.cols, step.rows2))):
+            for rows, (half, mask) in zip((rows1, rows2), halves):
+                assert rows == [t for t in half if t & col & mask == col & mask]
+
+
+@pytest.mark.parametrize("wider", [False, True], ids=["default", "wider"])
+@pytest.mark.parametrize("n", [6, 9])
+def test_cover_batches_partition_the_columns(monkeypatch, n, wider):
+    # every batch holds m products of one shape, at most BATCH_OUTPUT_ENTRIES
+    # outputs unless it is one product, and the batches share out all 2^n
+    # columns once each; also under a cap that most classes' runs exceed
+    if wider:
+        monkeypatch.setattr(MeasuredCostPlanner, "select", one_wider_select)
+    batch_sizes = {}
+    for cap in (BATCH_OUTPUT_ENTRIES, 1 << 5):
+        monkeypatch.setattr(mst, "BATCH_OUTPUT_ENTRIES", cap)
+        cols, batch_sizes[cap] = [], []
+        for step in _cover_plan(GroundSplit.for_n(n)):
+            (m, r1), (m_cols, c), (m2, r2) = step.rows1.shape, step.cols.shape, step.rows2.shape
+            assert m == m_cols == m2 and c >= 1
+            assert m == 1 or m * r1 * r2 <= cap
+            cols += step.cols.ravel().tolist()
+            batch_sizes[cap].append(m)
+        assert sorted(cols) == list(range(1 << n))
+    assert max(batch_sizes[BATCH_OUTPUT_ENTRIES]) > 1
+    assert len(batch_sizes[1 << 5]) > len(batch_sizes[BATCH_OUTPUT_ENTRIES])
 
 
 def test_measured_planner_selection():

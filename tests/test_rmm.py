@@ -9,7 +9,7 @@ from multisubset.arrays import element_form
 
 def _random_block(ring, rows, cols, rng):
     entries = [[ring.sample(rng) for _ in cols] for _ in rows]
-    return SubMatrix(rows=list(rows), cols=list(cols), entries=element_form(ring).from_rows(entries))
+    return SubMatrix(rows=list(rows), cols=list(cols), entries=element_form(ring).from_rows(entries)[None])
 
 
 def u64(values):
@@ -18,17 +18,17 @@ def u64(values):
 
 def test_submatrix_validation():
     with pytest.raises(ValueError):
-        SubMatrix(rows=[1, 2], cols=[0], entries=u64([[5]]))
+        SubMatrix(rows=[1, 2], cols=[0], entries=u64([[[5]]]))
     with pytest.raises(ValueError):
-        SubMatrix(rows=[1], cols=[0, 3], entries=u64([[5]]))
+        SubMatrix(rows=[1], cols=[0, 3], entries=u64([[[5]]]))
 
 
 def test_classical_small(modp):
-    a = SubMatrix(rows=[0, 1], cols=[0, 1, 2], entries=u64([[1, 2, 3], [4, 5, 6]]))
-    b = SubMatrix(rows=[0], cols=[0, 1, 2], entries=u64([[7, 8, 9]]))
+    a = SubMatrix(rows=[0, 1], cols=[0, 1, 2], entries=u64([[[1, 2, 3], [4, 5, 6]]]))
+    b = SubMatrix(rows=[0], cols=[0, 1, 2], entries=u64([[[7, 8, 9]]]))
     out = ClassicalBackend().multiply(modp, a, b)
     # inner products with rows of b (columns are shared)
-    assert out.tolist() == [[1 * 7 + 2 * 8 + 3 * 9], [4 * 7 + 5 * 8 + 6 * 9]]
+    assert out.tolist() == [[[1 * 7 + 2 * 8 + 3 * 9], [4 * 7 + 5 * 8 + 6 * 9]]]
 
 
 def test_classical_mul_count(modp):
@@ -65,7 +65,7 @@ def test_object_product_costs_r1_c_r2_ring_muls_and_adds(modp, m):
 
 
 def test_column_mismatch_rejected(modp):
-    a = SubMatrix(rows=[0], cols=[0, 1], entries=u64([[1, 2]]))
-    b = SubMatrix(rows=[0], cols=[0, 2], entries=u64([[1, 2]]))
+    a = SubMatrix(rows=[0], cols=[0, 1], entries=u64([[[1, 2]]]))
+    b = SubMatrix(rows=[0], cols=[0, 2], entries=u64([[[1, 2]]]))
     with pytest.raises(ValueError):
         ClassicalBackend().multiply(modp, a, b)

@@ -38,3 +38,16 @@ def test_reproduce_constants_skip_gamma(tmp_path, capsys):
     assert rc["parameters"]["tau"] == pytest.approx(0.5896, abs=1e-4)
     assert rc["parameters"]["sigma"] == pytest.approx(0.38753, abs=1e-4)
     assert rc["base"] == pytest.approx(2.98074, abs=1e-5)
+
+
+@pytest.mark.parametrize("seeds", ["61", "70-61", "61-61"])
+def test_bench_pairs_rejects_fewer_than_two_seeds(seeds, tmp_path, capsys):
+    # checked while parsing, before any benchmark run
+    args = ["--parent", str(tmp_path), "--change", str(tmp_path), "--short", "x"]
+    bench_pairs = load_script("bench_pairs")
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.parse_args([*args, "--seeds", seeds])
+    assert exc.value.code == 2
+    assert "at least two" in capsys.readouterr().err
+    assert bench_pairs.parse_args([*args, "--seeds", "61,63"]).seeds == [61, 63]
+    assert bench_pairs.parse_args([*args, "--seeds", "61-64"]).seeds == [61, 62, 63, 64]
