@@ -1,7 +1,7 @@
 """Rectangular matrix product kernels for the transform algorithms.
 
 An operand is a batch of m blocks of one shape, as a plan's `Product`
-step issues them.  Both operands share the column index set:
+step holds them.  Both operands share the column index set:
 multiply(A, B) returns P[k][i][j] = sum_c A[k][i][c] * B[k][j][c], i.e.
 each block of A times the matching block of B transposed.  The classical
 kernel performs exactly rows(A) * cols * rows(B) ring multiplications,
