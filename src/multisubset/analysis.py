@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -164,16 +164,20 @@ class OptimizationReport:
     notes: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "mode": self.mode,
-            "parameters": dict(self.parameters),
-            "exponent": self.exponent,
-            "base": self.base,
-            "resolution": self.resolution,
-            "uncertainty": self.uncertainty,
-            "notes": self.notes,
-        }
+        return asdict(self)
+
+
+def _bisect_crossing(diff, lo: float, hi: float, tol: float, what: str) -> float:
+    """The x in (lo, hi) where the increasing diff(x) crosses zero, to tol."""
+    if not (diff(lo) < 0.0 < diff(hi)):
+        raise ValueError(f"omega bound admits no balance point for {what}")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if diff(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -205,24 +209,12 @@ def optimize_columns(
     decreases, so the max of the two is minimized where they cross.
     """
     mode_id, omega_fn = resolve_omega(mode, table)
-    lo = 1.0 / 3.0 + 1e-9
-    hi = 0.5 - 1e-9
 
     def diff(s: float) -> float:
         rect, scan = columns_terms(s, omega_fn)
         return rect - scan
 
-    if not (diff(lo) < 0.0 < diff(hi)):
-        raise ValueError(
-            "omega bound admits no balance point for sigma in (1/3, 1/2)"
-        )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if diff(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    sigma = 0.5 * (lo + hi)
+    sigma = _bisect_crossing(diff, 1.0 / 3.0 + 1e-9, 0.5 - 1e-9, tol, "sigma in (1/3, 1/2)")
     exponent = columns_exponent(sigma, omega_fn)
     return OptimizationReport(
         algorithm="columns",
@@ -282,8 +274,6 @@ def optimize_rows_columns(
             f"resolution must lie in [{MIN_GRID_RESOLUTION:g}, 1/6), got {resolution}"
         )
     mode_id, omega_fn = resolve_omega(mode, table)
-    lo_t = 0.5 + 1e-9
-    hi_t = 2.0 / 3.0 - 1e-9
     if mode_id == MODE_LINE:
 
         def sigma_for(tau: float) -> float:
@@ -294,18 +284,7 @@ def optimize_rows_columns(
             t_scan, _, t_direct = rows_columns_terms(s, tau, omega_fn)
             return t_scan - t_direct
 
-        if not (diff(lo_t) < 0.0 < diff(hi_t)):
-            raise ValueError(
-                "omega bound admits no balance point for tau in (1/2, 2/3)"
-            )
-        lo, hi = lo_t, hi_t
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if diff(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        tau = 0.5 * (lo + hi)
+        tau = _bisect_crossing(diff, 0.5 + 1e-9, 2.0 / 3.0 - 1e-9, tol, "tau in (1/2, 2/3)")
         sigma = sigma_for(tau)
         exponent = rows_columns_exponent(sigma, tau, omega_fn)
         return OptimizationReport(

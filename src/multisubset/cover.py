@@ -25,6 +25,15 @@ MAX_V = 28
 # and 33 and 38 MB peak RSS, 28 MB of it the imported package (Python
 # 3.11, one process on a 2-vCPU VM).
 MAX_CANDIDATE_ENTRIES = 1 << 16
+# Candidate visits ceil(cover_size_bound(v, k, s)) * C(v, k): each pick scans
+# every candidate, and the greedy picks at most the bound.  A larger design
+# is rejected up front ((21, 6, 6) would take 2.9e9, about ten minutes).
+# Every design with v <= 12 fits (at most 854700 visits, at (12, 6, 6)),
+# and so do (24, 22, 20) and (24, 4, 2).  The largest accepted, (15, 4, 4)
+# and (15, 11, 11) with 1864590 visits, took 0.36 and 0.38 CPU seconds; a
+# visit scans a candidate's C(k, s) subsets, so the slowest accepted found,
+# (21, 18, 17) with 1722350, took 3.1 (Python 3.11, 2-vCPU VM).
+MAX_CANDIDATE_VISITS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -51,6 +60,12 @@ def greedy_cover(v: int, k: int, s: int) -> CoverDesign:
         raise ValueError(
             f"(v, k, s) = ({v}, {k}, {s}) needs {entries} candidate entries; "
             f"the limit is {MAX_CANDIDATE_ENTRIES}"
+        )
+    visits = math.ceil(cover_size_bound(v, k, s)) * math.comb(v, k)
+    if visits > MAX_CANDIDATE_VISITS:
+        raise ValueError(
+            f"(v, k, s) = ({v}, {k}, {s}) may take {visits} candidate visits; "
+            f"the limit is {MAX_CANDIDATE_VISITS}"
         )
     full = (1 << v) - 1
     candidates = sorted(subsets_of_size(full, k))

@@ -35,6 +35,8 @@ def _field(data, key: str, kind: type):
 
 
 def _decode_value(ring: Ring, raw):
+    if isinstance(raw, bool):
+        raise ValueError("values must be numbers, not booleans")
     if ring.exact:
         if isinstance(raw, float):
             raise ValueError("exact-ring files must store values as strings")
@@ -121,7 +123,7 @@ def cover_design_to_dict(design: CoverDesign) -> dict:
 
 def cover_design_from_dict(data: dict) -> CoverDesign:
     blocks = _field(data, "blocks", list)
-    if not all(isinstance(b, int) for b in blocks):
+    if not all(isinstance(b, int) and not isinstance(b, bool) for b in blocks):
         raise ValueError("key 'blocks' must hold integers")
     v, k, s = (_field(data, key, int) for key in ("v", "k", "s"))
     return CoverDesign(v, k, s, tuple(blocks))
@@ -130,6 +132,8 @@ def cover_design_from_dict(data: dict) -> CoverDesign:
 def omega_table_from_dict(data: dict) -> OmegaTable:
     pairs = _field(data, "anchors", list)
     try:
+        if any(isinstance(x, bool) for pair in pairs for x in pair):
+            raise ValueError("a boolean is not a number")
         anchors = tuple((float(k), float(w)) for k, w in pairs)
     except (TypeError, ValueError) as exc:
         raise ValueError("key 'anchors' must hold [k, bound] pairs of numbers") from exc

@@ -45,7 +45,6 @@ checked against, and the control that no array kernel touches.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -380,54 +379,17 @@ def scan_cut(split: GroundSplit, thresholds: tuple[int, int]):
 
 
 class MeasuredCostPlanner:
-    """Chooses block sizes by grid-searching a classical cost model.
+    """Chooses each column class's block sizes: (s1, s2), one column per block.
 
-    The model charges (estimated blocks_1 * blocks_2) block pairs, each
-    costing R1*C*R2 kernel products plus C*(R1 + R2) matrix-build work,
-    where R_p counts rows meeting the block and C counts in-block column
-    pairs.  Ties go to the lexicographically smallest (k1, k2).
+    With the classical kernel each column of a class sits in exactly one
+    block pair, so a class costs |class|·r1·r2 kernel multiplications and
+    |class|·(r1 + r2) build entries, where r_p (the rows meeting a
+    k_p-block in at least s_p elements) is smallest at k_p = s_p.  Wider
+    blocks pay only under a fast rectangular kernel.
     """
 
     def select(self, split: GroundSplit, s1: int, s2: int) -> tuple[int, int]:
-        return _cheapest_blocks(split.h1, split.h2, s1, s2)
-
-
-# One entry per (h1, h2, s1, s2): at most 13^4 for n <= MAX_GROUND_SET = 24.
-@functools.lru_cache(maxsize=None)
-def _cheapest_blocks(h1: int, h2: int, s1: int, s2: int) -> tuple[int, int]:
-    best = (h1, h2)
-    best_cost = None
-    for k1 in range(s1, h1 + 1):
-        for k2 in range(s2, h2 + 1):
-            cost = _block_cost(h1, h2, s1, s2, k1, k2)
-            if best_cost is None or cost < best_cost:
-                best = (k1, k2)
-                best_cost = cost
-    return best
-
-
-def _cover_size_estimate(v: int, k: int, s: int) -> int:
-    per_block = math.comb(k, s)
-    lower = math.comb(v, s) / per_block
-    if per_block > 1:
-        est = math.ceil((1.0 + math.log(per_block)) * lower)
-    else:
-        est = math.ceil(lower)
-    return max(1, min(math.comb(v, k), est))
-
-
-def _rows_meeting(h: int, k: int, s: int) -> int:
-    # rows T_p with |T_p intersect K_p| >= s, for any fixed k-subset K_p
-    hits = sum(math.comb(k, j) for j in range(s, k + 1))
-    return hits << (h - k)
-
-
-def _block_cost(h1: int, h2: int, s1: int, s2: int, k1: int, k2: int) -> float:
-    r1 = _rows_meeting(h1, k1, s1)
-    r2 = _rows_meeting(h2, k2, s2)
-    width = math.comb(k1, s1) * math.comb(k2, s2)
-    blocks = _cover_size_estimate(h1, k1, s1) * _cover_size_estimate(h2, k2, s2)
-    return blocks * (r1 * width * r2 + width * (r1 + r2))
+        return s1, s2
 
 
 def _cover_plan(split: GroundSplit):
@@ -441,10 +403,10 @@ def _cover_plan(split: GroundSplit):
     pairs of one width is cut into batches of at most BATCH_OUTPUT_ENTRIES
     outputs (a larger product is a batch of its own) within its class.
 
-    Under the classical cost model `MeasuredCostPlanner` picks blocks of
-    exactly the column size for every class at every n up to
-    MAX_GROUND_SET, so each product covers one column and the run issues
-    3^n kernel multiplications, the naive pair count, in one run per class.
+    `MeasuredCostPlanner` picks blocks of exactly the column size (one
+    column per block is cheapest under the classical kernel), so each
+    product covers one column and the run issues 3^n kernel
+    multiplications, the naive pair count, in one run per class.
     """
     import numpy as np
 

@@ -103,6 +103,18 @@ def test_dag_sum_weights_missing_key_or_wrong_type_exits_2(tmp_path, capsys, dat
     assert repr(key) in capsys.readouterr().err
 
 
+def test_booleans_in_input_files_exit_2(tmp_path, capsys):
+    # both exited 0, reading true as 1
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"n": 1, "functions": [[True, "5"]]}))
+    assert run_cli("mst", "--input", str(fam)) == 2
+    assert "boolean" in capsys.readouterr().err
+    table = tmp_path / "omega.json"
+    table.write_text(json.dumps({"anchors": [[True, 2.5]]}))
+    assert run_cli("optimize", "--target", "gamma", "--omega-table", str(table)) == 2
+    assert "'anchors'" in capsys.readouterr().err
+
+
 def test_unknown_choice_exits_via_argparse(tmp_path):
     fam = gen_family(tmp_path, 3)
     with pytest.raises(SystemExit) as exc:
@@ -188,6 +200,12 @@ def test_cover_too_large_to_build_exits_2(capsys):
     # rejected before any is built
     assert run_cli("cover", "--v", "28", "--k", "14", "--s", "7") == 2
     assert "candidate entries" in capsys.readouterr().err
+
+
+def test_cover_too_slow_to_build_exits_2(capsys):
+    # 54264 candidates scanned for up to 54265 picks: about ten minutes
+    assert run_cli("cover", "--v", "21", "--k", "6", "--s", "6") == 2
+    assert "candidate visits" in capsys.readouterr().err
 
 
 def test_optimize_paper_mode_is_line(tmp_path):

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from multisubset import CoverDesign, cover_size_bound, greedy_cover, verify_cover
-from multisubset.cover import MAX_CANDIDATE_ENTRIES
+from multisubset.cover import MAX_CANDIDATE_ENTRIES, MAX_CANDIDATE_VISITS
 from multisubset.bitops import subsets_of_size
 
 
@@ -66,6 +66,20 @@ def test_candidate_budget_keeps_every_design_up_to_v_12():
     with pytest.raises(ValueError, match="candidate entries"):
         greedy_cover(24, 12, 6)
     assert verify_cover(greedy_cover(24, 22, 20))  # 63756 entries, the largest accepted
+
+
+def test_visit_budget_keeps_every_design_up_to_v_12():
+    def visits(v, k, s):
+        return math.ceil(cover_size_bound(v, k, s)) * comb(v, k)
+
+    largest = max(visits(v, k, s) for v in range(13) for k in range(v + 1)
+                  for s in range(k + 1))
+    assert largest == visits(12, 6, 6) <= MAX_CANDIDATE_VISITS
+    assert verify_cover(greedy_cover(24, 4, 2))  # 1381380 visits
+    # few candidate entries, but a pick scans all 54264 candidates and the
+    # greedy bound allows 54265 picks: rejected before the first
+    with pytest.raises(ValueError, match="candidate visits"):
+        greedy_cover(21, 6, 6)
 
 
 def test_verify_rejects_bad_designs():

@@ -63,6 +63,16 @@ def test_exact_values_must_be_strings(modp):
     assert set_function_from_dict(modp, ok).values == [3, 4]
 
 
+@pytest.mark.parametrize("ring_id", ["modp", "f64"])
+def test_values_reject_booleans(ring_id):
+    # true was read as 1 on both rings, while the exact ring rejects 1.0
+    ring = make_ring(ring_id)
+    with pytest.raises(ValueError, match="boolean"):
+        set_function_from_dict(ring, {"n": 1, "values": [True, "5" if ring.exact else 5.0]})
+    with pytest.raises(ValueError, match="boolean"):
+        family_from_dict(ring, {"n": 1, "functions": [[1, False]]})
+
+
 def test_shape_rejections(modp):
     with pytest.raises(ValueError):
         set_function_from_dict(modp, {"n": 2, "values": ["1", "2", "3"]})
@@ -94,6 +104,12 @@ def test_cover_design_missing_key_or_wrong_type():
         cover_design_from_dict({k: v for k, v in data.items() if k != "s"})
 
 
+def test_cover_design_rejects_boolean_blocks():
+    data = cover_design_to_dict(greedy_cover(4, 3, 2))
+    with pytest.raises(ValueError, match="'blocks'"):
+        cover_design_from_dict({**data, "blocks": [*data["blocks"][:-1], True]})
+
+
 def test_cover_design_roundtrip():
     design = greedy_cover(6, 3, 2)
     back = cover_design_from_dict(cover_design_to_dict(design))
@@ -108,6 +124,12 @@ def test_omega_table_from_dict():
     for bad in ({"anker": []}, [1, 2], {"anchors": [5]}, {"anchors": [["a", 2.0]]}):
         with pytest.raises(ValueError, match="'anchors'"):
             omega_table_from_dict(bad)
+
+
+def test_omega_table_rejects_boolean_anchors():
+    for anchors in ([[True, 2.5]], [[0, 2.0], [1, True]]):
+        with pytest.raises(ValueError, match="'anchors'"):
+            omega_table_from_dict({"anchors": anchors})
 
 
 def test_dumps_deterministic(modp):

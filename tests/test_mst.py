@@ -297,12 +297,27 @@ def test_cover_partitions_columns(modp):
 
 @pytest.mark.parametrize("n", range(4, 9))
 def test_cover_counts_one_column_per_product(modp, n):
-    # the cost model picks k = s for every column class, so each of the
+    # the planner picks k = s for every column class, so each of the
     # 2^n columns S gets its own 2^(n - |S|)-cell product: 3^n in all
     stats = PipelineStats()
     run_transform("cover", random_family(modp, n, seed=n), stats=stats)
     assert stats.rmm_muls == 3**n
     assert stats.columns_processed == 2**n
+
+
+@pytest.mark.parametrize("n", [4, 6, 9, 12])
+def test_wider_cover_blocks_cost_more_kernel_muls(monkeypatch, n):
+    # blocks one element wider than their columns give the same table but
+    # more than the 3^n kernel multiplications of one column per block:
+    # each column still sits in one block pair, and a wider block is met
+    # by more rows
+    fam = random_family(PrimeField(), n, seed=n)
+    default = PipelineStats()
+    want = run_transform("cover", fam, stats=default).values
+    monkeypatch.setattr(MeasuredCostPlanner, "select", one_wider_select)
+    wider = PipelineStats()
+    assert run_transform("cover", fam, stats=wider).values == want
+    assert default.rmm_muls == 3**n < wider.rmm_muls
 
 
 @pytest.mark.parametrize("n", range(13))
