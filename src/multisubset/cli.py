@@ -19,6 +19,7 @@ from .cover import greedy_cover
 from .dag import robinson_count, sum_acyclic_digraphs
 from .mst import ALGORITHMS, PipelineStats, run_transform
 from .ring import CountingRing, OpCounter, make_ring
+from .setfn import SetFunction
 
 
 def _add_ring_flags(sub: argparse.ArgumentParser) -> None:
@@ -26,6 +27,15 @@ def _add_ring_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--p", type=int, default=None,
                      help="prime modulus for --ring modp (default 2^61 - 1; "
                           "a composite one exits with code 2)")
+
+
+def _add_transform_flags(sub: argparse.ArgumentParser) -> None:
+    """The flags `mst` and `dag-sum` share: algorithm, ring and output."""
+    sub.add_argument("--algo", choices=ALGORITHMS, default="naive")
+    sub.add_argument("--sigma", type=float, default=None)
+    sub.add_argument("--tau", type=float, default=None)
+    _add_ring_flags(sub)
+    sub.add_argument("--output", default=None)
 
 
 def _make_ring(args):
@@ -66,16 +76,9 @@ def _cmd_dag_sum(args) -> int:
     wsys = jsonio.weight_system_from_dict(ring, jsonio.load_json(args.weights))
     result = sum_acyclic_digraphs(wsys, args.algo, sigma=args.sigma, tau=args.tau)
     if args.output:
-        jsonio.save_json(
-            args.output,
-            {
-                "n": result.n,
-                "values": [
-                    jsonio._encode_value(ring, v) for v in result.a
-                ],
-            },
-        )
-    print(jsonio._encode_value(ring, result.total))
+        table = SetFunction(ring, result.n, result.a)
+        jsonio.save_json(args.output, jsonio.set_function_to_dict(table))
+    print(jsonio.encode_value(ring, result.total))
     return 0
 
 
@@ -137,21 +140,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("mst", help="run a multi-subset transform on a family file")
     p.add_argument("--input", required=True)
-    p.add_argument("--algo", choices=ALGORITHMS, default="naive")
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    _add_ring_flags(p)
+    _add_transform_flags(p)
     p.add_argument("--count-ops", action="store_true")
-    p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_mst)
 
     p = subs.add_parser("dag-sum", help="weighted acyclic-digraph sum")
     p.add_argument("--weights", required=True)
-    p.add_argument("--algo", choices=ALGORITHMS, default="naive")
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
-    _add_ring_flags(p)
-    p.add_argument("--output", default=None)
+    _add_transform_flags(p)
     p.set_defaults(func=_cmd_dag_sum)
 
     p = subs.add_parser("dag-count", help="count labeled acyclic digraphs")

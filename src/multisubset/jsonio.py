@@ -19,7 +19,8 @@ from .setfn import Family, SetFunction
 MAX_GENERATED_N = 16
 
 
-def _encode_value(ring: Ring, value):
+def encode_value(ring: Ring, value):
+    """One ring value as stored in a file: a decimal string or a float."""
     return str(value) if ring.exact else float(value)
 
 
@@ -55,8 +56,22 @@ def _decode_values(ring: Ring, raws, n: int, where: str) -> list:
         raise ValueError(f"{where} holds a value that is not a number") from exc
 
 
+def _tables_to_dict(ring: Ring, n: int, key: str, tables) -> dict:
+    """A file of n value tables, under `key`, over an n-element ground set."""
+    return {"n": n, key: [[encode_value(ring, v) for v in t.values] for t in tables]}
+
+
+def _tables_from_dict(ring: Ring, data, key: str) -> tuple[int, list[SetFunction]]:
+    n = _field(data, "n", int)
+    tables = _field(data, key, list)
+    if len(tables) != n:
+        raise ValueError(f"expected {n} arrays under {key!r}, got {len(tables)}")
+    where = f"each of {key!r}"
+    return n, [SetFunction(ring, n, _decode_values(ring, t, n, where)) for t in tables]
+
+
 def set_function_to_dict(f: SetFunction) -> dict:
-    return {"n": f.n, "values": [_encode_value(f.ring, v) for v in f.values]}
+    return {"n": f.n, "values": [encode_value(f.ring, v) for v in f.values]}
 
 
 def set_function_from_dict(ring: Ring, data: dict) -> SetFunction:
@@ -66,50 +81,19 @@ def set_function_from_dict(ring: Ring, data: dict) -> SetFunction:
 
 
 def family_to_dict(fam: Family) -> dict:
-    return {
-        "n": fam.n,
-        "functions": [
-            [_encode_value(fam.ring, v) for v in member.values]
-            for member in fam.members
-        ],
-    }
+    return _tables_to_dict(fam.ring, fam.n, "functions", fam.members)
 
 
 def family_from_dict(ring: Ring, data: dict) -> Family:
-    n = _field(data, "n", int)
-    functions = _field(data, "functions", list)
-    if len(functions) != n:
-        raise ValueError(f"family needs exactly {n} functions, got {len(functions)}")
-    members = [
-        SetFunction(ring, n, _decode_values(ring, values, n, "each of 'functions'"))
-        for values in functions
-    ]
-    return Family(ring, n, members)
+    return Family(ring, *_tables_from_dict(ring, data, "functions"))
 
 
 def weight_system_to_dict(wsys: WeightSystem) -> dict:
-    return {
-        "n": wsys.n,
-        "weights": [
-            [_encode_value(wsys.ring, v) for v in w.values]
-            for w in wsys.weights
-        ],
-    }
+    return _tables_to_dict(wsys.ring, wsys.n, "weights", wsys.weights)
 
 
 def weight_system_from_dict(ring: Ring, data: dict) -> WeightSystem:
-    n = _field(data, "n", int)
-    weights = _field(data, "weights", list)
-    if len(weights) != n:
-        raise ValueError(f"expected {n} weight arrays, got {len(weights)}")
-    return WeightSystem(
-        ring,
-        n,
-        [
-            SetFunction(ring, n, _decode_values(ring, values, n, "each of 'weights'"))
-            for values in weights
-        ],
-    )
+    return WeightSystem(ring, *_tables_from_dict(ring, data, "weights"))
 
 
 def cover_design_to_dict(design: CoverDesign) -> dict:
