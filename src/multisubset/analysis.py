@@ -27,6 +27,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .mst import SIGMA_INTERVAL, TAU_INTERVAL, require_open
+
 # Intercept of the slope-one line through the (1.75, 3.021591) anchor.
 LINE_OMEGA_INTERCEPT = 3.021591 - 1.75
 
@@ -167,10 +169,14 @@ class OptimizationReport:
         return asdict(self)
 
 
-def _bisect_crossing(diff, lo: float, hi: float, tol: float, what: str) -> float:
-    """The x in (lo, hi) where the increasing diff(x) crosses zero, to tol."""
+def _bisect_crossing(diff, interval: tuple[float, float], tol: float, name: str) -> float:
+    """The x in the open interval where the increasing diff(x) crosses zero, to tol."""
+    lo, hi = interval[0] + 1e-9, interval[1] - 1e-9
     if not (diff(lo) < 0.0 < diff(hi)):
-        raise ValueError(f"omega bound admits no balance point for {what}")
+        raise ValueError(
+            f"omega bound admits no balance point for {name} in "
+            f"({interval[0]:.4g}, {interval[1]:.4g})"
+        )
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if diff(mid) < 0.0:
@@ -184,14 +190,9 @@ def _bisect_crossing(diff, lo: float, hi: float, tol: float, what: str) -> float
 # columns algorithm
 
 
-def _check_open(value: float, lo: float, hi: float, name: str) -> None:
-    if not (lo < value < hi):
-        raise ValueError(f"{name} must lie strictly between {lo:.6g} and {hi:.6g}")
-
-
 def columns_terms(sigma: float, omega_fn=omega_line) -> tuple[float, float]:
     """(rectangular-product exponent, direct-scan exponent), both per n."""
-    _check_open(sigma, 1.0 / 3.0, 1.0 / 2.0, "sigma")
+    require_open(sigma, SIGMA_INTERVAL, "sigma")
     h = entropy(sigma)
     return omega_fn(2.0 * h) / 2.0, 1.0 - sigma + h
 
@@ -214,7 +215,7 @@ def optimize_columns(
         rect, scan = columns_terms(s, omega_fn)
         return rect - scan
 
-    sigma = _bisect_crossing(diff, 1.0 / 3.0 + 1e-9, 0.5 - 1e-9, tol, "sigma in (1/3, 1/2)")
+    sigma = _bisect_crossing(diff, SIGMA_INTERVAL, tol, "sigma")
     exponent = columns_exponent(sigma, omega_fn)
     return OptimizationReport(
         algorithm="columns",
@@ -234,8 +235,8 @@ def rows_columns_terms(
     sigma: float, tau: float, omega_fn=omega_line
 ) -> tuple[float, float, float]:
     """(trimmed-scan, rectangular-product, large-column scan) exponents."""
-    _check_open(sigma, 1.0 / 3.0, 1.0 / 2.0, "sigma")
-    _check_open(tau, 1.0 / 2.0, 2.0 / 3.0, "tau")
+    require_open(sigma, SIGMA_INTERVAL, "sigma")
+    require_open(tau, TAU_INTERVAL, "tau")
     hs = entropy(sigma)
     ht = entropy(tau)
     t_scan = (math.log2(3.0) + tau + ht) / 2.0
@@ -284,7 +285,7 @@ def optimize_rows_columns(
             t_scan, _, t_direct = rows_columns_terms(s, tau, omega_fn)
             return t_scan - t_direct
 
-        tau = _bisect_crossing(diff, 0.5 + 1e-9, 2.0 / 3.0 - 1e-9, tol, "tau in (1/2, 2/3)")
+        tau = _bisect_crossing(diff, TAU_INTERVAL, tol, "tau")
         sigma = sigma_for(tau)
         exponent = rows_columns_exponent(sigma, tau, omega_fn)
         return OptimizationReport(
@@ -297,8 +298,8 @@ def optimize_rows_columns(
         )
 
     tab = table or DEFAULT_OMEGA_TABLE
-    sig_grid = np.arange(1.0 / 3.0 + resolution, 0.5, resolution)
-    tau_grid = np.arange(0.5 + resolution, 2.0 / 3.0, resolution)
+    sig_grid = np.arange(SIGMA_INTERVAL[0] + resolution, SIGMA_INTERVAL[1], resolution)
+    tau_grid = np.arange(TAU_INTERVAL[0] + resolution, TAU_INTERVAL[1], resolution)
     hs = _entropy_np(sig_grid)
     best = (math.inf, math.nan, math.nan)
     for tau in tau_grid:

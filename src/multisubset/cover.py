@@ -25,15 +25,17 @@ MAX_V = 28
 # and 33 and 38 MB peak RSS, 28 MB of it the imported package (Python
 # 3.11, one process on a 2-vCPU VM).
 MAX_CANDIDATE_ENTRIES = 1 << 16
-# Candidate visits ceil(cover_size_bound(v, k, s)) * C(v, k): each pick scans
-# every candidate, and the greedy picks at most the bound.  A larger design
-# is rejected up front ((21, 6, 6) would take 2.9e9, about ten minutes).
-# Every design with v <= 12 fits (at most 854700 visits, at (12, 6, 6)),
-# and so do (24, 22, 20) and (24, 4, 2).  The largest accepted, (15, 4, 4)
-# and (15, 11, 11) with 1864590 visits, took 0.36 and 0.38 CPU seconds; a
-# visit scans a candidate's C(k, s) subsets, so the slowest accepted found,
-# (21, 18, 17) with 1722350, took 3.1 (Python 3.11, 2-vCPU VM).
-MAX_CANDIDATE_VISITS = 1 << 21
+# Work ceil(cover_size_bound(v, k, s)) * C(v, k) * (C(k, s) + 4), in set
+# elements: the greedy picks at most the bound, each pick visits every
+# candidate, and a visit intersects the candidate's C(k, s) subsets with the
+# uncovered set at a cost of about 4 more (so designs with k = s, where
+# C(k, s) = 1, pay mostly that).  A larger design is rejected up front.
+# Measured (Python 3.11, one process on a 2-vCPU VM, CPU seconds, one run
+# each): every design with v <= 12 fits, and so do (24, 4, 2) at 0.33 s and
+# (24, 22, 20) at 0.64 s; the slowest accepted measured is (19, 16, 15) at
+# 0.87 s.  Rejected: (17, 14, 12) at 2.11 s, (20, 17, 16) at 1.72 s,
+# (21, 18, 17) at 3.35 s, (15, 5, 5) at 1.94 s and (16, 5, 5) at 3.99 s.
+MAX_CANDIDATE_WORK = 2 * 10**7
 
 
 @dataclass(frozen=True)
@@ -62,10 +64,11 @@ def greedy_cover(v: int, k: int, s: int) -> CoverDesign:
             f"the limit is {MAX_CANDIDATE_ENTRIES}"
         )
     visits = math.ceil(cover_size_bound(v, k, s)) * math.comb(v, k)
-    if visits > MAX_CANDIDATE_VISITS:
+    per_visit = math.comb(k, s) + 4
+    if visits * per_visit > MAX_CANDIDATE_WORK:
         raise ValueError(
-            f"(v, k, s) = ({v}, {k}, {s}) may take {visits} candidate visits; "
-            f"the limit is {MAX_CANDIDATE_VISITS}"
+            f"(v, k, s) = ({v}, {k}, {s}) may take {visits} candidate visits of "
+            f"{per_visit} set elements each; the limit is {MAX_CANDIDATE_WORK} elements"
         )
     full = (1 << v) - 1
     candidates = sorted(subsets_of_size(full, k))

@@ -1,14 +1,17 @@
 """JSON formats and seeded generators for the CLI-facing objects.
 
 Exact-ring values (modp) are serialized as decimal strings so they
-survive JSON's float semantics; f64 values are plain numbers.  All
+survive JSON's float semantics, and read back from decimal strings or
+JSON integers; f64 values are finite JSON numbers, never strings.  All
 writers emit deterministic bytes for identical inputs.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
+import re
 
 from .analysis import OmegaTable
 from .cover import CoverDesign
@@ -17,6 +20,8 @@ from .ring import Ring
 from .setfn import Family, SetFunction
 
 MAX_GENERATED_N = 16
+# An exact value given as a string: optional sign, ASCII digits, nothing else.
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
 
 
 def encode_value(ring: Ring, value):
@@ -36,12 +41,23 @@ def _field(data, key: str, kind: type):
 
 
 def _decode_value(ring: Ring, raw):
+    """An exact value is a JSON integer or a decimal string; f64 a finite number."""
     if isinstance(raw, bool):
         raise ValueError("values must be numbers, not booleans")
     if ring.exact:
-        if isinstance(raw, float):
-            raise ValueError("exact-ring files must store values as strings")
-        return ring.from_int(int(raw))
+        if isinstance(raw, str) and _DECIMAL.fullmatch(raw):
+            raw = int(raw)
+        if not isinstance(raw, int):
+            raise ValueError(
+                f"exact-ring values must be integers or decimal strings, got {raw!r}"
+            )
+        return ring.from_int(raw)
+    try:
+        finite = isinstance(raw, (int, float)) and math.isfinite(raw)
+    except OverflowError:  # an integer past the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"f64 values must be finite JSON numbers, got {raw!r}")
     return float(raw)
 
 
@@ -52,8 +68,8 @@ def _decode_values(ring: Ring, raws, n: int, where: str) -> list:
         raise ValueError(f"{where}: expected {1 << n} values, got {len(raws)}")
     try:
         return [_decode_value(ring, raw) for raw in raws]
-    except TypeError as exc:
-        raise ValueError(f"{where} holds a value that is not a number") from exc
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _tables_to_dict(ring: Ring, n: int, key: str, tables) -> dict:

@@ -59,6 +59,9 @@ from .setfn import Family, SetFunction
 COLUMNS_SIGMA = 0.3642045
 ROWS_COLUMNS_TAU = 0.59777
 ROWS_COLUMNS_SIGMA = 0.38185
+# The open intervals sigma and tau must lie in, here and in the analysis.
+SIGMA_INTERVAL = (1.0 / 3.0, 1.0 / 2.0)
+TAU_INTERVAL = (1.0 / 2.0, 2.0 / 3.0)
 
 ALGORITHMS = ("naive", "columns", "rows-columns", "cover")
 # Entries of the bracket build's doubling table per column chunk (2^h rows
@@ -140,7 +143,8 @@ def _guarded_floor(x: float) -> int:
     return math.floor(x + 1e-9)
 
 
-def _require_open(value: float, lo: float, hi: float, name: str) -> None:
+def require_open(value: float, interval: tuple[float, float], name: str) -> None:
+    lo, hi = interval
     if not (lo < value < hi):
         raise ValueError(f"{name} must lie strictly between {lo:.4g} and {hi:.4g}")
 
@@ -471,9 +475,9 @@ def check_algorithm(
         sigma = ROWS_COLUMNS_SIGMA if sigma is None else sigma
         tau = ROWS_COLUMNS_TAU if tau is None else tau
     if sigma is not None:
-        _require_open(sigma, 1.0 / 3.0, 1.0 / 2.0, "sigma")
+        require_open(sigma, SIGMA_INTERVAL, "sigma")
     if tau is not None:
-        _require_open(tau, 1.0 / 2.0, 2.0 / 3.0, "tau")
+        require_open(tau, TAU_INTERVAL, "tau")
     return sigma, tau
 
 

@@ -115,6 +115,22 @@ def test_booleans_in_input_files_exit_2(tmp_path, capsys):
     assert "'anchors'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ring, value", [("f64", "nan"), ("f64", 10**400), ("modp", "1_000")],
+                         ids=["f64-nan-string", "f64-huge-integer", "modp-underscore"])
+def test_non_strict_values_exit_2(tmp_path, capsys, ring, value):
+    # the first and last transformed, the huge integer crashed with an OverflowError
+    fam = tmp_path / "fam.json"
+    fam.write_text(json.dumps({"n": 1, "functions": [[value, 1]]}))
+    assert run_cli("mst", "--input", str(fam), "--ring", ring) == 2
+    assert "values must be" in capsys.readouterr().err
+
+
+def test_dag_sum_non_strict_value_exits_2(tmp_path):
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"n": 1, "weights": [[" 7 ", "0"]]}))
+    assert run_cli("dag-sum", "--weights", str(weights)) == 2
+
+
 def test_unknown_choice_exits_via_argparse(tmp_path):
     fam = gen_family(tmp_path, 3)
     with pytest.raises(SystemExit) as exc:
@@ -205,6 +221,13 @@ def test_cover_too_large_to_build_exits_2(capsys):
 def test_cover_too_slow_to_build_exits_2(capsys):
     # 54264 candidates scanned for up to 54265 picks: about ten minutes
     assert run_cli("cover", "--v", "21", "--k", "6", "--s", "6") == 2
+    assert "candidate visits" in capsys.readouterr().err
+
+
+def test_cover_with_costly_visits_exits_2(capsys):
+    # fewer candidate visits than (15, 4, 4) needs, but each intersects 18
+    # subsets: 3.35 CPU seconds
+    assert run_cli("cover", "--v", "21", "--k", "18", "--s", "17") == 2
     assert "candidate visits" in capsys.readouterr().err
 
 

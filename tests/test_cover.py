@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from multisubset import CoverDesign, cover_size_bound, greedy_cover, verify_cover
-from multisubset.cover import MAX_CANDIDATE_ENTRIES, MAX_CANDIDATE_VISITS
+from multisubset.cover import MAX_CANDIDATE_ENTRIES, MAX_CANDIDATE_WORK
 from multisubset.bitops import subsets_of_size
 
 
@@ -69,17 +69,20 @@ def test_candidate_budget_keeps_every_design_up_to_v_12():
 
 
 def test_visit_budget_keeps_every_design_up_to_v_12():
-    def visits(v, k, s):
-        return math.ceil(cover_size_bound(v, k, s)) * comb(v, k)
+    def work(v, k, s):
+        return math.ceil(cover_size_bound(v, k, s)) * comb(v, k) * (comb(k, s) + 4)
 
-    largest = max(visits(v, k, s) for v in range(13) for k in range(v + 1)
+    largest = max(work(v, k, s) for v in range(13) for k in range(v + 1)
                   for s in range(k + 1))
-    assert largest == visits(12, 6, 6) <= MAX_CANDIDATE_VISITS
-    assert verify_cover(greedy_cover(24, 4, 2))  # 1381380 visits
+    assert largest == work(12, 6, 6) <= MAX_CANDIDATE_WORK
+    assert verify_cover(greedy_cover(24, 4, 2))  # 1381380 visits of 10 elements
     # few candidate entries, but a pick scans all 54264 candidates and the
     # greedy bound allows 54265 picks: rejected before the first
     with pytest.raises(ValueError, match="candidate visits"):
         greedy_cover(21, 6, 6)
+    # fewer visits than (15, 4, 4), but each intersects C(18, 17) = 18 subsets
+    with pytest.raises(ValueError, match="candidate visits"):
+        greedy_cover(21, 18, 17)
 
 
 def test_verify_rejects_bad_designs():

@@ -56,6 +56,12 @@ def test_weight_system_validation(modp):
         WeightSystem(modp, 2, bad)
 
 
+@pytest.mark.parametrize("n", [-1, 25])
+def test_weight_system_node_count_range(modp, n):
+    with pytest.raises(ValueError, match="node count"):
+        WeightSystem(modp, n, [])
+
+
 def test_unweighted_counts_dags(modp):
     for n in range(0, 5):
         wsys = WeightSystem.unweighted(modp, n)

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from multisubset import greedy_cover, make_ring, values_equal
@@ -61,6 +63,27 @@ def test_exact_values_must_be_strings(modp):
         set_function_from_dict(modp, data)
     ok = {"n": 1, "values": ["3", 4]}  # ints are fine, floats are not
     assert set_function_from_dict(modp, ok).values == [3, 4]
+
+
+@pytest.mark.parametrize("text", ['"nan"', '"inf"', '"1.5"', "NaN", "Infinity", "-Infinity"])
+def test_f64_values_must_be_finite_numbers(f64, text):
+    # float() read the strings, and the non-finite literals loaded as given
+    data = json.loads(f'{{"n": 0, "values": [{text}]}}')
+    with pytest.raises(ValueError, match="finite JSON numbers"):
+        set_function_from_dict(f64, data)
+
+
+@pytest.mark.parametrize("raw", ["1_000", " 7 ", "7\n", "\u0667"])
+def test_exact_strings_must_be_plain_decimals(modp, raw):
+    # int() accepted underscores, surrounding whitespace and non-ASCII digits
+    with pytest.raises(ValueError, match="decimal strings"):
+        set_function_from_dict(modp, {"n": 0, "values": [raw]})
+
+
+def test_signed_decimals_and_json_integers_are_accepted(modp, f64):
+    exact = set_function_from_dict(modp, {"n": 1, "values": ["+4", "-3"]})
+    assert exact.values == [4, modp.from_int(-3)]
+    assert set_function_from_dict(f64, {"n": 1, "values": [2, -0.5]}).values == [2.0, -0.5]
 
 
 @pytest.mark.parametrize("ring_id", ["modp", "f64"])

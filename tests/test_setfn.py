@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from multisubset import (
     CountingRing,
+    Family,
     OpCounter,
     SetFunction,
     make_ring,
@@ -64,6 +65,22 @@ def test_setfn_validation(modp):
         SetFunction(modp, -1, [])
     with pytest.raises(ValueError):
         SetFunction.zeros(modp, 25)
+
+
+def test_family_needs_n_members(modp):
+    with pytest.raises(ValueError, match="needs 2 members, got 1"):
+        Family(modp, 2, [SetFunction.zeros(modp, 2)])
+
+
+def test_family_members_share_the_ground_set(modp):
+    with pytest.raises(ValueError, match="share the ground set size"):
+        Family(modp, 2, [SetFunction.zeros(modp, 2), SetFunction.zeros(modp, 3)])
+
+
+def test_values_equal_rejects_tables_of_different_length(modp):
+    # zip alone would compare only the common prefix
+    assert not values_equal(modp, [1, 2], [1])
+    assert values_equal(modp, [1, 2], [1, 2])
 
 
 def test_zeta_known_values(modp):
