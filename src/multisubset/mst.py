@@ -41,10 +41,19 @@ checked against, and the control that no array kernel touches.
   (small-row, small-column) pairs are folded into the direct scan.
 * `cover` chops the column work into blocks indexed by greedy covering
   designs, one product per block pair.
+
+The bracket build works in one of two ways.  A block whose rows are
+all the part supersets of its one column, as in every `cover` product,
+needs only those supersets' brackets: they come from a `BracketStore`,
+built once per run by doubling each column's root over its part's free
+bits, as the direct scan does over all free bits.  Any other block (the
+one product of `columns` and of `rows-columns`) doubles over every
+subset of the half, per column chunk, and picks its rows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,6 +76,10 @@ ALGORITHMS = ("naive", "columns", "rows-columns", "cover")
 # Entries of the bracket build's doubling table per column chunk (2^h rows
 # times the chunk's columns; a half of more rows takes one column at a time).
 BUILD_CHUNK_ENTRIES = 1 << 16
+# Entries a `BracketStore` holds at once (8 MiB on the uint64 form; a
+# run at n <= 14 fits whole).  A table that would pass it is never built:
+# its batches double over their own columns instead.
+STORE_ENTRIES = 1 << 20
 # Entries of a direct-scan chunk's product table: each chunk holds columns
 # of one popcount p, 2^(n - p) entries per column (a column with more is a
 # chunk of its own).  Below 2^21 columns per chunk, the uint64 form's scan
@@ -181,7 +194,7 @@ def mst_naive(fam: Family, stats: PipelineStats | None = None) -> SetFunction:
     return SetFunction(fam.ring, fam.n, naive_at(fam, range(1 << fam.n), stats))
 
 
-def build_submatrix(fam, split: GroundSplit, part: int, rows, cols) -> SubMatrix:
+def build_submatrix(fam, split: GroundSplit, part: int, rows, cols, store=None) -> SubMatrix:
     """Bracket matrices of a batch of m blocks on one half of the split.
 
     `fam` is an `arrays.ArrayFamily`; `rows` is an (m, r) int64 array of
@@ -193,21 +206,30 @@ def build_submatrix(fam, split: GroundSplit, part: int, rows, cols) -> SubMatrix
     column labels the m blocks' columns concatenated, so that
     len(rows) * len(cols) counts the entries.
 
-    Per column chunk (at most BUILD_CHUNK_ENTRIES table entries), the
-    products of every subset of the half come from doubling (subset
-    U + {b} is subset U times f_b); each column's block picks its rows,
-    and the entries whose column has half bits outside the row are zeroed.
+    Given the run's `BracketStore`, a batch whose blocks each have one
+    column and whose rows are, ascending, all the part supersets of that
+    column (every `cover` product) takes those supersets' brackets from
+    the store, each computed once per run.  Any other batch, or any
+    batch without a store, takes the dense doubling: per column chunk
+    (at most BUILD_CHUNK_ENTRIES table entries), the products of every
+    subset of the half come from doubling (subset U + {b} is subset U
+    times f_b); each column's block picks its rows, and the entries
+    whose column has half bits outside the row are zeroed.
     """
     import numpy as np
 
     if part not in (1, 2):
         raise ValueError("part must be 1 or 2")
     part_mask = split.u1_mask if part == 1 else split.u2_mask
-    first_bit, h = (0, split.h1) if part == 1 else (split.h1, split.h2)
-    form = fam.form
     outside_part = rows[(rows & ~part_mask) != 0]
     if outside_part.size:
         raise ValueError(f"row mask {int(outside_part[0]):#x} is not within part {part}")
+    s = None if store is None else _superset_rows(split, part, rows, cols)
+    if s is not None:
+        col = cols[:, 0]
+        return SubMatrix(rows.T, col, store.brackets(part, col, s)[:, :, None])
+    first_bit, h = (0, split.h1) if part == 1 else (split.h1, split.h2)
+    form = fam.form
     (m, r), c = rows.shape, cols.shape[1]
     local = rows >> first_bit
     flat = cols.ravel()
@@ -233,6 +255,132 @@ def build_submatrix(fam, split: GroundSplit, part: int, rows, cols) -> SubMatrix
     return SubMatrix(rows.T, flat, out)
 
 
+def _superset_rows(split: GroundSplit, part: int, rows, cols) -> int | None:
+    """s when each block has one column, with s part-p bits, and its rows
+    are all 2^(h_p - s) part supersets of them, ascending; else None.
+    Rows are already known to lie within the part."""
+    import numpy as np
+
+    (m, r), c = rows.shape, cols.shape[1]
+    if m == 0 or c != 1:
+        return None
+    part_mask, h = (split.u1_mask, split.h1) if part == 1 else (split.u2_mask, split.h2)
+    own = cols & part_mask  # (m, 1)
+    sizes = np.bitwise_count(own)
+    s = int(sizes[0, 0])
+    if r != 1 << (h - s) or (sizes != s).any():
+        return None
+    # r distinct supersets, each within the part, are all of them
+    if ((rows & own) != own).any() or (rows[:, 1:] <= rows[:, :-1]).any():
+        return None
+    return s
+
+
+def _superset_brackets(fam, split: GroundSplit, part: int, cols, s: int):
+    """(c, 2^(h_p - s)) array for c columns that each have s part-p bits:
+    row k holds prod over i in T_p of f_i(cols[k]) for every part
+    superset T_p of cols[k]'s part bits, ascending.
+
+    Per column chunk (at most BUILD_CHUNK_ENTRIES entries), each column's
+    root, prod over its s part bits i of f_i(S), is doubled over the
+    part's free bits in ascending order, as `_direct_scan` doubles over
+    all of them: 2^(h_p - s) - 1 multiplications per column after the
+    root's s.
+    """
+    import numpy as np
+
+    form, values = fam.form, fam.values
+    first_bit, h = (0, split.h1) if part == 1 else (split.h1, split.h2)
+    bits = np.arange(first_bit, first_bit + h)
+    free = h - s
+    out = np.empty((len(cols), 1 << free), dtype=form.dtype)
+    width = max(1, BUILD_CHUNK_ENTRIES >> free)
+    for c0 in range(0, len(cols), width):
+        chunk = cols[c0:c0 + width]
+        inside = (chunk[:, None] >> bits) & 1  # (w, h)
+        held = bits[np.nonzero(inside)[1]].reshape(len(chunk), s).T
+        roots = np.full(len(chunk), form.one, dtype=form.dtype)
+        for q in range(s):
+            roots = form.mul(roots, values[held[q], chunk])
+        free_bits = bits[np.nonzero(inside == 0)[1]].reshape(len(chunk), free).T
+        out[c0:c0 + width] = _doubled(form, values, chunk, roots, free_bits).T
+    return out
+
+
+def _doubled(form, values, cols, roots, free_bits):
+    """(2^f, c) products of c columns with f free bits each (free_bits,
+    (f, c), ascending per column): row j of column k is roots[k] times
+    f_b(cols[k]) for b = free_bits[q, k] over the set bits q of j, so the
+    rows run in ascending superset order.  Step q multiplies rows
+    [0, 2^q) by the q-th free factor into rows [2^q, 2^(q+1))."""
+    import numpy as np
+
+    prods = np.empty((1 << len(free_bits), len(cols)), dtype=form.dtype)
+    prods[0] = roots
+    factors = values[free_bits, cols]
+    for q in range(len(free_bits)):
+        form.mul(prods[:1 << q], factors[q], out=prods[1 << q:2 << q])
+    return prods
+
+
+class BracketStore:
+    """Superset brackets of every column on each half, built once per run.
+
+    Table (p, s) holds, for every column S with s part-p bits, the
+    products prod over i in T_p of f_i(S) for every part superset T_p of
+    S's part bits, ascending (`_superset_brackets`): row rank_p[S] of a
+    (C(h_p, s) 2^(n - h_p), 2^(h_p - s)) array, where rank_p[S] (one
+    int32 per mask) counts the masks below S with as many part-p bits.
+    A table is built when first asked for, so a run computes each of its
+    3^h1 2^h2 + 2^h1 3^h2 entries once.
+
+    Part 1 keeps one table: `cover`'s plan takes its classes s1-major, so
+    once it asks for the next s1 the last one is never read again.  A
+    table that would take the store past STORE_ENTRIES when first asked
+    for is never built; its columns double over their own free bits at
+    each ask instead, which gives the same entries, each still computed
+    once.
+    """
+
+    def __init__(self, fam, split: GroundSplit):
+        self.fam, self.split = fam, split
+        self.tables: dict = {}
+        self.ranks: dict = {}
+
+    def brackets(self, part: int, cols, s: int):
+        """(len(cols), 2^(h_p - s)) superset brackets of columns with s part-p bits."""
+        table = self._table(part, s)
+        if table is None:
+            return _superset_brackets(self.fam, self.split, part, cols, s)
+        return table[self.ranks[part][cols]]
+
+    def _table(self, part: int, s: int):
+        import numpy as np
+
+        if (part, s) in self.tables:
+            return self.tables[part, s]
+        if part == 1:
+            self.tables = {key: t for key, t in self.tables.items() if key[0] != 1}
+        split = self.split
+        part_mask, h = (split.u1_mask, split.h1) if part == 1 else (split.u2_mask, split.h2)
+        entries = math.comb(h, s) << (split.n - s)
+        held = sum(t.size for t in self.tables.values() if t is not None)
+        if held + entries > STORE_ENTRIES:
+            # for good: built later, it would redo the columns asked so far
+            self.tables[part, s] = None
+            return None
+        sizes = np.bitwise_count(np.arange(1 << split.n) & part_mask)
+        if part not in self.ranks:
+            rank = np.empty(1 << split.n, dtype=np.int32)
+            for size in range(h + 1):
+                at = np.flatnonzero(sizes == size)
+                rank[at] = np.arange(len(at))
+            self.ranks[part] = rank
+        table = _superset_brackets(self.fam, split, part, np.flatnonzero(sizes == s), s)
+        self.tables[part, s] = table
+        return table
+
+
 def _product_into(
     fam,
     split: GroundSplit,
@@ -240,14 +388,15 @@ def _product_into(
     backend: RmmBackend,
     g,
     stats: PipelineStats | None,
+    store: BracketStore,
 ) -> None:
     """Run a Product step's batch as one batched product, scattered into g."""
     if stats is not None:
         stats.columns_processed += step.cols.size
     if not (step.rows1.size and step.cols.size and step.rows2.size):
         return
-    e1 = build_submatrix(fam, split, 1, step.rows1, step.cols)
-    e2 = build_submatrix(fam, split, 2, step.rows2, step.cols)
+    e1 = build_submatrix(fam, split, 1, step.rows1, step.cols, store)
+    e2 = build_submatrix(fam, split, 2, step.rows2, step.cols, store)
     product = backend.multiply(fam.ring, e1, e2, stats)
     # g[t1 | t2] += product[k, i, j] for t1 = rows1[k, i], t2 = rows2[k, j]
     idx = step.rows1[:, :, None] | step.rows2[:, None, :]
@@ -269,11 +418,11 @@ def _direct_scan(
     covers it), and so is a column that is such a T itself.  The columns
     run grouped by popcount p, in chunks of one popcount holding at most
     SCAN_CHUNK_ENTRIES table entries (a column with a larger table is a
-    chunk of its own).  A
-    chunk of c columns fills a dense (2^(n-p), c) product table and a
-    matching mask table by doubling over each column's free bits in rank
-    order: step q multiplies rows [0, 2^q) by the column's q-th free
-    factor into rows [2^q, 2^(q+1)) and sets that bit in their masks.
+    chunk of its own).  A chunk of c columns fills a dense (2^(n-p), c)
+    product table and a matching mask table by doubling over each
+    column's free bits in rank order (`_doubled`): step q multiplies rows
+    [0, 2^q) by the column's q-th free factor into rows [2^q, 2^(q+1))
+    and sets that bit in their masks.
     Cut entries are computed, then dropped by one mask before the
     chunk's sums per T.
     """
@@ -296,12 +445,10 @@ def _direct_scan(
         s, free = cols[c0:c1], n - int(pops[c0])
         # the free bits of each column, ascending: (free, c)
         free_bits = np.nonzero((s[:, None] >> np.arange(n)) & 1 == 0)[1].reshape(len(s), free).T
-        prods = np.empty((1 << free, len(s)), dtype=form.dtype)
+        prods = _doubled(form, values, s, roots[c0:c1], free_bits)
         masks = np.empty((1 << free, len(s)), dtype=np.int64)
-        prods[0], masks[0] = roots[c0:c1], s
-        factors, bits = values[free_bits, s], 1 << free_bits
+        masks[0], bits = s, 1 << free_bits
         for q in range(free):
-            form.mul(prods[:1 << q], factors[q], out=prods[1 << q:2 << q])
             np.bitwise_or(masks[:1 << q], bits[q], out=masks[1 << q:2 << q])
         if cut is not None:
             kept = ~cut[masks]
@@ -341,11 +488,12 @@ def _execute(
     backend = backend or ClassicalBackend()
     fam = ArrayFamily.of(fam)
     g = fam.zero_table()
+    store = BracketStore(fam, split)
     for step in steps:
         if isinstance(step, Scan):
             _direct_scan(fam, step.cols, g, stats, split, step.thresholds)
         else:
-            _product_into(fam, split, step, backend, g, stats)
+            _product_into(fam, split, step, backend, g, stats, store)
     return SetFunction(fam.ring, fam.n, g.tolist())
 
 
@@ -435,11 +583,15 @@ def _cover_plan(split: GroundSplit):
                     yield Product(rows1[i], cols, rows2[j])
 
 
+@functools.cache
 def _design_blocks(design, s: int, shift: int):
     """(rows, own, count) of a (h, k, s) design's K blocks, masks shifted left
     by `shift`: rows[b] are the half's masks meeting block b in at least s
     elements, ascending; own[b, :count[b]] are the s-subsets of block b
     that no earlier block holds, in `subsets_of_size` order.
+
+    Cached per (design, s, shift), so the arrays are read-only: every
+    `cover` run reads the same ones.
     """
     import numpy as np
 
@@ -451,7 +603,10 @@ def _design_blocks(design, s: int, shift: int):
     own = np.take_along_axis(subsets, np.argsort(~first, axis=1, kind="stable"), axis=1)
     half = np.arange(1 << design.v)
     rows = np.nonzero(np.bitwise_count(half & keys[:, None]) >= s)[1].reshape(len(keys), -1)
-    return rows << shift, own << shift, first.sum(axis=1)
+    blocks = rows << shift, own << shift, first.sum(axis=1)
+    for array in blocks:
+        array.flags.writeable = False
+    return blocks
 
 
 def check_algorithm(

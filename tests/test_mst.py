@@ -1,6 +1,7 @@
 import math
 from math import comb
 
+import numpy as np
 import pytest
 
 from multisubset import (
@@ -26,17 +27,21 @@ from multisubset import (
 from multisubset import mst
 from multisubset.mst import (
     BATCH_OUTPUT_ENTRIES,
+    BracketStore,
     Product,
     Scan,
     _cover_plan,
+    _design_blocks,
     _execute,
     _guarded_floor,
     _half_rows,
+    _superset_rows,
     row_thresholds,
     scan_cut,
     small_large_columns,
 )
 from multisubset.arrays import ArrayFamily
+from multisubset.cover import greedy_cover
 from multisubset.setfn import MAX_GROUND_SET
 
 from helpers import masks, one_wider_select, random_family
@@ -377,6 +382,137 @@ def test_measured_planner_picks_the_column_size_everywhere(n):
     for s1 in range(split.h1 + 1):
         for s2 in range(split.h2 + 1):
             assert planner.select(split, s1, s2) == (s1, s2)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_store_brackets_equal_the_dense_doubling(n):
+    # every cover batch is recognised as superset rows, and its operands
+    # from the store equal, entry for entry, the dense doubling of the
+    # same blocks (which is what a build without a store gives)
+    split = GroundSplit.for_n(n)
+    for ring in (PrimeField(), PrimeField(101), CountingRing(PrimeField())):
+        fam = ArrayFamily.of(random_family(ring, n, seed=n))
+        store = BracketStore(fam, split)
+        for step in _cover_plan(split):
+            for part, rows in ((1, step.rows1), (2, step.rows2)):
+                assert _superset_rows(split, part, rows, step.cols) is not None
+                want = build_submatrix(fam, split, part, rows, step.cols)
+                got = build_submatrix(fam, split, part, rows, step.cols, store)
+                assert got.rows.tolist() == want.rows.tolist()
+                assert got.cols.tolist() == want.cols.tolist()
+                assert got.entries.dtype == want.entries.dtype
+                assert got.entries.tolist() == want.entries.tolist()
+        assert store.tables
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_wider_cover_blocks_mix_both_builds_and_match_naive(monkeypatch, n):
+    # one element wider than their columns, most blocks are not superset
+    # rows and take the dense doubling; those of empty or whole-half
+    # columns are, and take the store (below n = 3 every block is)
+    monkeypatch.setattr(MeasuredCostPlanner, "select", one_wider_select)
+    split = GroundSplit.for_n(n)
+    dense = {_superset_rows(split, 1, step.rows1, step.cols) is None for step in _cover_plan(split)}
+    assert False in dense and (True in dense) == (n >= 3)
+    fam = random_family(PrimeField(101), n, seed=n)
+    assert run_transform("cover", fam).values == mst_naive(fam).values
+
+
+def test_superset_rows_rejects_what_is_not_all_supersets():
+    split = GroundSplit.for_n(6)  # halves of 3 bits
+    col = masks([[0b010]])
+    assert _superset_rows(split, 1, masks([[0b010, 0b011, 0b110, 0b111]]), col) == 1
+    for rows in ([[0b010, 0b011, 0b110]],  # too few
+                 [[0b011, 0b010, 0b110, 0b111]],  # not ascending
+                 [[0b010, 0b011, 0b011, 0b111]],  # repeated
+                 [[0b001, 0b011, 0b110, 0b111]]):  # not a superset
+        assert _superset_rows(split, 1, masks(rows), col) is None
+    # two columns per block, or blocks of columns with different part sizes
+    assert _superset_rows(split, 1, masks([[0b010, 0b011, 0b110, 0b111]]), masks([[2, 2]])) is None
+    mixed = masks([[0b110], [0b001]])
+    assert _superset_rows(split, 1, masks([[0b110, 0b111], [0b011, 0b111]]), mixed) is None
+    assert _superset_rows(split, 2, masks([[0b111000]]), masks([[0b111000]])) == 3
+
+
+@pytest.mark.parametrize("budget", [0, 1 << 9])
+def test_a_store_over_its_budget_gives_the_same_tables(monkeypatch, budget):
+    # with no budget every batch doubles over its own columns; with a small
+    # one the tables that fit are kept and the rest fall back
+    n = 9
+    split = GroundSplit.for_n(n)
+    fam = random_family(PrimeField(), n, seed=4)
+    calls = []
+    superset_brackets = mst._superset_brackets
+
+    def counting(*args):
+        calls.append(args[3].size)
+        return superset_brackets(*args)
+
+    monkeypatch.setattr(mst, "_superset_brackets", counting)
+    default = PipelineStats()
+    want = run_transform("cover", fam, stats=default).values
+    # one table per part-1 s1 and per part-2 s2, each column once a half
+    assert len(calls) == split.h1 + split.h2 + 2 and sum(calls) == 2 << n
+    calls.clear()
+    monkeypatch.setattr(mst, "STORE_ENTRIES", budget)
+    stats = PipelineStats()
+    assert run_transform("cover", fam, stats=stats).values == want
+    assert stats == default
+    batches = sum(1 for _ in _cover_plan(split))
+    assert sum(calls) == 2 << n
+    assert split.h1 + split.h2 + 2 < len(calls) <= 2 * batches
+    assert (len(calls) == 2 * batches) == (budget == 0)
+
+
+def test_cover_builds_each_superset_bracket_once(monkeypatch):
+    # two builds per product, 3^h1 2^h2 + 2^h1 3^h2 entries (as many as
+    # the store computes), and CountingRing multiplications of the kernel's
+    # 3^n plus, per half, each column's root and its doubling
+    n = 8
+    split = GroundSplit.for_n(n)
+    builds = []
+    build = mst.build_submatrix
+
+    def recording(*args, **kwargs):
+        sub = build(*args, **kwargs)
+        builds.append(len(sub.rows) * len(sub.cols))
+        return sub
+
+    monkeypatch.setattr(mst, "build_submatrix", recording)
+    counter = OpCounter()
+    fam = random_family(CountingRing(PrimeField(), counter), n, seed=n)
+    counter.reset()
+    run_transform("cover", fam)
+    (h1, h2), products = (split.h1, split.h2), sum(1 for _ in _cover_plan(split))
+    assert len(builds) == 2 * products
+    assert sum(builds) == 3**h1 * 2**h2 + 2**h1 * 3**h2
+    roots = (2 ** (n - 1)) * n  # sum over S of |S_1| + |S_2|
+    doubling = sum(2**h_o * 3**h_p - 2**n for h_p, h_o in ((h1, h2), (h2, h1)))
+    assert counter.muls == 3**n + roots + doubling
+
+
+def test_design_blocks_are_cached_read_only():
+    design = greedy_cover(5, 2, 2)
+    blocks = _design_blocks(design, 2, 3)
+    assert _design_blocks(design, 2, 3) is blocks
+    for array in blocks:
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_cover_plans_repeat_element_for_element():
+    # the cached design blocks give every run the same batches, also after
+    # a run of the executor has read them
+    split = GroundSplit.for_n(10)
+    first = list(_cover_plan(split))
+    run_transform("cover", random_family(PrimeField(), 10, seed=1))
+    second = list(_cover_plan(split))
+    assert len(first) == len(second)
+    for a, b in zip(first, second):
+        for name in ("rows1", "cols", "rows2"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.dtype == y.dtype == np.int64 and x.shape == y.shape
+            assert np.array_equal(x, y)
 
 
 def test_empty_family(modp):
