@@ -14,7 +14,8 @@ lines.
 
 writes BENCH_dense_scan.json (in the current directory, or --output-dir)
 with the pairs, a summary per end-to-end metric (parent and change
-quartiles, change/parent median ratio, pairs where the change is lower),
+quartiles, change/parent median ratio, pairs where the change is lower,
+the parent's interquartile spread and whether a gain is shown),
 CPU against wall medians per algorithm, failures, and the trace runs'
 per-layer split and exact counts.  The file is rewritten after each
 workload, so a cut series keeps the workloads already done.  Runs see
@@ -101,14 +102,26 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarize(bench: dict, pairs: list[dict]) -> dict:
+    """Per end-to-end metric: each side's quartiles, the median ratio, the
+    pairs where the change is lower, the parent's interquartile spread, and
+    whether a gain is shown: the change better (as the metric's `better`
+    says; ties count for neither side) in at least 9/10 of the pairs, and
+    its median better than the parent's by more than that spread."""
     summary = {}
-    for metric in (m["name"] for m in bench["end_to_end"]):
-        per_side = {side: [value(p[side], metric) for p in pairs] for side in SIDES}
+    for metric in bench["end_to_end"]:
+        name = metric["name"]
+        per_side = {side: [value(p[side], name) for p in pairs] for side in SIDES}
+        sign = 1 if metric["better"] == "lower" else -1
         lower = sum(c < p for p, c in zip(per_side["parent"], per_side["change"]))
+        better = sum(sign * (p - c) > 0 for p, c in zip(per_side["parent"], per_side["change"]))
         entry = {side: quartiles(per_side[side]) for side in SIDES}
-        entry["change_over_parent_median"] = entry["change"]["median"] / entry["parent"]["median"]
+        parent, change = entry["parent"], entry["change"]
+        entry["change_over_parent_median"] = change["median"] / parent["median"]
         entry["change_lower_in_pairs"] = f"{lower}/{len(pairs)}"
-        summary[metric] = entry
+        entry["parent_iqr"] = parent["q3"] - parent["q1"]
+        entry["gain_shown"] = (10 * better >= 9 * len(pairs)
+                               and sign * (parent["median"] - change["median"]) > entry["parent_iqr"])
+        summary[name] = entry
     return summary
 
 

@@ -42,13 +42,16 @@ checked against, and the control that no array kernel touches.
 * `cover` chops the column work into blocks indexed by greedy covering
   designs, one product per block pair.
 
-The bracket build works in one of two ways.  A block whose rows are
-all the part supersets of its one column, as in every `cover` product,
-needs only those supersets' brackets: they come from a `BracketStore`,
-built once per run by doubling each column's root over its part's free
-bits, as the direct scan does over all free bits.  Any other block (the
-one product of `columns` and of `rows-columns`) doubles over every
-subset of the half, per column chunk, and picks its rows.
+Every table the executor fills comes from one doubling loop
+(`_doubled`): a column's products over the supersets of a fixed set, or
+their masks, each one factor or bit away from a smaller one.  The
+bracket build works in one of two ways.  A `SupersetProduct`, which
+`cover`'s plan emits when each block is its own column, needs only its
+rows' brackets: they come from a `BracketStore`, built once per run by
+doubling each column's root over its part's free bits, as the direct
+scan does over all free bits.  Any other product (the one product of
+`columns` and of `rows-columns`) doubles over every subset of the half,
+per column chunk, and picks its rows.
 """
 
 from __future__ import annotations
@@ -73,18 +76,15 @@ SIGMA_INTERVAL = (1.0 / 3.0, 1.0 / 2.0)
 TAU_INTERVAL = (1.0 / 2.0, 2.0 / 3.0)
 
 ALGORITHMS = ("naive", "columns", "rows-columns", "cover")
-# Entries of the bracket build's doubling table per column chunk (2^h rows
-# times the chunk's columns; a half of more rows takes one column at a time).
-BUILD_CHUNK_ENTRIES = 1 << 16
+# Entries of a doubled table per column chunk: 2^f rows, for f bits doubled
+# over, times the chunk's columns (a column with a larger table is a chunk
+# of its own).  Below 2^21 columns per chunk, the uint64 form's scan sums
+# stay exact.
+CHUNK_ENTRIES = 1 << 16
 # Entries a `BracketStore` holds at once (8 MiB on the uint64 form; a
 # run at n <= 14 fits whole).  A table that would pass it is never built:
 # its batches double over their own columns instead.
 STORE_ENTRIES = 1 << 20
-# Entries of a direct-scan chunk's product table: each chunk holds columns
-# of one popcount p, 2^(n - p) entries per column (a column with more is a
-# chunk of its own).  Below 2^21 columns per chunk, the uint64 form's scan
-# sums stay exact.
-SCAN_CHUNK_ENTRIES = 1 << 16
 # Output entries per batch of equal-shape cover products (a larger product
 # is a batch of its own).  Below 2^21 blocks per batch, the uint64 form's
 # scatter sums stay exact.
@@ -137,6 +137,14 @@ class Product:
     rows1: object
     cols: object
     rows2: object
+
+
+class SupersetProduct(Product):
+    """A Product whose blocks each have one column, all with the same part
+    sizes, and as rows all the part supersets of that column, ascending:
+    `cover`'s products of a class whose blocks are its own columns.  The
+    executor builds their brackets from the run's `BracketStore`.
+    """
 
 
 @dataclass
@@ -206,15 +214,16 @@ def build_submatrix(fam, split: GroundSplit, part: int, rows, cols, store=None) 
     column labels the m blocks' columns concatenated, so that
     len(rows) * len(cols) counts the entries.
 
-    Given the run's `BracketStore`, a batch whose blocks each have one
-    column and whose rows are, ascending, all the part supersets of that
-    column (every `cover` product) takes those supersets' brackets from
-    the store, each computed once per run.  Any other batch, or any
-    batch without a store, takes the dense doubling: per column chunk
-    (at most BUILD_CHUNK_ENTRIES table entries), the products of every
-    subset of the half come from doubling (subset U + {b} is subset U
-    times f_b); each column's block picks its rows, and the entries
-    whose column has half bits outside the row are zeroed.
+    Given the run's `BracketStore`, the batch is a `SupersetProduct`'s:
+    each block has one column, all with s part-p bits, and as rows all
+    2^(h_p - s) part supersets of that column, ascending.  Their brackets
+    come from the store, each computed once per run.  A batch of another
+    shape raises ValueError; its rows' masks are not checked.  Without a
+    store, per column chunk (at most CHUNK_ENTRIES table entries), the
+    products of every subset of the half come from doubling (`_doubled`:
+    subset U + {b} is subset U times f_b); each column's block picks its
+    rows, and the entries whose column has half bits outside the row are
+    zeroed.
     """
     import numpy as np
 
@@ -224,103 +233,100 @@ def build_submatrix(fam, split: GroundSplit, part: int, rows, cols, store=None) 
     outside_part = rows[(rows & ~part_mask) != 0]
     if outside_part.size:
         raise ValueError(f"row mask {int(outside_part[0]):#x} is not within part {part}")
-    s = None if store is None else _superset_rows(split, part, rows, cols)
-    if s is not None:
-        col = cols[:, 0]
-        return SubMatrix(rows.T, col, store.brackets(part, col, s)[:, :, None])
     first_bit, h = (0, split.h1) if part == 1 else (split.h1, split.h2)
-    form = fam.form
     (m, r), c = rows.shape, cols.shape[1]
+    if store is not None:
+        sizes = np.bitwise_count(cols[:, 0] & part_mask) if m and c == 1 else None
+        if sizes is None or (sizes != sizes[0]).any() or r != 1 << (h - int(sizes[0])):
+            raise ValueError("a store builds blocks of one column each, of one part size s, "
+                             "with 2^(h_p - s) rows")
+        col = cols[:, 0]
+        return SubMatrix(rows.T, col, store.brackets(part, col, int(sizes[0]))[:, :, None])
+    form = fam.form
     local = rows >> first_bit
     flat = cols.ravel()
     out = np.empty((m, r, c), dtype=form.dtype)
-    width = max(1, BUILD_CHUNK_ENTRIES >> h)
-    table = np.empty((1 << h, min(flat.size, width)), dtype=form.dtype)
+    width = max(1, CHUNK_ENTRIES >> h)
+    ones = np.full(min(flat.size, width), form.one, dtype=form.dtype)
     for c0 in range(0, flat.size, width):
         chunk = flat[c0:c0 + width]
         w = len(chunk)
-        sub = table[:, :w]
-        sub[0] = form.one
-        for k in range(h):
-            form.mul(sub[:1 << k], fam.values[first_bit + k, chunk], out=sub[1 << k:2 << k])
+        table = _doubled(form.mul, ones[:w], fam.values[first_bit:first_bit + h, chunk])
         if m == 1:  # one block: whole rows of the table
             entries = out[0, :, c0:c0 + w]
-            np.take(sub, local[0], axis=0, out=entries)
+            np.take(table, local[0], axis=0, out=entries)
             entries[(chunk & part_mask) & ~rows[0, :, None] != 0] = form.zero
             continue
         block, at = np.divmod(np.arange(c0, c0 + w), c)
-        entries = sub[local[block], np.arange(w)[:, None]]  # (w, r)
+        entries = table[local[block], np.arange(w)[:, None]]  # (w, r)
         entries[(chunk[:, None] & part_mask) & ~rows[block] != 0] = form.zero
         out[block, :, at] = entries
     return SubMatrix(rows.T, flat, out)
 
 
-def _superset_rows(split: GroundSplit, part: int, rows, cols) -> int | None:
-    """s when each block has one column, with s part-p bits, and its rows
-    are all 2^(h_p - s) part supersets of them, ascending; else None.
-    Rows are already known to lie within the part."""
+def _doubled(op, roots, factors):
+    """(2^f, c) table doubled from c roots over f rows of factors (f, c):
+    row 0 holds the roots, and step q applies op to rows [0, 2^q) and
+    factors[q] into rows [2^q, 2^(q+1)), so row j combines each root
+    with the factors of j's set bits.  With the form's mul over a
+    column's free factors, ascending, the rows are the products of its
+    supersets in ascending order; with np.bitwise_or over the free bits,
+    their masks."""
     import numpy as np
 
-    (m, r), c = rows.shape, cols.shape[1]
-    if m == 0 or c != 1:
-        return None
-    part_mask, h = (split.u1_mask, split.h1) if part == 1 else (split.u2_mask, split.h2)
-    own = cols & part_mask  # (m, 1)
-    sizes = np.bitwise_count(own)
-    s = int(sizes[0, 0])
-    if r != 1 << (h - s) or (sizes != s).any():
-        return None
-    # r distinct supersets, each within the part, are all of them
-    if ((rows & own) != own).any() or (rows[:, 1:] <= rows[:, :-1]).any():
-        return None
-    return s
+    table = np.empty((1 << len(factors), len(roots)), dtype=roots.dtype)
+    table[0] = roots
+    for q in range(len(factors)):
+        op(table[:1 << q], factors[q], out=table[1 << q:2 << q])
+    return table
+
+
+def _chunks(form, values, cols, bits: range):
+    """(c0, c1, roots, free) chunks of columns sorted by their count of
+    set bits in `bits`: columns c0..c1 share one count, roots holds each
+    one's prod over those bits b of f_b(S), and free (f, c1 - c0) its f
+    unset bits in `bits`, ascending.  A chunk holds at most CHUNK_ENTRIES
+    doubled entries (2^f per column), or one column.
+
+    The roots are computed once, before chunking, lowest b first: step j
+    multiplies in the j-th such bit of the suffix of columns with more
+    than j.
+    """
+    import numpy as np
+
+    bit = np.arange(bits.start, bits.stop)
+    rest = cols & (((1 << len(bits)) - 1) << bits.start)
+    counts = np.bitwise_count(rest)
+    roots = np.full(len(cols), form.one, dtype=form.dtype)
+    ends = np.searchsorted(counts, np.arange(len(bits) + 1), side="right").tolist()
+    for at in ends[:int(counts.max(initial=0))]:
+        low = rest[at:] & -rest[at:]
+        rest[at:] ^= low
+        roots[at:] = form.mul(roots[at:], values[np.bitwise_count(low - 1), cols[at:]])
+    for k, (p0, p1) in enumerate(zip([0, *ends], ends)):
+        width = max(1, CHUNK_ENTRIES >> (len(bits) - k))
+        for c0 in range(p0, p1, width):
+            c1 = min(c0 + width, p1)
+            unset = (cols[c0:c1, None] >> bit) & 1 == 0
+            free = bit[np.nonzero(unset)[1]].reshape(c1 - c0, len(bits) - k).T
+            yield c0, c1, roots[c0:c1], free
 
 
 def _superset_brackets(fam, split: GroundSplit, part: int, cols, s: int):
     """(c, 2^(h_p - s)) array for c columns that each have s part-p bits:
     row k holds prod over i in T_p of f_i(cols[k]) for every part
-    superset T_p of cols[k]'s part bits, ascending.
-
-    Per column chunk (at most BUILD_CHUNK_ENTRIES entries), each column's
-    root, prod over its s part bits i of f_i(S), is doubled over the
-    part's free bits in ascending order, as `_direct_scan` doubles over
-    all of them: 2^(h_p - s) - 1 multiplications per column after the
-    root's s.
+    superset T_p of cols[k]'s part bits, ascending: each column's root,
+    prod over its s part bits i of f_i(S), doubled over the part's free
+    bits (`_chunks`), 2^(h_p - s) - 1 multiplications after the root's s.
     """
     import numpy as np
 
     form, values = fam.form, fam.values
-    first_bit, h = (0, split.h1) if part == 1 else (split.h1, split.h2)
-    bits = np.arange(first_bit, first_bit + h)
-    free = h - s
-    out = np.empty((len(cols), 1 << free), dtype=form.dtype)
-    width = max(1, BUILD_CHUNK_ENTRIES >> free)
-    for c0 in range(0, len(cols), width):
-        chunk = cols[c0:c0 + width]
-        inside = (chunk[:, None] >> bits) & 1  # (w, h)
-        held = bits[np.nonzero(inside)[1]].reshape(len(chunk), s).T
-        roots = np.full(len(chunk), form.one, dtype=form.dtype)
-        for q in range(s):
-            roots = form.mul(roots, values[held[q], chunk])
-        free_bits = bits[np.nonzero(inside == 0)[1]].reshape(len(chunk), free).T
-        out[c0:c0 + width] = _doubled(form, values, chunk, roots, free_bits).T
+    bits = range(split.h1) if part == 1 else range(split.h1, split.n)
+    out = np.empty((len(cols), 1 << (len(bits) - s)), dtype=form.dtype)
+    for c0, c1, roots, free in _chunks(form, values, cols, bits):
+        out[c0:c1] = _doubled(form.mul, roots, values[free, cols[c0:c1]]).T
     return out
-
-
-def _doubled(form, values, cols, roots, free_bits):
-    """(2^f, c) products of c columns with f free bits each (free_bits,
-    (f, c), ascending per column): row j of column k is roots[k] times
-    f_b(cols[k]) for b = free_bits[q, k] over the set bits q of j, so the
-    rows run in ascending superset order.  Step q multiplies rows
-    [0, 2^q) by the q-th free factor into rows [2^q, 2^(q+1))."""
-    import numpy as np
-
-    prods = np.empty((1 << len(free_bits), len(cols)), dtype=form.dtype)
-    prods[0] = roots
-    factors = values[free_bits, cols]
-    for q in range(len(free_bits)):
-        form.mul(prods[:1 << q], factors[q], out=prods[1 << q:2 << q])
-    return prods
 
 
 class BracketStore:
@@ -388,9 +394,10 @@ def _product_into(
     backend: RmmBackend,
     g,
     stats: PipelineStats | None,
-    store: BracketStore,
+    store: BracketStore | None,
 ) -> None:
-    """Run a Product step's batch as one batched product, scattered into g."""
+    """Run a Product step's batch as one batched product, scattered into g;
+    its brackets come from `store` when one is given."""
     if stats is not None:
         stats.columns_processed += step.cols.size
     if not (step.rows1.size and step.cols.size and step.rows2.size):
@@ -416,15 +423,11 @@ def _direct_scan(
     cols is a 1-D int64 array.  When row thresholds (t1, t2) are given, a
     T whose half-sizes both exceed them is left out (a trimmed product
     covers it), and so is a column that is such a T itself.  The columns
-    run grouped by popcount p, in chunks of one popcount holding at most
-    SCAN_CHUNK_ENTRIES table entries (a column with a larger table is a
-    chunk of its own).  A chunk of c columns fills a dense (2^(n-p), c)
-    product table and a matching mask table by doubling over each
-    column's free bits in rank order (`_doubled`): step q multiplies rows
-    [0, 2^q) by the column's q-th free factor into rows [2^q, 2^(q+1))
-    and sets that bit in their masks.
-    Cut entries are computed, then dropped by one mask before the
-    chunk's sums per T.
+    run sorted by popcount, in chunks of one popcount (`_chunks`).  A
+    chunk fills a product table and a matching mask table by doubling
+    each column's root, prod over i in S of f_i(S), and S itself over the
+    column's free bits (`_doubled`).  Cut entries are computed, then
+    dropped by one mask before the chunk's sums per T.
     """
     import numpy as np
 
@@ -433,23 +436,12 @@ def _direct_scan(
     if thresholds is not None:
         cut = scan_cut(split, thresholds)
         cols = cols[~cut[cols]]
-    pops = np.bitwise_count(cols).astype(np.int64)
-    order = np.argsort(pops, kind="stable")
-    cols, pops = cols[order], pops[order]
-    roots = np.full(len(cols), form.one, dtype=form.dtype)  # prod over i in S of f_i(S)
-    for b in range(n):
-        has = np.flatnonzero((cols >> b) & 1)
-        roots[has] = form.mul(roots[has], values[b, cols[has]])
+    cols = cols[np.argsort(np.bitwise_count(cols), kind="stable")]
     pairs = 0
-    for c0, c1 in _scan_chunks(pops, n):
-        s, free = cols[c0:c1], n - int(pops[c0])
-        # the free bits of each column, ascending: (free, c)
-        free_bits = np.nonzero((s[:, None] >> np.arange(n)) & 1 == 0)[1].reshape(len(s), free).T
-        prods = _doubled(form, values, s, roots[c0:c1], free_bits)
-        masks = np.empty((1 << free, len(s)), dtype=np.int64)
-        masks[0], bits = s, 1 << free_bits
-        for q in range(free):
-            np.bitwise_or(masks[:1 << q], bits[q], out=masks[1 << q:2 << q])
+    for c0, c1, roots, free in _chunks(form, values, cols, range(n)):
+        s = cols[c0:c1]
+        prods = _doubled(form.mul, roots, values[free, s])
+        masks = _doubled(np.bitwise_or, s, 1 << free)
         if cut is not None:
             kept = ~cut[masks]
             masks, prods = masks[kept], prods[kept]
@@ -457,18 +449,6 @@ def _direct_scan(
         form.add_at(g, masks.ravel(), prods.ravel())
     if stats is not None:
         stats.pair_iterations += pairs
-
-
-def _scan_chunks(pops, n: int):
-    """(c0, c1) chunks of columns sorted by popcount: one popcount each,
-    at most SCAN_CHUNK_ENTRIES table entries or one column."""
-    import numpy as np
-
-    edges = [*np.flatnonzero(np.diff(pops, prepend=-1)).tolist(), len(pops)]
-    for p0, p1 in zip(edges, edges[1:]):
-        width = max(1, SCAN_CHUNK_ENTRIES >> (n - int(pops[p0])))
-        for c0 in range(p0, p1, width):
-            yield c0, min(c0 + width, p1)
 
 
 def _execute(
@@ -493,7 +473,8 @@ def _execute(
         if isinstance(step, Scan):
             _direct_scan(fam, step.cols, g, stats, split, step.thresholds)
         else:
-            _product_into(fam, split, step, backend, g, stats, store)
+            superset = isinstance(step, SupersetProduct)
+            _product_into(fam, split, step, backend, g, stats, store if superset else None)
     return SetFunction(fam.ring, fam.n, g.tolist())
 
 
@@ -558,7 +539,10 @@ def _cover_plan(split: GroundSplit):
     `MeasuredCostPlanner` picks blocks of exactly the column size (one
     column per block is cheapest under the classical kernel), so each
     product covers one column and the run issues 3^n kernel
-    multiplications, the naive pair count, in one run per class.
+    multiplications, the naive pair count, in one run per class.  Such a
+    block's rows are the part supersets of its one column, so a class
+    whose blocks are its columns, (k1, k2) = (s1, s2), yields
+    `SupersetProduct`s.
     """
     import numpy as np
 
@@ -567,6 +551,7 @@ def _cover_plan(split: GroundSplit):
     for s1 in range(h1 + 1):
         for s2 in range(h2 + 1):
             k1, k2 = planner.select(split, s1, s2)
+            step = SupersetProduct if (k1, k2) == (s1, s2) else Product
             rows1, own1, count1 = _design_blocks(greedy_cover(h1, k1, s1), s1, 0)
             rows2, own2, count2 = _design_blocks(greedy_cover(h2, k2, s2), s2, h1)
             widths = (count1[:, None] * count2).ravel()
@@ -580,7 +565,7 @@ def _cover_plan(split: GroundSplit):
                     i, j = np.divmod(pairs[b0:min(b0 + per_batch, p1)], len(count2))
                     per2 = count2[j, None]
                     cols = own1[i[:, None], at // per2] | own2[j[:, None], at % per2]
-                    yield Product(rows1[i], cols, rows2[j])
+                    yield step(rows1[i], cols, rows2[j])
 
 
 @functools.cache

@@ -202,6 +202,29 @@ def test_dag_count(capsys):
     assert capsys.readouterr().out.strip() == str(robinson_count(5)) == "29281"
 
 
+@pytest.mark.parametrize("n", ["26", "-1"])
+def test_dag_count_outside_its_range_exits_2(capsys, n):
+    # dag.MAX_ROBINSON_N = 25
+    assert run_cli("dag-count", "--n", n) == 2
+    assert "n must lie in [0, 25]" in capsys.readouterr().err
+
+
+def test_gen_family_too_large_exits_2(tmp_path, capsys):
+    # jsonio.MAX_GENERATED_N = 16
+    out = tmp_path / "fam.json"
+    assert run_cli("gen", "--kind", "family", "--n", "17", "--output", str(out)) == 2
+    assert "generator supports n in [0, 16]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_dag_sum_self_loop_weight_exits_2(tmp_path, capsys):
+    # w[0] is nonzero on {0}: node 0 would be its own in-neighbor
+    weights = tmp_path / "w.json"
+    weights.write_text(json.dumps({"n": 2, "weights": [["0", "1", "0", "0"], ["0"] * 4]}))
+    assert run_cli("dag-sum", "--weights", str(weights)) == 2
+    assert "w[0] must be zero" in capsys.readouterr().err
+
+
 def test_cover_command(tmp_path):
     out = tmp_path / "cover.json"
     assert run_cli("cover", "--v", "4", "--k", "3", "--s", "2",

@@ -90,7 +90,7 @@ def test_kernel_chunk_and_fold_bounds_keep_the_sums_exact():
     assert P + m61.KERNEL_FOLD_COLUMNS * 3 * (2**21 - 1) ** 2 < 2**64
     # sums per index (add_at): a T gets at most one entry per scan column
     # or per batched block, and a chunk or batch has fewer than 2^21 of them
-    assert max(mst.SCAN_CHUNK_ENTRIES, mst.BATCH_OUTPUT_ENTRIES) < 2**21
+    assert max(mst.CHUNK_ENTRIES, mst.BATCH_OUTPUT_ENTRIES) < 2**21
 
 
 def test_kernel_with_every_entry_p_minus_1_at_a_chunk_of_2_to_the_11(monkeypatch):
@@ -225,7 +225,7 @@ def test_batched_bracket_matches_block_by_block(modp, monkeypatch):
     # 48 entries: chunks of 3 columns of the 16-row part-1 table cut across
     # blocks of 2; 24 entries: chunks of 3 columns of the 8-row part 2
     for entries in (48, 24):
-        monkeypatch.setattr(mst, "BUILD_CHUNK_ENTRIES", entries)
+        monkeypatch.setattr(mst, "CHUNK_ENTRIES", entries)
         for part, parts in blocks.items():
             rows = masks([r for r, _ in parts])
             cols = masks([block_cols for _, block_cols in parts])
@@ -267,24 +267,25 @@ def test_array_path_matches_list_path_and_naive(n):
 def test_chunk_sizes_and_folds_do_not_change_the_table(monkeypatch):
     # tiny chunks: many kernel chunks and a fold after each; build chunks of
     # 5 columns, and of one column when a half has more rows than the entry
-    # bound; scan chunks of one popcount, a column whose table is larger than
-    # the cap being a chunk of its own
-    scans = []  # per scan call: (popcounts, columns, table entries) of each chunk
-    scan_chunks = mst._scan_chunks
+    # bound; scan and store chunks of one bit count, a column whose table is
+    # larger than the cap being a chunk of its own
+    scans = []  # per chunked call: (bit counts, columns, table entries) of each chunk
+    chunks_of = mst._chunks
 
-    def recording(pops, n):
+    def recording(form, values, cols, bits):
         scans.append([])
-        for c0, c1 in scan_chunks(pops, n):
-            scans[-1].append((set(pops[c0:c1].tolist()), c1 - c0, (c1 - c0) << (n - int(pops[c0]))))
-            yield c0, c1
+        mask = sum(1 << b for b in bits)
+        for c0, c1, roots, free in chunks_of(form, values, cols, bits):
+            counts = set(np.bitwise_count(cols[c0:c1] & mask).tolist())
+            scans[-1].append((counts, c1 - c0, (c1 - c0) << len(free)))
+            yield c0, c1, roots, free
 
-    monkeypatch.setattr(mst, "_scan_chunks", recording)
+    monkeypatch.setattr(mst, "_chunks", recording)
     monkeypatch.setattr(m61, "KERNEL_CHUNK_COLUMNS", 7)
     monkeypatch.setattr(m61, "KERNEL_FOLD_COLUMNS", 7)
     naive = mst_naive(random_family(PrimeField(), 8, 3)).values
-    for build_entries, scan_entries in ((5 << 4, 4), (1, 64)):
-        monkeypatch.setattr(mst, "BUILD_CHUNK_ENTRIES", build_entries)
-        monkeypatch.setattr(mst, "SCAN_CHUNK_ENTRIES", scan_entries)
+    for entries in (5 << 4, 4):
+        monkeypatch.setattr(mst, "CHUNK_ENTRIES", entries)
         scans.clear()
         for algo in ARRAY_ALGOS:
             (arr, arr_stats), (lst, lst_stats) = _both_forms(algo, 8, 3)
@@ -292,8 +293,8 @@ def test_chunk_sizes_and_folds_do_not_change_the_table(monkeypatch):
             assert arr_stats == lst_stats
         chunks = [chunk for scan in scans for chunk in scan]
         assert all(len(pops) == 1 for pops, _, _ in chunks)
-        assert all(entries <= scan_entries for _, width, entries in chunks if width > 1)
-        assert any(width == 1 and entries > scan_entries for _, width, entries in chunks)
+        assert all(table <= entries for _, width, table in chunks if width > 1)
+        assert any(width == 1 and table > entries for _, width, table in chunks)
         assert any(sum(pops == {p} for pops, _, _ in scan) > 1 for scan in scans for p in range(9))
 
 

@@ -30,12 +30,12 @@ from multisubset.mst import (
     BracketStore,
     Product,
     Scan,
+    SupersetProduct,
     _cover_plan,
     _design_blocks,
     _execute,
     _guarded_floor,
     _half_rows,
-    _superset_rows,
     row_thresholds,
     scan_cut,
     small_large_columns,
@@ -328,12 +328,12 @@ def test_wider_cover_blocks_cost_more_kernel_muls(monkeypatch, n):
 @pytest.mark.parametrize("n", range(13))
 def test_default_cover_products_take_one_column_and_its_supersets(n):
     # rows1 and rows2 of each product are exactly the supersets, in each
-    # half, of its one column's halves
+    # half, of its one column's halves, and the plan marks it so
     split = GroundSplit.for_n(n)
     halves = [(list(range(1 << split.h1)), split.u1_mask),
               ([t << split.h1 for t in range(1 << split.h2)], split.u2_mask)]
     for step in _cover_plan(split):
-        assert step.cols.shape[1] == 1
+        assert isinstance(step, SupersetProduct) and step.cols.shape[1] == 1
         for rows1, (col,), rows2 in zip(*(a.tolist() for a in (step.rows1, step.cols, step.rows2))):
             for rows, (half, mask) in zip((rows1, rows2), halves):
                 assert rows == [t for t in half if t & col & mask == col & mask]
@@ -386,16 +386,16 @@ def test_measured_planner_picks_the_column_size_everywhere(n):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_store_brackets_equal_the_dense_doubling(n):
-    # every cover batch is recognised as superset rows, and its operands
-    # from the store equal, entry for entry, the dense doubling of the
-    # same blocks (which is what a build without a store gives)
+    # every cover batch is marked as superset rows, and its operands from
+    # the store equal, entry for entry, the dense doubling of the same
+    # blocks (which is what a build without a store gives)
     split = GroundSplit.for_n(n)
     for ring in (PrimeField(), PrimeField(101), CountingRing(PrimeField())):
         fam = ArrayFamily.of(random_family(ring, n, seed=n))
         store = BracketStore(fam, split)
         for step in _cover_plan(split):
+            assert isinstance(step, SupersetProduct)
             for part, rows in ((1, step.rows1), (2, step.rows2)):
-                assert _superset_rows(split, part, rows, step.cols) is not None
                 want = build_submatrix(fam, split, part, rows, step.cols)
                 got = build_submatrix(fam, split, part, rows, step.cols, store)
                 assert got.rows.tolist() == want.rows.tolist()
@@ -407,31 +407,40 @@ def test_store_brackets_equal_the_dense_doubling(n):
 
 @pytest.mark.parametrize("n", range(1, 11))
 def test_wider_cover_blocks_mix_both_builds_and_match_naive(monkeypatch, n):
-    # one element wider than their columns, most blocks are not superset
-    # rows and take the dense doubling; those of empty or whole-half
-    # columns are, and take the store (below n = 3 every block is)
+    # one element wider than their columns, capped at the half, blocks are
+    # their own columns only in the class of the whole ground set: only
+    # its steps are marked and take the store, the rest the dense doubling
     monkeypatch.setattr(MeasuredCostPlanner, "select", one_wider_select)
     split = GroundSplit.for_n(n)
-    dense = {_superset_rows(split, 1, step.rows1, step.cols) is None for step in _cover_plan(split)}
-    assert False in dense and (True in dense) == (n >= 3)
+    marked = set()
+    for step in _cover_plan(split):
+        col = int(step.cols[0, 0])
+        sizes = (col & split.u1_mask).bit_count(), (col & split.u2_mask).bit_count()
+        own = one_wider_select(None, split, *sizes) == sizes
+        assert isinstance(step, SupersetProduct) == own
+        marked.add(own)
+    assert marked == {False, True}
     fam = random_family(PrimeField(101), n, seed=n)
     assert run_transform("cover", fam).values == mst_naive(fam).values
 
 
-def test_superset_rows_rejects_what_is_not_all_supersets():
+def test_store_build_rejects_blocks_that_are_not_one_column_and_its_supersets(modp):
     split = GroundSplit.for_n(6)  # halves of 3 bits
-    col = masks([[0b010]])
-    assert _superset_rows(split, 1, masks([[0b010, 0b011, 0b110, 0b111]]), col) == 1
-    for rows in ([[0b010, 0b011, 0b110]],  # too few
-                 [[0b011, 0b010, 0b110, 0b111]],  # not ascending
-                 [[0b010, 0b011, 0b011, 0b111]],  # repeated
-                 [[0b001, 0b011, 0b110, 0b111]]):  # not a superset
-        assert _superset_rows(split, 1, masks(rows), col) is None
-    # two columns per block, or blocks of columns with different part sizes
-    assert _superset_rows(split, 1, masks([[0b010, 0b011, 0b110, 0b111]]), masks([[2, 2]])) is None
-    mixed = masks([[0b110], [0b001]])
-    assert _superset_rows(split, 1, masks([[0b110, 0b111], [0b011, 0b111]]), mixed) is None
-    assert _superset_rows(split, 2, masks([[0b111000]]), masks([[0b111000]])) == 3
+    fam = ArrayFamily.of(random_family(modp, 6, seed=6))
+    store = BracketStore(fam, split)
+    rows = masks([[0b010, 0b011, 0b110, 0b111]])
+    assert build_submatrix(fam, split, 1, rows, masks([[0b010]]), store).entries.shape == (1, 4, 1)
+    bad = [(rows, masks([[0b010, 0b010]])),  # two columns per block
+           (rows[:, :3], masks([[0b010]])),  # a row count other than 2^(3 - 1)
+           (masks([[0b010, 0b011, 0b110, 0b111], [0b011, 0b111, 0b111, 0b111]]),
+            masks([[0b010], [0b011]])),  # two part sizes
+           (np.zeros((0, 4), dtype=np.int64), np.zeros((0, 1), dtype=np.int64))]  # no block
+    for bad_rows, bad_cols in bad:
+        with pytest.raises(ValueError):
+            build_submatrix(fam, split, 1, bad_rows, bad_cols, store)
+    # part 2: a whole-half column is its one superset
+    whole = masks([[0b111000]])
+    assert build_submatrix(fam, split, 2, whole, whole, store).entries.shape == (1, 1, 1)
 
 
 @pytest.mark.parametrize("budget", [0, 1 << 9])

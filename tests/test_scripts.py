@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+SIDES = ("parent", "change")
 
 
 def load_script(name):
@@ -51,3 +52,30 @@ def test_bench_pairs_rejects_fewer_than_two_seeds(seeds, tmp_path, capsys):
     assert "at least two" in capsys.readouterr().err
     assert bench_pairs.parse_args([*args, "--seeds", "61,63"]).seeds == [61, 63]
     assert bench_pairs.parse_args([*args, "--seeds", "61-64"]).seeds == [61, 62, 63, 64]
+
+
+def _pairs(parent, change):
+    """Synthetic pairs as bench_pairs keeps them: metric t's value per side."""
+    return [{side: {"json": {"metrics": {"t": {"value": v}}}} for side, v in zip(SIDES, pair)}
+            for pair in zip(parent, change)]
+
+
+def test_bench_pairs_summary_shows_a_gain_only_past_9_of_10_and_the_parent_spread():
+    summarize = load_script("bench_pairs").summarize
+    lower = {"end_to_end": [{"name": "t", "better": "lower"}]}
+    higher = {"end_to_end": [{"name": "t", "better": "higher"}]}
+    parent = [1.0 + 0.1 * i for i in range(10)]  # quartiles 1.225 and 1.675
+    entry = summarize(lower, _pairs(parent, [p - 1 for p in parent]))["t"]
+    assert entry["parent_iqr"] == pytest.approx(0.45)
+    assert entry["change_lower_in_pairs"] == "10/10" and entry["gain_shown"] is True
+    # one tie: 9 of 10 pairs better still shows it; two ties do not
+    one_tie = [parent[0]] + [p - 1 for p in parent[1:]]
+    assert summarize(lower, _pairs(parent, one_tie))["t"]["gain_shown"] is True
+    two_ties = parent[:2] + [p - 1 for p in parent[2:]]
+    assert summarize(lower, _pairs(parent, two_ties))["t"]["gain_shown"] is False
+    # better in every pair, but by less than the parent's spread
+    assert summarize(lower, _pairs(parent, [p - 0.3 for p in parent]))["t"]["gain_shown"] is False
+    # a metric where higher is better: a lower change is no gain, a higher one is
+    assert summarize(higher, _pairs(parent, [p - 1 for p in parent]))["t"]["gain_shown"] is False
+    entry = summarize(higher, _pairs(parent, [p + 1 for p in parent]))["t"]
+    assert entry["change_lower_in_pairs"] == "0/10" and entry["gain_shown"] is True
