@@ -39,19 +39,19 @@ checked against, and the control that no array kernel touches.
 * `rows-columns` additionally trims the matrix rows: the product is only
   taken over row halves larger than a threshold, and the remaining
   (small-row, small-column) pairs are folded into the direct scan.
-* `cover` chops the column work into blocks indexed by greedy covering
-  designs, one product per block pair.
+* `cover` gives each column its own product, between the part
+  supersets of its two halves, the blocks of (h, s, s) covering
+  designs: wider blocks would pay only under a fast rectangular kernel.
 
 Every table the executor fills comes from one doubling loop
 (`_doubled`): a column's products over the supersets of a fixed set, or
 their masks, each one factor or bit away from a smaller one.  The
-bracket build works in one of two ways.  A `SupersetProduct`, which
-`cover`'s plan emits when each block is its own column, needs only its
-rows' brackets: they come from a `BracketStore`, built once per run by
-doubling each column's root over its part's free bits, as the direct
-scan does over all free bits.  Any other product (the one product of
-`columns` and of `rows-columns`) doubles over every subset of the half,
-per column chunk, and picks its rows.
+bracket build works in one of two ways.  A `SupersetProduct`, every
+step of `cover`'s plan, needs only its rows' brackets: they come from a
+`BracketStore`, built once per run by doubling each column's root over
+its part's free bits, as the direct scan does over all free bits.  The
+one product of `columns` and of `rows-columns` doubles over every
+subset of the half, per column chunk, and picks its rows.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .bitops import bits_of, subsets_of_size
+from .bitops import bits_of
 from .cover import greedy_cover
 from .rmm import ClassicalBackend, RmmBackend, SubMatrix
 from .setfn import Family, SetFunction
@@ -131,7 +131,9 @@ class Product:
     rows1 (m, r1), cols (m, c) and rows2 (m, r2) are int64 mask arrays;
     product k adds the terms of cols[k] at every T1 | T2 with T1 in
     rows1[k] and T2 in rows2[k].  Each (T1 | T2, S) pair is summed once,
-    so a plan must not give it to another product or step too.
+    so a plan must not give it to another product or step too.  The
+    executor runs a plain Product of one block (m = 1); batches are
+    `SupersetProduct`s.
     """
 
     rows1: object
@@ -142,8 +144,8 @@ class Product:
 class SupersetProduct(Product):
     """A Product whose blocks each have one column, all with the same part
     sizes, and as rows all the part supersets of that column, ascending:
-    `cover`'s products of a class whose blocks are its own columns.  The
-    executor builds their brackets from the run's `BracketStore`.
+    every step of `cover`'s plan.  The executor builds their brackets
+    from the run's `BracketStore`.
     """
 
 
@@ -219,11 +221,12 @@ def build_submatrix(fam, split: GroundSplit, part: int, rows, cols, store=None) 
     2^(h_p - s) part supersets of that column, ascending.  Their brackets
     come from the store, each computed once per run.  A batch of another
     shape raises ValueError; its rows' masks are not checked.  Without a
-    store, per column chunk (at most CHUNK_ENTRIES table entries), the
-    products of every subset of the half come from doubling (`_doubled`:
-    subset U + {b} is subset U times f_b); each column's block picks its
-    rows, and the entries whose column has half bits outside the row are
-    zeroed.
+    store the batch is one block (the one product of `columns` and of
+    `rows-columns`; ValueError otherwise): per column chunk (at most
+    CHUNK_ENTRIES table entries), the products of every subset of the
+    half come from doubling (`_doubled`: subset U + {b} is subset U times
+    f_b), the block's rows are picked, and the entries whose column has
+    half bits outside the row are zeroed.
     """
     import numpy as np
 
@@ -242,26 +245,21 @@ def build_submatrix(fam, split: GroundSplit, part: int, rows, cols, store=None) 
                              "with 2^(h_p - s) rows")
         col = cols[:, 0]
         return SubMatrix(rows.T, col, store.brackets(part, col, int(sizes[0]))[:, :, None])
+    if m != 1:
+        raise ValueError(f"a build without a store takes one block, not {m}")
     form = fam.form
-    local = rows >> first_bit
-    flat = cols.ravel()
-    out = np.empty((m, r, c), dtype=form.dtype)
+    local, col = rows[0] >> first_bit, cols[0]
+    out = np.empty((1, r, c), dtype=form.dtype)
     width = max(1, CHUNK_ENTRIES >> h)
-    ones = np.full(min(flat.size, width), form.one, dtype=form.dtype)
-    for c0 in range(0, flat.size, width):
-        chunk = flat[c0:c0 + width]
+    ones = np.full(min(c, width), form.one, dtype=form.dtype)
+    for c0 in range(0, c, width):
+        chunk = col[c0:c0 + width]
         w = len(chunk)
         table = _doubled(form.mul, ones[:w], fam.values[first_bit:first_bit + h, chunk])
-        if m == 1:  # one block: whole rows of the table
-            entries = out[0, :, c0:c0 + w]
-            np.take(table, local[0], axis=0, out=entries)
-            entries[(chunk & part_mask) & ~rows[0, :, None] != 0] = form.zero
-            continue
-        block, at = np.divmod(np.arange(c0, c0 + w), c)
-        entries = table[local[block], np.arange(w)[:, None]]  # (w, r)
-        entries[(chunk[:, None] & part_mask) & ~rows[block] != 0] = form.zero
-        out[block, :, at] = entries
-    return SubMatrix(rows.T, flat, out)
+        entries = out[0, :, c0:c0 + w]
+        np.take(table, local, axis=0, out=entries)
+        entries[(chunk & part_mask) & ~rows[0, :, None] != 0] = form.zero
+    return SubMatrix(rows.T, col, out)
 
 
 def _doubled(op, roots, factors):
@@ -512,13 +510,13 @@ def scan_cut(split: GroundSplit, thresholds: tuple[int, int]):
 
 
 class MeasuredCostPlanner:
-    """Chooses each column class's block sizes: (s1, s2), one column per block.
+    """The one-column rule: each column class (s1, s2) gets blocks of
+    exactly its sizes, (k1, k2) = (s1, s2).
 
-    With the classical kernel each column of a class sits in exactly one
-    block pair, so a class costs |class|·r1·r2 kernel multiplications and
-    |class|·(r1 + r2) build entries, where r_p (the rows meeting a
-    k_p-block in at least s_p elements) is smallest at k_p = s_p.  Wider
-    blocks pay only under a fast rectangular kernel.
+    `cover`'s plan no longer reads it: it lists one product per column.
+    perfbench's `counts._cover_is_per_column` still does, for its 3^n
+    kernel-multiplication prediction, until the benchmark drops that
+    seam.
     """
 
     def select(self, split: GroundSplit, s1: int, s2: int) -> tuple[int, int]:
@@ -526,69 +524,46 @@ class MeasuredCostPlanner:
 
 
 def _cover_plan(split: GroundSplit):
-    """Batches of one product per block pair, generated as the executor asks.
+    """Batches of one-column `SupersetProduct`s, generated as the executor asks.
 
-    Columns come in classes by (popcount in part 1, popcount in part 2);
-    covering designs tile each class into block pairs (key1, key2), taken
-    key1-major.  A column goes to the first pair holding its halves: a
-    pair's columns are key1's own s1-subsets times key2's own s2-subsets
-    (`_design_blocks`), and a pair with none is skipped.  Each run of
-    pairs of one width is cut into batches of at most BATCH_OUTPUT_ENTRIES
-    outputs (a larger product is a batch of its own) within its class.
-
-    `MeasuredCostPlanner` picks blocks of exactly the column size (one
-    column per block is cheapest under the classical kernel), so each
-    product covers one column and the run issues 3^n kernel
-    multiplications, the naive pair count, in one run per class.  Such a
-    block's rows are the part supersets of its one column, so a class
-    whose blocks are its columns, (k1, k2) = (s1, s2), yields
-    `SupersetProduct`s.
+    Columns come in classes by (popcount in part 1, popcount in part 2),
+    taken s1-major, as `BracketStore` expects.  The blocks of a class's
+    (h_p, s_p, s_p) covering designs are every s_p-subset of each half,
+    ascending, so each column S1 | S2 is a block pair of its own, with
+    the part supersets of S1 and of S2 as its rows (`_superset_rows`).
+    The columns run S1-major, in batches of at most BATCH_OUTPUT_ENTRIES
+    outputs (a larger product is a batch of its own) within their class.
+    The run issues 3^n kernel multiplications, the naive pair count.
     """
     import numpy as np
 
     h1, h2 = split.h1, split.h2
-    planner = MeasuredCostPlanner()
     for s1 in range(h1 + 1):
         for s2 in range(h2 + 1):
-            k1, k2 = planner.select(split, s1, s2)
-            step = SupersetProduct if (k1, k2) == (s1, s2) else Product
-            rows1, own1, count1 = _design_blocks(greedy_cover(h1, k1, s1), s1, 0)
-            rows2, own2, count2 = _design_blocks(greedy_cover(h2, k2, s2), s2, h1)
-            widths = (count1[:, None] * count2).ravel()
-            pairs = np.flatnonzero(widths)
-            widths = widths[pairs]
-            per_batch = max(1, BATCH_OUTPUT_ENTRIES // (rows1.shape[1] * rows2.shape[1]))
-            edges = [*np.flatnonzero(np.diff(widths, prepend=-1)).tolist(), len(pairs)]
-            for p0, p1 in zip(edges, edges[1:]):
-                at = np.arange(widths[p0])
-                for b0 in range(p0, p1, per_batch):
-                    i, j = np.divmod(pairs[b0:min(b0 + per_batch, p1)], len(count2))
-                    per2 = count2[j, None]
-                    cols = own1[i[:, None], at // per2] | own2[j[:, None], at % per2]
-                    yield step(rows1[i], cols, rows2[j])
+            cols1, rows1 = _superset_rows(greedy_cover(h1, s1, s1), 0)
+            cols2, rows2 = _superset_rows(greedy_cover(h2, s2, s2), h1)
+            per_batch = max(1, BATCH_OUTPUT_ENTRIES >> (split.n - s1 - s2))
+            count = len(cols1) * len(cols2)
+            for b0 in range(0, count, per_batch):
+                i, j = np.divmod(np.arange(b0, min(b0 + per_batch, count)), len(cols2))
+                yield SupersetProduct(rows1[i], (cols1[i] | cols2[j])[:, None], rows2[j])
 
 
 @functools.cache
-def _design_blocks(design, s: int, shift: int):
-    """(rows, own, count) of a (h, k, s) design's K blocks, masks shifted left
-    by `shift`: rows[b] are the half's masks meeting block b in at least s
-    elements, ascending; own[b, :count[b]] are the s-subsets of block b
-    that no earlier block holds, in `subsets_of_size` order.
+def _superset_rows(design, shift: int):
+    """(masks, rows) of an (h, s, s) design's blocks, shifted left by
+    `shift`: masks holds the blocks, rows (C(h, s), 2^(h - s)) each
+    block's supersets within the h-bit half, ascending.
 
-    Cached per (design, s, shift), so the arrays are read-only: every
+    Cached per (design, shift), so the arrays are read-only: every
     `cover` run reads the same ones.
     """
     import numpy as np
 
     keys = np.array(design.blocks, dtype=np.int64)
-    subsets = np.array([list(subsets_of_size(key, s)) for key in design.blocks], dtype=np.int64)
-    first = np.zeros(subsets.size, dtype=bool)
-    first[np.unique(subsets, return_index=True)[1]] = True
-    first = first.reshape(subsets.shape)
-    own = np.take_along_axis(subsets, np.argsort(~first, axis=1, kind="stable"), axis=1)
     half = np.arange(1 << design.v)
-    rows = np.nonzero(np.bitwise_count(half & keys[:, None]) >= s)[1].reshape(len(keys), -1)
-    blocks = rows << shift, own << shift, first.sum(axis=1)
+    rows = np.nonzero(half & keys[:, None] == keys[:, None])[1].reshape(len(keys), -1)
+    blocks = keys << shift, rows << shift
     for array in blocks:
         array.flags.writeable = False
     return blocks

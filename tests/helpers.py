@@ -1,4 +1,4 @@
-"""Seeded random inputs and plan helpers shared by the test modules."""
+"""Seeded random inputs and mask arrays shared by the test modules."""
 
 import random
 
@@ -25,8 +25,3 @@ def masks(values):
     """Masks (nested lists of ints) as an int64 array, the form plan steps hold."""
     return np.array(values, dtype=np.int64)
 
-
-def one_wider_select(planner, split, s1, s2):
-    """A `MeasuredCostPlanner.select` picking blocks one element wider than
-    their columns, capped at the half: products of several columns."""
-    return min(s1 + 1, split.h1), min(s2 + 1, split.h2)

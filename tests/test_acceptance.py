@@ -16,7 +16,6 @@ from multisubset import (
     WeightSystem,
     binom_facts_check,
     brute_force_dag_sum,
-    build_submatrix,
     cover_size_bound,
     gamma_search,
     greedy_cover,
@@ -38,7 +37,7 @@ from multisubset import (
 from multisubset.analysis import DEFAULT_OMEGA_TABLE
 from multisubset.arrays import ArrayFamily
 from multisubset.bench import predicted_pair_iterations
-from multisubset.mst import COLUMNS_SIGMA, _guarded_floor
+from multisubset.mst import COLUMNS_SIGMA, _guarded_floor, build_submatrix
 
 from helpers import random_family, random_setfn
 from test_dag import ACYCLIC_COUNTS, random_weights

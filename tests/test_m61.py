@@ -1,7 +1,6 @@
 """The uint64 form of PrimeField(2^61 - 1): exact arithmetic, and agreement
 with the object form (over CountingRing) and with the naive oracle."""
 
-import math
 import os
 import random
 import subprocess
@@ -23,7 +22,6 @@ from multisubset import (
     SetFunction,
     SubMatrix,
     WeightSystem,
-    build_submatrix,
     mst_naive,
     run_transform,
     sum_acyclic_digraphs,
@@ -34,14 +32,13 @@ from multisubset.arrays import ArrayFamily
 from multisubset.bitops import bits_of
 from multisubset.mst import (
     GroundSplit,
-    MeasuredCostPlanner,
-    _cover_plan,
     _direct_scan,
+    build_submatrix,
     row_thresholds,
     scan_cut,
 )
 
-from helpers import masks, one_wider_select, random_family
+from helpers import masks, random_family
 
 P = MERSENNE61
 EXTREMES = [0, 1, 2**32 - 1, 2**32, P - 1]
@@ -213,31 +210,42 @@ def test_bracket_matrix_array_form(modp):
         assert got.entries.tolist() == want.entries.tolist()
 
 
-def test_batched_bracket_matches_block_by_block(modp, monkeypatch):
-    # batches on the uint64 form against single blocks on the object form
+def test_chunked_bracket_matches_the_object_form(modp, monkeypatch):
+    # one block on the uint64 form, its columns cut into chunks, against
+    # the object form in one chunk
     split = GroundSplit.for_n(7)
     uint64 = ArrayFamily.of(random_family(modp, 7, seed=5))
     objects = ArrayFamily.of(random_family(CountingRing(modp), 7, seed=5))
-    blocks = {
-        1: [([0, 3, 5], [1, 6]), ([7, 1, 6], [3, 9]), ([2, 2, 15], [127, 0]), ([4, 0, 1], [5, 5])],
-        2: [([0, 0b10000], [33, 64]), ([0b1110000, 0b1010000], [80, 17])],
-    }
-    # 48 entries: chunks of 3 columns of the 16-row part-1 table cut across
-    # blocks of 2; 24 entries: chunks of 3 columns of the 8-row part 2
+    blocks = {1: ([0, 3, 5, 7, 1, 6, 2, 2, 15], [1, 6, 3, 9, 127, 0, 5, 5]),
+              2: ([0, 0b10000, 0b1110000, 0b1010000], [33, 64, 80, 17, 127, 0, 96])}
+    want = {part: build_submatrix(objects, split, part, masks([rows]), masks([cols]))
+            for part, (rows, cols) in blocks.items()}
+    # 48 entries: chunks of 3 columns of the 16-row part-1 table; 24
+    # entries: chunks of 3 columns of the 8-row part 2
     for entries in (48, 24):
         monkeypatch.setattr(mst, "CHUNK_ENTRIES", entries)
-        for part, parts in blocks.items():
-            rows = masks([r for r, _ in parts])
-            cols = masks([block_cols for _, block_cols in parts])
-            got = build_submatrix(uint64, split, part, rows, cols)
-            assert got.entries.shape == (len(parts), len(rows[0]), 2)
-            assert len(got.rows) * len(got.cols) == got.entries.size
-            for k, (block_rows, block_cols) in enumerate(parts):
-                assert got.rows[:, k].tolist() == block_rows
-                want = build_submatrix(objects, split, part, rows[k, None], cols[k, None])
-                assert got.entries[k].tolist() == want.entries[0].tolist()
+        for part, (rows, cols) in blocks.items():
+            got = build_submatrix(uint64, split, part, masks([rows]), masks([cols]))
+            assert got.entries.shape == (1, len(rows), len(cols))
+            assert got.rows.tolist() == want[part].rows.tolist() == [[r] for r in rows]
+            assert got.cols.tolist() == want[part].cols.tolist() == cols
+            assert got.entries.tolist() == want[part].entries.tolist()
+
+
+def test_bracket_build_without_a_store_takes_one_block(modp):
+    split = GroundSplit.for_n(7)
+    uint64 = ArrayFamily.of(random_family(modp, 7, seed=5))
     with pytest.raises(ValueError):
-        build_submatrix(uint64, split, 1, masks([[1], [0b10000000]]), masks([[0], [1]]))
+        build_submatrix(uint64, split, 1, masks([[0, 3], [7, 1]]), masks([[1], [3]]))
+    with pytest.raises(ValueError):
+        build_submatrix(uint64, split, 1, masks(np.zeros((0, 2))), masks(np.zeros((0, 1))))
+
+
+def test_bracket_rows_outside_the_part_are_rejected(modp):
+    split = GroundSplit.for_n(7)
+    uint64 = ArrayFamily.of(random_family(modp, 7, seed=5))
+    with pytest.raises(ValueError):
+        build_submatrix(uint64, split, 1, masks([[1, 0b10000000]]), masks([[0]]))
     with pytest.raises(ValueError):
         build_submatrix(uint64, split, 2, masks([[0b0001]]), masks([[0]]))
 
@@ -411,39 +419,10 @@ def test_batch_cap_below_one_product_does_not_change_the_table(monkeypatch):
 class _EntryTypes(ClassicalBackend):
     def __init__(self):
         self.seen = set()
-        self.shapes = []
 
     def multiply(self, ring, a, b, stats=None):
         self.seen.add(a.entries.dtype)
-        self.shapes.append(a.entries.shape)
         return super().multiply(ring, a, b, stats)
-
-
-def test_wider_cover_blocks_match_the_list_path(monkeypatch):
-    # blocks one element wider than their columns: batches of products of
-    # several columns, and products shortened by columns already covered
-    monkeypatch.setattr(MeasuredCostPlanner, "select", one_wider_select)
-    shapes = []
-    for n in (6, 9):
-        backend = _EntryTypes()
-        stats = PipelineStats()
-        fam = random_family(PrimeField(), n, n)
-        got = run_transform("cover", fam, backend=backend, stats=stats)
-        lst_stats = PipelineStats()
-        lst = run_transform("cover", random_family(CountingRing(PrimeField()), n, n), stats=lst_stats)
-        assert got.values == lst.values == mst_naive(fam).values
-        assert stats == lst_stats
-        shapes += backend.shapes
-    assert any(m > 1 and c > 1 for m, _, c in shapes)
-    split = GroundSplit.for_n(9)
-    shortened = 0
-    for step in _cover_plan(split):
-        s1 = int(step.cols[0, 0] & split.u1_mask).bit_count()
-        s2 = int(step.cols[0, 0]).bit_count() - s1
-        k1, k2 = one_wider_select(None, split, s1, s2)
-        m, c = step.cols.shape
-        shortened += m * (c < math.comb(k1, s1) * math.comb(k2, s2))
-    assert shortened
 
 
 @pytest.mark.parametrize("algo,ring,uint64", [

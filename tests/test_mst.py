@@ -11,14 +11,12 @@ from multisubset import (
     CountingRing,
     Family,
     GroundSplit,
-    MeasuredCostPlanner,
     OpCounter,
     PipelineStats,
     PrimeField,
     ROWS_COLUMNS_SIGMA,
     ROWS_COLUMNS_TAU,
     SetFunction,
-    build_submatrix,
     make_ring,
     mst_naive,
     run_transform,
@@ -28,14 +26,16 @@ from multisubset import mst
 from multisubset.mst import (
     BATCH_OUTPUT_ENTRIES,
     BracketStore,
+    MeasuredCostPlanner,
     Product,
     Scan,
     SupersetProduct,
     _cover_plan,
-    _design_blocks,
     _execute,
     _guarded_floor,
     _half_rows,
+    _superset_rows,
+    build_submatrix,
     row_thresholds,
     scan_cut,
     small_large_columns,
@@ -44,7 +44,7 @@ from multisubset.arrays import ArrayFamily
 from multisubset.cover import greedy_cover
 from multisubset.setfn import MAX_GROUND_SET
 
-from helpers import masks, one_wider_select, random_family
+from helpers import masks, random_family
 
 FAST = ("columns", "rows-columns", "cover")
 
@@ -310,21 +310,6 @@ def test_cover_counts_one_column_per_product(modp, n):
     assert stats.columns_processed == 2**n
 
 
-@pytest.mark.parametrize("n", [4, 6, 9, 12])
-def test_wider_cover_blocks_cost_more_kernel_muls(monkeypatch, n):
-    # blocks one element wider than their columns give the same table but
-    # more than the 3^n kernel multiplications of one column per block:
-    # each column still sits in one block pair, and a wider block is met
-    # by more rows
-    fam = random_family(PrimeField(), n, seed=n)
-    default = PipelineStats()
-    want = run_transform("cover", fam, stats=default).values
-    monkeypatch.setattr(MeasuredCostPlanner, "select", one_wider_select)
-    wider = PipelineStats()
-    assert run_transform("cover", fam, stats=wider).values == want
-    assert default.rmm_muls == 3**n < wider.rmm_muls
-
-
 @pytest.mark.parametrize("n", range(13))
 def test_default_cover_products_take_one_column_and_its_supersets(n):
     # rows1 and rows2 of each product are exactly the supersets, in each
@@ -339,14 +324,11 @@ def test_default_cover_products_take_one_column_and_its_supersets(n):
                 assert rows == [t for t in half if t & col & mask == col & mask]
 
 
-@pytest.mark.parametrize("wider", [False, True], ids=["default", "wider"])
-@pytest.mark.parametrize("n", [6, 9])
-def test_cover_batches_partition_the_columns(monkeypatch, n, wider):
+@pytest.mark.parametrize("n", [6, 9], ids=["6-default", "9-default"])
+def test_cover_batches_partition_the_columns(monkeypatch, n):
     # every batch holds m products of one shape, at most BATCH_OUTPUT_ENTRIES
     # outputs unless it is one product, and the batches share out all 2^n
     # columns once each; also under a cap that most classes' runs exceed
-    if wider:
-        monkeypatch.setattr(MeasuredCostPlanner, "select", one_wider_select)
     batch_sizes = {}
     for cap in (BATCH_OUTPUT_ENTRIES, 1 << 5):
         monkeypatch.setattr(mst, "BATCH_OUTPUT_ENTRIES", cap)
@@ -360,6 +342,30 @@ def test_cover_batches_partition_the_columns(monkeypatch, n, wider):
         assert sorted(cols) == list(range(1 << n))
     assert max(batch_sizes[BATCH_OUTPUT_ENTRIES]) > 1
     assert len(batch_sizes[1 << 5]) > len(batch_sizes[BATCH_OUTPUT_ENTRIES])
+
+
+@pytest.mark.parametrize("cap", [BATCH_OUTPUT_ENTRIES, 1 << 5])
+def test_cover_plan_batches_match_a_plain_loop(monkeypatch, cap):
+    # classes s1-major (BracketStore drops part-1 tables on that order),
+    # columns S1 | S2 ascending S1-major within a class, cut every
+    # max(1, cap / 2^(n - s1 - s2)) columns: a batch's outputs
+    monkeypatch.setattr(mst, "BATCH_OUTPUT_ENTRIES", cap)
+    for n in range(11):
+        split = GroundSplit.for_n(n)
+        h1, h2 = split.h1, split.h2
+        want = []
+        for s1 in range(h1 + 1):
+            for s2 in range(h2 + 1):
+                cols = [t1 | t2 << h1
+                        for t1 in range(1 << h1) if t1.bit_count() == s1
+                        for t2 in range(1 << h2) if t2.bit_count() == s2]
+                per_batch = max(1, cap // 2 ** (n - s1 - s2))
+                want += [cols[b:b + per_batch] for b in range(0, len(cols), per_batch)]
+        got = []
+        for step in _cover_plan(split):
+            assert isinstance(step, SupersetProduct) and step.cols.shape[1] == 1
+            got.append(step.cols[:, 0].tolist())
+        assert got == want
 
 
 def test_measured_planner_selection():
@@ -387,7 +393,7 @@ def test_measured_planner_picks_the_column_size_everywhere(n):
 @pytest.mark.parametrize("n", range(1, 11))
 def test_store_brackets_equal_the_dense_doubling(n):
     # every cover batch is marked as superset rows, and its operands from
-    # the store equal, entry for entry, the dense doubling of the same
+    # the store equal, entry for entry, the dense doubling of each of its
     # blocks (which is what a build without a store gives)
     split = GroundSplit.for_n(n)
     for ring in (PrimeField(), PrimeField(101), CountingRing(PrimeField())):
@@ -396,32 +402,14 @@ def test_store_brackets_equal_the_dense_doubling(n):
         for step in _cover_plan(split):
             assert isinstance(step, SupersetProduct)
             for part, rows in ((1, step.rows1), (2, step.rows2)):
-                want = build_submatrix(fam, split, part, rows, step.cols)
                 got = build_submatrix(fam, split, part, rows, step.cols, store)
-                assert got.rows.tolist() == want.rows.tolist()
-                assert got.cols.tolist() == want.cols.tolist()
-                assert got.entries.dtype == want.entries.dtype
-                assert got.entries.tolist() == want.entries.tolist()
+                assert got.entries.dtype == fam.form.dtype
+                assert got.cols.tolist() == step.cols.ravel().tolist()
+                for k in range(len(rows)):
+                    want = build_submatrix(fam, split, part, rows[k, None], step.cols[k, None])
+                    assert got.rows[:, k].tolist() == want.rows[:, 0].tolist()
+                    assert got.entries[k].tolist() == want.entries[0].tolist()
         assert store.tables
-
-
-@pytest.mark.parametrize("n", range(1, 11))
-def test_wider_cover_blocks_mix_both_builds_and_match_naive(monkeypatch, n):
-    # one element wider than their columns, capped at the half, blocks are
-    # their own columns only in the class of the whole ground set: only
-    # its steps are marked and take the store, the rest the dense doubling
-    monkeypatch.setattr(MeasuredCostPlanner, "select", one_wider_select)
-    split = GroundSplit.for_n(n)
-    marked = set()
-    for step in _cover_plan(split):
-        col = int(step.cols[0, 0])
-        sizes = (col & split.u1_mask).bit_count(), (col & split.u2_mask).bit_count()
-        own = one_wider_select(None, split, *sizes) == sizes
-        assert isinstance(step, SupersetProduct) == own
-        marked.add(own)
-    assert marked == {False, True}
-    fam = random_family(PrimeField(101), n, seed=n)
-    assert run_transform("cover", fam).values == mst_naive(fam).values
 
 
 def test_store_build_rejects_blocks_that_are_not_one_column_and_its_supersets(modp):
@@ -500,17 +488,18 @@ def test_cover_builds_each_superset_bracket_once(monkeypatch):
     assert counter.muls == 3**n + roots + doubling
 
 
-def test_design_blocks_are_cached_read_only():
+def test_superset_rows_are_cached_read_only():
     design = greedy_cover(5, 2, 2)
-    blocks = _design_blocks(design, 2, 3)
-    assert _design_blocks(design, 2, 3) is blocks
+    blocks = _superset_rows(design, 3)
+    assert _superset_rows(design, 3) is blocks
+    assert [a.shape for a in blocks] == [(comb(5, 2),), (comb(5, 2), 1 << 3)]
     for array in blocks:
         with pytest.raises(ValueError):
             array[0] = 0
 
 
 def test_cover_plans_repeat_element_for_element():
-    # the cached design blocks give every run the same batches, also after
+    # the cached superset rows give every run the same batches, also after
     # a run of the executor has read them
     split = GroundSplit.for_n(10)
     first = list(_cover_plan(split))
