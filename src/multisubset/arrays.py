@@ -13,8 +13,9 @@ ring.  `element_form` picks how a ring's values sit in those arrays:
 A form has `dtype`, `zero`, `one` and these operations: `from_rows`
 (rows of ring values to a 2-D array), `mul` (elementwise, broadcasting,
 into `out` when given), in-place `add`, `sub` and `neg`, `product` (a
-matrix times another transposed, block by block for a batch) and
-`add_at` (sums per index into a table).  The bracket build, the scatter
+matrix times another transposed, block by block for a batch) and `sums`
+(one run's accumulator of sums per index: `add_at(idx, vals)` as often
+as the plan asks, then `table()` once).  The bracket build, the scatter
 and the direct superset scan (`mst`) and the zeta/Moebius butterfly
 (`setfn`) are written once against them.
 
@@ -73,8 +74,8 @@ class ObjectForm:
     def neg(self, a):
         return self._neg(a, out=a)
 
-    def add_at(self, g: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
-        self._add.at(g, idx, vals)
+    def sums(self, size: int) -> "ObjectSums":
+        return ObjectSums(self._add, np.full(size, self.zero, dtype=object))
 
     def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """(..., r1, c) times (..., r2, c) transposed: one outer product per
@@ -83,6 +84,20 @@ class ObjectForm:
         for k in range(a.shape[-1]):
             self.add(out, self.mul(a[..., k, None], b[..., None, :, k]))
         return out
+
+
+class ObjectSums:
+    """Sums per index of object values: a zero table that every term is
+    added into as it comes, by the ring's add (`frompyfunc(ring.add).at`)."""
+
+    def __init__(self, add, table: np.ndarray):
+        self._add, self._table = add, table
+
+    def add_at(self, idx: np.ndarray, vals: np.ndarray) -> None:
+        self._add.at(self._table, idx, vals)
+
+    def table(self) -> np.ndarray:
+        return self._table
 
 
 @dataclass
@@ -112,6 +127,3 @@ class ArrayFamily:
         """The members as a list `Family` of Python values, for the naive oracle."""
         rows = self.values.tolist()
         return Family(self.ring, self.n, [SetFunction(self.ring, self.n, r) for r in rows])
-
-    def zero_table(self) -> np.ndarray:
-        return np.full(1 << self.n, self.form.zero, dtype=self.form.dtype)

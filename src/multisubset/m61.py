@@ -2,16 +2,18 @@
 
 `arrays.element_form` returns this module itself for exactly
 `PrimeField(2^61 - 1)`; its `dtype`, `zero`, `one`, `from_rows`, `mul`,
-`add`, `sub`, `neg`, `product` and `add_at` are the operations the one
+`add`, `sub`, `neg`, `product` and `sums` are the operations the one
 executor (`mst`, `setfn`, `dag`) is written against.
 
 Every value is a uint64 in [0, p).  Elementwise products never leave
 uint64: each operand is split into 32-bit halves, every partial product
 fits in 64 bits, and the parts above 2^61 fold back with 2^61 = 1
-(mod p); multiplying by a power of two is a 61-bit rotation.  Sums by
-index run through float64 `np.bincount` on the 32-bit halves, and the
-matrix product through float64 BLAS on three limbs of at most 21 bits;
-both are exact while every float64 sum stays at most 2^53.  A kernel
+(mod p); multiplying by a power of two is a 61-bit rotation.  A run's
+sums by index (`Sums`) add the 32-bit halves of its terms into two
+uint64 tables and fold them mod p once, at the end: exact while no
+index gets 2^32 terms, and a plan gives an index at most 2^25.  The
+matrix product runs through float64 BLAS on three limbs of at most 21
+bits, exact while every float64 sum stays at most 2^53.  A kernel
 block entry sums one limb product below 2^42 per column, so a chunk
 holds at most 2^11 columns; the blocks of one degree add up in uint64,
 at most three such products per column, and are folded mod p every
@@ -273,9 +275,29 @@ def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return fold(out)
 
 
-def add_at(g: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
-    """g[idx[k]] += vals[k] mod p, summed per index by float64 bincounts of
-    the 32-bit halves: exact while no index occurs 2^21 times or more."""
-    lo = np.bincount(idx, weights=(vals & _MASK32).astype(np.float64), minlength=len(g))
-    hi = np.bincount(idx, weights=(vals >> _U32).astype(np.float64), minlength=len(g))
-    add(g, add(lo.astype(np.uint64), shift(hi.astype(np.uint64), 32)))
+class Sums:
+    """Sums per index of uint64 values in [0, p), folded mod p once.
+
+    `add_at` adds each term's low and high 32-bit halves into two uint64
+    tables, `lo` and `hi`; `table` folds them and returns
+    lo + hi 2^32 mod p.  An index's halves stay below 2^64 while it gets
+    fewer than 2^32 terms.  A plan gives each T at most one term per
+    column S inside T, so at most 2^25 even for a DAG round over
+    MAX_GROUND_SET + 1 elements, and every sum stays below 2^57.
+    """
+
+    def __init__(self, size: int):
+        self.lo = np.zeros(size, dtype=np.uint64)
+        self.hi = np.zeros(size, dtype=np.uint64)
+
+    def add_at(self, idx: np.ndarray, vals: np.ndarray) -> None:
+        """Add vals[k] at idx[k], for every k."""
+        np.add.at(self.lo, idx, vals & _MASK32)
+        np.add.at(self.hi, idx, vals >> _U32)
+
+    def table(self) -> np.ndarray:
+        """The sums mod p; folds the halves in place, so it is read once."""
+        return add(fold(self.lo), shift(fold(self.hi), 32))
+
+
+sums = Sums  # the form's name for one run's accumulator: `sums(2^n)`

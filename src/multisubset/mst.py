@@ -78,16 +78,14 @@ TAU_INTERVAL = (1.0 / 2.0, 2.0 / 3.0)
 ALGORITHMS = ("naive", "columns", "rows-columns", "cover")
 # Entries of a doubled table per column chunk: 2^f rows, for f bits doubled
 # over, times the chunk's columns (a column with a larger table is a chunk
-# of its own).  Below 2^21 columns per chunk, the uint64 form's scan sums
-# stay exact.
+# of its own).
 CHUNK_ENTRIES = 1 << 16
 # Entries a `BracketStore` holds at once (8 MiB on the uint64 form; a
 # run at n <= 14 fits whole).  A table that would pass it is never built:
 # its batches double over their own columns instead.
 STORE_ENTRIES = 1 << 20
 # Output entries per batch of equal-shape cover products (a larger product
-# is a batch of its own).  Below 2^21 blocks per batch, the uint64 form's
-# scatter sums stay exact.
+# is a batch of its own).
 BATCH_OUTPUT_ENTRIES = 1 << 14
 
 
@@ -390,12 +388,13 @@ def _product_into(
     split: GroundSplit,
     step: Product,
     backend: RmmBackend,
-    g,
+    sums,
     stats: PipelineStats | None,
     store: BracketStore | None,
 ) -> None:
-    """Run a Product step's batch as one batched product, scattered into g;
-    its brackets come from `store` when one is given."""
+    """Run a Product step's batch as one batched product and add its
+    entries into the run's `sums`, each at its T1 | T2; its brackets come
+    from `store` when one is given."""
     if stats is not None:
         stats.columns_processed += step.cols.size
     if not (step.rows1.size and step.cols.size and step.rows2.size):
@@ -403,20 +402,20 @@ def _product_into(
     e1 = build_submatrix(fam, split, 1, step.rows1, step.cols, store)
     e2 = build_submatrix(fam, split, 2, step.rows2, step.cols, store)
     product = backend.multiply(fam.ring, e1, e2, stats)
-    # g[t1 | t2] += product[k, i, j] for t1 = rows1[k, i], t2 = rows2[k, j]
     idx = step.rows1[:, :, None] | step.rows2[:, None, :]
-    fam.form.add_at(g, idx.ravel(), product.ravel())
+    sums.add_at(idx.ravel(), product.ravel())
 
 
 def _direct_scan(
     fam,
     cols,
-    g,
+    sums,
     stats: PipelineStats | None,
     split: GroundSplit | None = None,
     thresholds: tuple[int, int] | None = None,
 ) -> None:
-    """Accumulate g[T] += prod_{i in T} f_i(S) for each S in cols, T superset S.
+    """Add prod_{i in T} f_i(S) at T into the run's `sums`, for each S in
+    cols and T superset S.
 
     cols is a 1-D int64 array.  When row thresholds (t1, t2) are given, a
     T whose half-sizes both exceed them is left out (a trimmed product
@@ -425,7 +424,7 @@ def _direct_scan(
     chunk fills a product table and a matching mask table by doubling
     each column's root, prod over i in S of f_i(S), and S itself over the
     column's free bits (`_doubled`).  Cut entries are computed, then
-    dropped by one mask before the chunk's sums per T.
+    dropped by one mask before the chunk's terms go into `sums`.
     """
     import numpy as np
 
@@ -444,7 +443,7 @@ def _direct_scan(
             kept = ~cut[masks]
             masks, prods = masks[kept], prods[kept]
         pairs += masks.size
-        form.add_at(g, masks.ravel(), prods.ravel())
+        sums.add_at(masks.ravel(), prods.ravel())
     if stats is not None:
         stats.pair_iterations += pairs
 
@@ -459,21 +458,22 @@ def _execute(
     """Run a plan's steps in order into one output table, on arrays.
 
     `fam` is a list `Family`, or an `arrays.ArrayFamily` that runs as it
-    is.  The table comes back as a list.
+    is.  Every step adds its terms into one accumulator of the form
+    (`sums`), read back once at the end; the table comes back as a list.
     """
     from .arrays import ArrayFamily
 
     backend = backend or ClassicalBackend()
     fam = ArrayFamily.of(fam)
-    g = fam.zero_table()
+    sums = fam.form.sums(1 << fam.n)
     store = BracketStore(fam, split)
     for step in steps:
         if isinstance(step, Scan):
-            _direct_scan(fam, step.cols, g, stats, split, step.thresholds)
+            _direct_scan(fam, step.cols, sums, stats, split, step.thresholds)
         else:
             superset = isinstance(step, SupersetProduct)
-            _product_into(fam, split, step, backend, g, stats, store if superset else None)
-    return SetFunction(fam.ring, fam.n, g.tolist())
+            _product_into(fam, split, step, backend, sums, stats, store if superset else None)
+    return SetFunction(fam.ring, fam.n, sums.table().tolist())
 
 
 def row_thresholds(split: GroundSplit, tau: float) -> tuple[int, int]:

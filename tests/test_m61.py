@@ -27,7 +27,7 @@ from multisubset import (
     sum_acyclic_digraphs,
     tian_he_sum,
 )
-from multisubset import m61, mst
+from multisubset import arrays, m61, mst
 from multisubset.arrays import ArrayFamily
 from multisubset.bitops import bits_of
 from multisubset.mst import (
@@ -37,6 +37,7 @@ from multisubset.mst import (
     row_thresholds,
     scan_cut,
 )
+from multisubset.setfn import MAX_GROUND_SET
 
 from helpers import masks, random_family
 
@@ -85,9 +86,30 @@ def test_kernel_chunk_and_fold_bounds_keep_the_sums_exact():
     assert m61.KERNEL_CHUNK_COLUMNS <= 2**11
     # a folded degree sum plus three such products per column until the next fold
     assert P + m61.KERNEL_FOLD_COLUMNS * 3 * (2**21 - 1) ** 2 < 2**64
-    # sums per index (add_at): a T gets at most one entry per scan column
-    # or per batched block, and a chunk or batch has fewer than 2^21 of them
-    assert max(mst.CHUNK_ENTRIES, mst.BATCH_OUTPUT_ENTRIES) < 2**21
+    # a run's sums per index (m61.Sums): a T gets at most one term per
+    # column S inside it, 2^25 for a DAG round over MAX_GROUND_SET + 1
+    # elements, and each 32-bit half of a term sums in uint64
+    assert 2 ** (MAX_GROUND_SET + 1) * (2**32 - 1) < 2**64
+
+
+def test_sums_with_2_to_the_20_terms_of_p_minus_1_on_one_index():
+    # the worst case for one index, next to a random spread over the rest
+    rng = np.random.default_rng(20)
+    size, spread = 1 << 10, 5000
+    idx = np.concatenate([np.full(2**20, 7), rng.integers(0, size, spread)])
+    vals = np.concatenate([np.full(2**20, P - 1, dtype=np.uint64),
+                           rng.integers(0, P, spread, dtype=np.uint64)])
+    want = [0] * size
+    for i, v in zip(idx.tolist(), vals.tolist()):
+        want[i] += v
+    want = [w % P for w in want]
+    sums = m61.sums(size)
+    for at in range(0, len(idx), 1 << 16):  # as a run's steps add them
+        sums.add_at(idx[at:at + (1 << 16)], vals[at:at + (1 << 16)])
+    assert sums.table().tolist() == want
+    objects = arrays.ObjectForm(PrimeField(P)).sums(size)
+    objects.add_at(idx, np.array(vals.tolist(), dtype=object))
+    assert objects.table().tolist() == want
 
 
 def test_kernel_with_every_entry_p_minus_1_at_a_chunk_of_2_to_the_11(monkeypatch):
@@ -352,10 +374,10 @@ def test_superset_scan_matches_the_list_scan(case):
     want, want_pairs = _scan_by_definition(random_family(PrimeField(), n, seed), cols, cut)
     for ring in (PrimeField(), CountingRing(PrimeField())):
         fam = ArrayFamily.of(random_family(ring, n, seed))
-        stats, got = PipelineStats(), fam.zero_table()
-        _direct_scan(fam, masks(cols), got, stats, split, thresholds)
+        stats, sums = PipelineStats(), fam.form.sums(1 << n)
+        _direct_scan(fam, masks(cols), sums, stats, split, thresholds)
         assert stats.pair_iterations == want_pairs
-        assert got.tolist() == want
+        assert sums.table().tolist() == want
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,8 +1,12 @@
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from multisubset import mst_naive
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 SIDES = ("parent", "change")
@@ -79,3 +83,18 @@ def test_bench_pairs_summary_shows_a_gain_only_past_9_of_10_and_the_parent_sprea
     assert summarize(higher, _pairs(parent, [p - 1 for p in parent]))["t"]["gain_shown"] is False
     entry = summarize(higher, _pairs(parent, [p + 1 for p in parent]))["t"]
     assert entry["change_lower_in_pairs"] == "0/10" and entry["gain_shown"] is True
+
+
+def test_scan_times_prints_the_naive_table_digest_and_3_to_the_n_pairs(capsys):
+    scan_times = load_script("scan_times")
+    assert scan_times.main(["0", "3", "6", "--chunk-entries", "8", "64"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 6
+    for line in lines:
+        fields = dict(field.split("=") for field in line.split())
+        n = int(fields["n"])
+        naive = mst_naive(scan_times.seeded_family(n).to_family()).values
+        digest = hashlib.sha256(np.array(naive, dtype=np.uint64).tobytes()).hexdigest()
+        assert fields["sha256"] == digest[:16]
+        assert int(fields["pairs"]) == 3**n
+    assert [line.split()[1] for line in lines[:2]] == ["chunk_entries=8", "chunk_entries=64"]
