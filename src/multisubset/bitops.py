@@ -49,3 +49,20 @@ def size_buckets(n: int) -> list[list[int]]:
     for mask in range(1 << n):
         buckets[mask.bit_count()].append(mask)
     return buckets
+
+
+def superset_terms(mul, root, mask: int, free: list[int], factors: list) -> tuple[list, list]:
+    """(terms, targets) for every superset T of mask within mask | free.
+
+    free lists the bits T may add, ascending, and factors[j] is the factor
+    of bit free[j].  T's term is root times the factors of T's bits outside
+    mask.  Both lists double once per free bit, so the targets come out
+    ascending and each term after the first costs one mul:
+    2^len(free) - 1 in all.
+    """
+    terms, targets = [root], [mask]
+    for b, factor in zip(free, factors):
+        bit = 1 << b
+        terms += [mul(x, factor) for x in terms]
+        targets += [t | bit for t in targets]
+    return terms, targets

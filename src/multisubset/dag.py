@@ -9,6 +9,11 @@ recurrence over node subsets, and a reduction that evaluates the same
 recurrence through multi-subset transforms on a ground set extended by
 one auxiliary element.
 
+The oracle chain: the brute force (n <= 5) checks `tian_he_sum`, which
+checks the transform routes.  `tian_he_sum` runs on lists, rest-major,
+one ring multiplication per (T, S) pair, and shares no code with the
+array executor.
+
 The transform route stays on arrays of the ring's element form (uint64
 over exactly `PrimeField(2^61 - 1)`, object arrays over every other
 ring) from the weights to the last round: the weights' zeta transforms
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitops import bits_of, size_buckets
+from .bitops import bits_of, size_buckets, superset_terms
 from .mst import PipelineStats, check_algorithm, naive_at, run_transform
 from .ring import Ring
 from .setfn import MAX_GROUND_SET, SetFunction, zeta_transform
@@ -142,32 +147,32 @@ def _zeta_weights(wsys: WeightSystem) -> list[list]:
 
 
 def tian_he_sum(wsys: WeightSystem) -> DagSumResult:
-    """Inclusion-exclusion over sink sets, O(3^n * n) ring operations.
+    """Inclusion-exclusion over sink sets, 3^n - 2^n ring muls.
 
     a[T] = sum over nonempty S subseteq T of (-1)^(|S|-1)
            * prod_{i in S} (zeta w_i)(T \\ S) * a[T \\ S],
     where the zeta factor sums w_i over in-neighbor sets inside T \\ S.
+
+    Rest-major: the rests R = T \\ S run in ascending popcount, so a[R] is
+    final when R comes up.  Its root -a[R], doubled over R's free bits b
+    by the factors -(zeta w_b)(R) (`bitops.superset_terms`), gives the term
+    of every S at once, and each term but S's empty one is added into
+    a[R | S].
     """
     ring = wsys.ring
     n = wsys.n
     zetas = _zeta_weights(wsys)
-    add, sub, mul = ring.add, ring.sub, ring.mul
-    a: list = [None] * (1 << n)
+    add, neg, mul = ring.add, ring.neg, ring.mul
+    full = (1 << n) - 1
+    a: list = [ring.zero] * (1 << n)
     a[0] = ring.one
-    for t_mask in range(1, 1 << n):
-        acc = ring.zero
-        s_mask = t_mask
-        while s_mask:
-            rest = t_mask ^ s_mask
-            prod = a[rest]
-            for i in bits_of(s_mask):
-                prod = mul(prod, zetas[i][rest])
-            if s_mask.bit_count() % 2 == 1:
-                acc = add(acc, prod)
-            else:
-                acc = sub(acc, prod)
-            s_mask = (s_mask - 1) & t_mask
-        a[t_mask] = acc
+    for bucket in size_buckets(n):
+        for rest in bucket:
+            free = bits_of(full ^ rest)
+            factors = [neg(zetas[b][rest]) for b in free]
+            terms, targets = superset_terms(mul, neg(a[rest]), rest, free, factors)
+            for t_mask, term in zip(targets[1:], terms[1:]):
+                a[t_mask] = add(a[t_mask], term)
     return DagSumResult(ring, n, a)
 
 

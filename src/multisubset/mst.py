@@ -4,7 +4,10 @@ Given f_1, ..., f_n on subsets of {0, ..., n-1}, the transform is
 
     g(T) = sum over S subseteq T of ( prod over i in T of f_i(S) ).
 
-`mst_naive` evaluates the definition directly.  The three fast variants
+`mst_naive` evaluates the definition directly, column by column: each
+column's term at its supersets T comes from doubling, one ring
+multiplication per (T, S) pair.  `naive_at` evaluates it at a list of
+targets, T by T.  The three fast variants
 route all or part of the work through rectangular matrix multiplication
 after splitting the ground set in half: each (T, S) term factors as a
 product of a part-1 bracket and a part-2 bracket, so summing over a set
@@ -60,7 +63,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .bitops import bits_of
+from .bitops import bits_of, superset_terms
 from .cover import greedy_cover
 from .rmm import ClassicalBackend, RmmBackend, SubMatrix
 from .setfn import Family, SetFunction
@@ -171,7 +174,8 @@ def require_open(value: float, interval: tuple[float, float], name: str) -> None
 
 
 def naive_at(fam: Family, targets, stats: PipelineStats | None = None) -> list:
-    """g(T) for each T in targets, by the definition (2^|T| pairs each)."""
+    """g(T) for each T in targets, by the definition, T-major: 2^|T| pairs
+    each, every pair's product taken afresh (|T| muls)."""
     ring = fam.ring
     members = [m.values for m in fam.members]
     add, mul = ring.add, ring.mul
@@ -198,8 +202,29 @@ def naive_at(fam: Family, targets, stats: PipelineStats | None = None) -> list:
 
 
 def mst_naive(fam: Family, stats: PipelineStats | None = None) -> SetFunction:
-    """Direct evaluation over all 3^n (T, S subseteq T) pairs."""
-    return SetFunction(fam.ring, fam.n, naive_at(fam, range(1 << fam.n), stats))
+    """Direct evaluation over all 3^n (T, S subseteq T) pairs, column-major.
+
+    Each column S's root, prod over i in S of f_i(S), doubled over S's
+    free bits (`bitops.superset_terms`) gives its term at every superset
+    T, one ring mul per pair: 3^n - 2^n + n 2^(n-1) muls and 3^n adds.
+    """
+    ring, n = fam.ring, fam.n
+    members = [m.values for m in fam.members]
+    add, mul = ring.add, ring.mul
+    full = (1 << n) - 1
+    g = [ring.zero] * (1 << n)
+    for s_mask in range(1 << n):
+        root = ring.one
+        for i in bits_of(s_mask):
+            root = mul(root, members[i][s_mask])
+        free = bits_of(full ^ s_mask)
+        factors = [members[b][s_mask] for b in free]
+        terms, targets = superset_terms(mul, root, s_mask, free, factors)
+        for t_mask, term in zip(targets, terms):
+            g[t_mask] = add(g[t_mask], term)
+    if stats is not None:
+        stats.pair_iterations += 3**n
+    return SetFunction(ring, n, g)
 
 
 def build_submatrix(fam, split: GroundSplit, part: int, rows, cols, store=None) -> SubMatrix:

@@ -7,6 +7,7 @@ import pytest
 from multisubset import (
     CountingRing,
     DagSumResult,
+    OpCounter,
     PipelineStats,
     PrimeField,
     SetFunction,
@@ -19,6 +20,8 @@ from multisubset import (
 )
 from multisubset.arrays import ArrayFamily
 from multisubset.dag import round_families
+
+from helpers import tian_he_reference
 
 # labeled acyclic digraph counts, cross-checked by digraph enumeration
 ACYCLIC_COUNTS = [1, 1, 3, 25, 543, 29281, 3781503]
@@ -91,6 +94,27 @@ def test_tian_he_against_brute_force(modp):
             assert isinstance(result, DagSumResult)
             assert result.a[0] == modp.one
             assert result.total == brute_force_dag_sum(wsys)
+
+
+@pytest.mark.parametrize("ring", [PrimeField(), PrimeField(101)], ids=["m61", "p101"])
+def test_tian_he_matches_t_major_reference(ring):
+    for n in range(9):
+        wsys = random_weights(ring, n, seed=50 + n)
+        assert tian_he_sum(wsys).a == tian_he_reference(wsys)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_tian_he_ring_operation_counts(n):
+    # one mul per (rest, nonempty sink set) pair; a neg per rest's root and
+    # per free factor, an add per pair, and n zeta transforms of n 2^(n-1) adds
+    counter = OpCounter()
+    wsys = random_weights(CountingRing(PrimeField(), counter), n, seed=n)
+    counter.reset()
+    tian_he_sum(wsys)
+    half = 2**n // 2
+    assert (counter.muls, counter.adds) == (3**n - 2**n, 3**n + n * half + n * n * half)
+    if n == 8:
+        assert (counter.muls, counter.adds) == (6305, 15777)
 
 
 def test_tian_he_single_node(modp):

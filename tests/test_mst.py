@@ -36,6 +36,7 @@ from multisubset.mst import (
     _half_rows,
     _superset_rows,
     build_submatrix,
+    naive_at,
     row_thresholds,
     scan_cut,
     small_large_columns,
@@ -104,6 +105,35 @@ def test_naive_pair_count(modp):
         stats = PipelineStats()
         mst_naive(random_family(modp, n, seed=n), stats)
         assert stats.pair_iterations == 3**n
+
+
+@pytest.mark.parametrize("ring", [PrimeField(), PrimeField(101), CountingRing(PrimeField())],
+                         ids=["m61", "p101", "counting"])
+def test_naive_matches_t_major_definition(ring):
+    # the column-major oracle against naive_at's T-major loop over every target
+    for n in range(9):
+        fam = random_family(ring, n, seed=40 + n)
+        assert mst_naive(fam).values == naive_at(fam, range(1 << n))
+
+
+def test_naive_matches_t_major_definition_f64(f64):
+    for n in range(9):
+        fam = random_family(f64, n, seed=40 + n)
+        for a, b in zip(mst_naive(fam).values, naive_at(fam, range(1 << n))):
+            assert math.isclose(a, b, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_naive_ring_operation_counts(n):
+    # each column's root takes |S| muls from one, its doubling one mul per
+    # superset past the root, and every pair one add
+    counter = OpCounter()
+    fam = random_family(CountingRing(PrimeField(), counter), n, seed=n)
+    counter.reset()
+    mst_naive(fam)
+    assert (counter.muls, counter.adds) == (3**n - 2**n + n * 2**n // 2, 3**n)
+    if n == 8:
+        assert (counter.muls, counter.adds) == (7329, 6561)
 
 
 def test_columns_structural_counts(modp):
