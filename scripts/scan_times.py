@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time one direct scan of every column on the uint64 form.
+"""Time one direct scan of every column, and each fast plan, on the uint64 form.
 
 The direct scan of every column S, adding prod over i in T of f_i(S) at
 every superset T, is the paper's O(3^n) baseline.  For each n given, the
@@ -8,7 +8,11 @@ as one `arrays.ArrayFamily` (so it reaches n = 17 and 18, where
 `generate_family` stops at 16), runs `mst._direct_scan` over every
 column into one accumulator and reads the table back, and prints the
 CPU seconds (`time.process_time`), the ns per (T, S) pair and a sha256
-prefix of the table's uint64 bytes:
+prefix of the table's uint64 bytes.  Then it times `run_transform` of
+each plan in PLANS on the same family (its table comes back as a list,
+inside the timing) and prints its CPU seconds, their ratio to the
+scan's (above 1 is slower), its table's sha256 prefix and whether the
+digest equals the scan's:
 
     python3 scripts/scan_times.py 14 16 17 18
     python3 scripts/scan_times.py 16 17 --chunk-entries 65536 131072
@@ -26,11 +30,12 @@ import time
 
 import numpy as np
 
-from multisubset import PipelineStats, PrimeField, mst
+from multisubset import PipelineStats, PrimeField, mst, run_transform
 from multisubset.arrays import ArrayFamily, element_form
 from multisubset.ring import MERSENNE61
 
 SEED = 1
+PLANS = ("columns", "rows-columns", "cover")
 
 
 def seeded_family(n: int) -> ArrayFamily:
@@ -51,6 +56,14 @@ def time_scan(fam: ArrayFamily) -> tuple[float, int, str]:
     return cpu, stats.pair_iterations, hashlib.sha256(table.tobytes()).hexdigest()
 
 
+def time_plan(fam: ArrayFamily, algo: str) -> tuple[float, str]:
+    """(CPU seconds, sha256 hex of the table) of one `run_transform` of `algo`."""
+    start = time.process_time()
+    table = run_transform(algo, fam).values
+    cpu = time.process_time() - start
+    return cpu, hashlib.sha256(np.array(table, dtype=np.uint64).tobytes()).hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("n", type=int, nargs="+", help="ground set sizes, 0 to 24")
@@ -68,6 +81,11 @@ def main(argv=None) -> int:
                 print(f"n={n} chunk_entries={chunk} cpu_s={cpu:.3f} "
                       f"ns_per_pair={cpu / max(pairs, 1) * 1e9:.1f} pairs={pairs} "
                       f"sha256={digest[:16]}", flush=True)
+                for algo in PLANS:
+                    plan_cpu, plan_digest = time_plan(fam, algo)
+                    print(f"n={n} chunk_entries={chunk} plan={algo} cpu_s={plan_cpu:.3f} "
+                          f"vs_scan={plan_cpu / max(cpu, 1e-9):.2f} sha256={plan_digest[:16]} "
+                          f"same_table={plan_digest == digest}", flush=True)
     finally:
         mst.CHUNK_ENTRIES = saved
     return 0

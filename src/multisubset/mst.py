@@ -51,8 +51,9 @@ Every table the executor fills comes from one doubling loop
 their masks, each one factor or bit away from a smaller one.  The
 bracket build works in one of two ways.  A `SupersetProduct`, every
 step of `cover`'s plan, needs only its rows' brackets: they come from a
-`BracketStore`, built once per run by doubling each column's root over
-its part's free bits, as the direct scan does over all free bits.  The
+`BracketStore`, one table per part and size, each built on first use
+by doubling its columns' roots over their part's free bits, as the
+direct scan does over all free bits, and kept for the run.  The
 one product of `columns` and of `rows-columns` doubles over every
 subset of the half, per column chunk, and picks its rows.
 """
@@ -83,10 +84,6 @@ ALGORITHMS = ("naive", "columns", "rows-columns", "cover")
 # over, times the chunk's columns (a column with a larger table is a chunk
 # of its own).
 CHUNK_ENTRIES = 1 << 16
-# Entries a `BracketStore` holds at once (8 MiB on the uint64 form; a
-# run at n <= 14 fits whole).  A table that would pass it is never built:
-# its batches double over their own columns instead.
-STORE_ENTRIES = 1 << 20
 # Output entries per batch of equal-shape cover products (a larger product
 # is a batch of its own).
 BATCH_OUTPUT_ENTRIES = 1 << 14
@@ -242,7 +239,8 @@ def build_submatrix(fam, split: GroundSplit, part: int, rows, cols, store=None) 
     Given the run's `BracketStore`, the batch is a `SupersetProduct`'s:
     each block has one column, all with s part-p bits, and as rows all
     2^(h_p - s) part supersets of that column, ascending.  Their brackets
-    come from the store, each computed once per run.  A batch of another
+    are rows of the store's table (p, s), which is computed once per run
+    and kept, whatever the batches' order.  A batch of another
     shape raises ValueError; its rows' masks are not checked.  Without a
     store the batch is one block (the one product of `columns` and of
     `rows-columns`; ValueError otherwise): per column chunk (at most
@@ -351,22 +349,16 @@ def _superset_brackets(fam, split: GroundSplit, part: int, cols, s: int):
 
 
 class BracketStore:
-    """Superset brackets of every column on each half, built once per run.
+    """Superset brackets of every column on each half, kept for the run.
 
     Table (p, s) holds, for every column S with s part-p bits, the
     products prod over i in T_p of f_i(S) for every part superset T_p of
     S's part bits, ascending (`_superset_brackets`): row rank_p[S] of a
     (C(h_p, s) 2^(n - h_p), 2^(h_p - s)) array, where rank_p[S] (one
     int32 per mask) counts the masks below S with as many part-p bits.
-    A table is built when first asked for, so a run computes each of its
+    A table is built when first asked for and kept for the run, so
+    whatever the order of the asks, a run computes each of its
     3^h1 2^h2 + 2^h1 3^h2 entries once.
-
-    Part 1 keeps one table: `cover`'s plan takes its classes s1-major, so
-    once it asks for the next s1 the last one is never read again.  A
-    table that would take the store past STORE_ENTRIES when first asked
-    for is never built; its columns double over their own free bits at
-    each ask instead, which gives the same entries, each still computed
-    once.
     """
 
     def __init__(self, fam, split: GroundSplit):
@@ -376,36 +368,21 @@ class BracketStore:
 
     def brackets(self, part: int, cols, s: int):
         """(len(cols), 2^(h_p - s)) superset brackets of columns with s part-p bits."""
-        table = self._table(part, s)
-        if table is None:
-            return _superset_brackets(self.fam, self.split, part, cols, s)
-        return table[self.ranks[part][cols]]
-
-    def _table(self, part: int, s: int):
         import numpy as np
 
-        if (part, s) in self.tables:
-            return self.tables[part, s]
-        if part == 1:
-            self.tables = {key: t for key, t in self.tables.items() if key[0] != 1}
-        split = self.split
-        part_mask, h = (split.u1_mask, split.h1) if part == 1 else (split.u2_mask, split.h2)
-        entries = math.comb(h, s) << (split.n - s)
-        held = sum(t.size for t in self.tables.values() if t is not None)
-        if held + entries > STORE_ENTRIES:
-            # for good: built later, it would redo the columns asked so far
-            self.tables[part, s] = None
-            return None
-        sizes = np.bitwise_count(np.arange(1 << split.n) & part_mask)
-        if part not in self.ranks:
-            rank = np.empty(1 << split.n, dtype=np.int32)
-            for size in range(h + 1):
-                at = np.flatnonzero(sizes == size)
-                rank[at] = np.arange(len(at))
-            self.ranks[part] = rank
-        table = _superset_brackets(self.fam, split, part, np.flatnonzero(sizes == s), s)
-        self.tables[part, s] = table
-        return table
+        if (part, s) not in self.tables:
+            split = self.split
+            part_mask, h = (split.u1_mask, split.h1) if part == 1 else (split.u2_mask, split.h2)
+            sizes = np.bitwise_count(np.arange(1 << split.n) & part_mask)
+            if part not in self.ranks:
+                rank = np.empty(1 << split.n, dtype=np.int32)
+                for size in range(h + 1):
+                    at = np.flatnonzero(sizes == size)
+                    rank[at] = np.arange(len(at))
+                self.ranks[part] = rank
+            columns = np.flatnonzero(sizes == s)
+            self.tables[part, s] = _superset_brackets(self.fam, split, part, columns, s)
+        return self.tables[part, s][self.ranks[part][cols]]
 
 
 def _product_into(
@@ -552,10 +529,10 @@ def _cover_plan(split: GroundSplit):
     """Batches of one-column `SupersetProduct`s, generated as the executor asks.
 
     Columns come in classes by (popcount in part 1, popcount in part 2),
-    taken s1-major, as `BracketStore` expects.  The blocks of a class's
-    (h_p, s_p, s_p) covering designs are every s_p-subset of each half,
-    ascending, so each column S1 | S2 is a block pair of its own, with
-    the part supersets of S1 and of S2 as its rows (`_superset_rows`).
+    taken s1-major.  The blocks of a class's (h_p, s_p, s_p) covering
+    designs are every s_p-subset of each half, ascending, so each column
+    S1 | S2 is a block pair of its own, with the part supersets of S1
+    and of S2 as its rows (`_superset_rows`).
     The columns run S1-major, in batches of at most BATCH_OUTPUT_ENTRIES
     outputs (a larger product is a batch of its own) within their class.
     The run issues 3^n kernel multiplications, the naive pair count.

@@ -1,4 +1,5 @@
 import math
+import random
 from math import comb
 
 import numpy as np
@@ -376,9 +377,9 @@ def test_cover_batches_partition_the_columns(monkeypatch, n):
 
 @pytest.mark.parametrize("cap", [BATCH_OUTPUT_ENTRIES, 1 << 5])
 def test_cover_plan_batches_match_a_plain_loop(monkeypatch, cap):
-    # classes s1-major (BracketStore drops part-1 tables on that order),
-    # columns S1 | S2 ascending S1-major within a class, cut every
-    # max(1, cap / 2^(n - s1 - s2)) columns: a batch's outputs
+    # classes s1-major, columns S1 | S2 ascending S1-major within a
+    # class, cut every max(1, cap / 2^(n - s1 - s2)) columns: a batch's
+    # outputs
     monkeypatch.setattr(mst, "BATCH_OUTPUT_ENTRIES", cap)
     for n in range(11):
         split = GroundSplit.for_n(n)
@@ -461,10 +462,9 @@ def test_store_build_rejects_blocks_that_are_not_one_column_and_its_supersets(mo
     assert build_submatrix(fam, split, 2, whole, whole, store).entries.shape == (1, 1, 1)
 
 
-@pytest.mark.parametrize("budget", [0, 1 << 9])
-def test_a_store_over_its_budget_gives_the_same_tables(monkeypatch, budget):
-    # with no budget every batch doubles over its own columns; with a small
-    # one the tables that fit are kept and the rest fall back
+def test_the_store_builds_each_table_once_in_any_order(monkeypatch):
+    # one table per part-1 s1 and per part-2 s2, each column once a half,
+    # whether the plan's steps come s1-major or shuffled
     n = 9
     split = GroundSplit.for_n(n)
     fam = random_family(PrimeField(), n, seed=4)
@@ -478,17 +478,33 @@ def test_a_store_over_its_budget_gives_the_same_tables(monkeypatch, budget):
     monkeypatch.setattr(mst, "_superset_brackets", counting)
     default = PipelineStats()
     want = run_transform("cover", fam, stats=default).values
-    # one table per part-1 s1 and per part-2 s2, each column once a half
     assert len(calls) == split.h1 + split.h2 + 2 and sum(calls) == 2 << n
+    steps = list(_cover_plan(split))
+    random.Random(9).shuffle(steps)
     calls.clear()
-    monkeypatch.setattr(mst, "STORE_ENTRIES", budget)
     stats = PipelineStats()
-    assert run_transform("cover", fam, stats=stats).values == want
+    assert _execute(fam, split, steps, None, stats).values == want
     assert stats == default
-    batches = sum(1 for _ in _cover_plan(split))
-    assert sum(calls) == 2 << n
-    assert split.h1 + split.h2 + 2 < len(calls) <= 2 * batches
-    assert (len(calls) == 2 * batches) == (budget == 0)
+    assert len(calls) == split.h1 + split.h2 + 2 and sum(calls) == 2 << n
+
+
+@pytest.mark.parametrize("n", range(11))
+def test_the_store_holds_every_superset_bracket_after_a_run(monkeypatch, n):
+    split = GroundSplit.for_n(n)
+    stores = []
+
+    class Recording(BracketStore):
+        def __init__(self, *args):
+            super().__init__(*args)
+            stores.append(self)
+
+    monkeypatch.setattr(mst, "BracketStore", Recording)
+    run_transform("cover", random_family(PrimeField(), n, seed=n))
+    (store,) = stores
+    assert sorted(store.tables) == [(1, s) for s in range(split.h1 + 1)] + [
+        (2, s) for s in range(split.h2 + 1)]
+    held = sum(table.size for table in store.tables.values())
+    assert held == 3**split.h1 * 2**split.h2 + 2**split.h1 * 3**split.h2
 
 
 def test_cover_builds_each_superset_bracket_once(monkeypatch):

@@ -88,13 +88,20 @@ def test_bench_pairs_summary_shows_a_gain_only_past_9_of_10_and_the_parent_sprea
 def test_scan_times_prints_the_naive_table_digest_and_3_to_the_n_pairs(capsys):
     scan_times = load_script("scan_times")
     assert scan_times.main(["0", "3", "6", "--chunk-entries", "8", "64"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 6
-    for line in lines:
-        fields = dict(field.split("=") for field in line.split())
+    # per n and chunk value: the scan's line, then one line per plan, every
+    # table equal to naive's
+    rows = [dict(field.split("=") for field in line.split())
+            for line in capsys.readouterr().out.splitlines()]
+    assert scan_times.PLANS == ("columns", "rows-columns", "cover")
+    assert [(row["n"], row["chunk_entries"], row.get("plan")) for row in rows] == [
+        (n, chunk, plan) for n in ("0", "3", "6") for chunk in ("8", "64")
+        for plan in (None, *scan_times.PLANS)]
+    for fields in rows:
         n = int(fields["n"])
         naive = mst_naive(scan_times.seeded_family(n).to_family()).values
         digest = hashlib.sha256(np.array(naive, dtype=np.uint64).tobytes()).hexdigest()
         assert fields["sha256"] == digest[:16]
-        assert int(fields["pairs"]) == 3**n
-    assert [line.split()[1] for line in lines[:2]] == ["chunk_entries=8", "chunk_entries=64"]
+        if "plan" in fields:
+            assert fields["same_table"] == "True" and float(fields["vs_scan"]) >= 0
+        else:
+            assert int(fields["pairs"]) == 3**n
