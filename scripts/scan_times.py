@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time one direct scan of every column, and each fast plan, on the uint64 form.
+"""Time the kernel, one direct scan of every column and each fast plan on the uint64 form.
 
 The direct scan of every column S, adding prod over i in T of f_i(S) at
 every superset T, is the paper's O(3^n) baseline.  For each n given, the
@@ -19,6 +19,14 @@ digest equals the scan's:
 
 With `--chunk-entries`, each n runs once per value of
 `mst.CHUNK_ENTRIES` given; the constant itself is left as it is after.
+
+First, once per run, it times the uint64 kernel (`m61.product`) at each
+(m, r1, r2, c) of KERNEL_SHAPES on seeded operands, m blocks of r1 x c
+by r2 x c: the fixed-part shape of 64 blocks of 64 x 128 by 128 x 128,
+and mst-bulk's `columns` product, 128 x 1093 by 64 x 1093.  Each line
+gives the best CPU time of three calls after one warm-up call, as ns per
+kernel multiplication (m r1 r2 c of them), and a sha256 prefix of the
+product's uint64 bytes.
 """
 
 from __future__ import annotations
@@ -36,6 +44,9 @@ from multisubset.ring import MERSENNE61
 
 SEED = 1
 PLANS = ("columns", "rows-columns", "cover")
+# (m, r1, r2, c) of the timed kernel products: the fixed-part shape and
+# mst-bulk's `columns` product
+KERNEL_SHAPES = ((64, 64, 128, 128), (1, 128, 64, 1093))
 
 
 def seeded_family(n: int) -> ArrayFamily:
@@ -56,6 +67,25 @@ def time_scan(fam: ArrayFamily) -> tuple[float, int, str]:
     return cpu, stats.pair_iterations, hashlib.sha256(table.tobytes()).hexdigest()
 
 
+def kernel_operands(m: int, r1: int, r2: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded (m, r1, c) and (m, r2, c) uint64 operands, uniform in [0, 2^61 - 1)."""
+    rng = np.random.default_rng(SEED)
+    return tuple(rng.integers(0, MERSENNE61, (m, r, c), dtype=np.uint64) for r in (r1, r2))
+
+
+def time_kernel(m: int, r1: int, r2: int, c: int) -> tuple[float, str]:
+    """(best ns per multiplication, sha256 hex of the product) of the uint64 kernel."""
+    form = element_form(PrimeField())
+    a, b = kernel_operands(m, r1, r2, c)
+    out = form.product(a, b)  # the warm-up call
+    best = float("inf")
+    for _ in range(3):
+        start = time.process_time()
+        form.product(a, b)
+        best = min(best, time.process_time() - start)
+    return best / (m * r1 * r2 * c) * 1e9, hashlib.sha256(out.tobytes()).hexdigest()
+
+
 def time_plan(fam: ArrayFamily, algo: str) -> tuple[float, str]:
     """(CPU seconds, sha256 hex of the table) of one `run_transform` of `algo`."""
     start = time.process_time()
@@ -71,6 +101,10 @@ def main(argv=None) -> int:
                         help="values of mst.CHUNK_ENTRIES to time (default: as set)")
     args = parser.parse_args(argv)
     chunk_values = args.chunk_entries or [mst.CHUNK_ENTRIES]
+    for m, r1, r2, c in KERNEL_SHAPES:
+        ns, digest = time_kernel(m, r1, r2, c)
+        print(f"kernel m={m} r1={r1} r2={r2} c={c} ns_per_mul={ns:.3f} "
+              f"sha256={digest[:16]}", flush=True)
     saved = mst.CHUNK_ENTRIES
     try:
         for n in args.n:

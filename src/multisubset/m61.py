@@ -6,18 +6,20 @@
 executor (`mst`, `setfn`, `dag`) is written against.
 
 Every value is a uint64 in [0, p).  Elementwise products never leave
-uint64: each operand is split into 32-bit halves, every partial product
-fits in 64 bits, and the parts above 2^61 fold back with 2^61 = 1
-(mod p); multiplying by a power of two is a 61-bit rotation.  A run's
+uint64: `mul` splits each operand into a 30-bit high and a 31-bit low
+half, every partial product fits in 64 bits, and with 2^62 = 2 and
+2^61 = 1 (mod p) their sum stays below 2^63 + 2^33, which one `fold`
+reduces; multiplying by a power of two is a 61-bit rotation.  A run's
 sums by index (`Sums`) add the 32-bit halves of its terms into two
 uint64 tables and fold them mod p once, at the end: exact while no
 index gets 2^32 terms, and a plan gives an index at most 2^25.  The
 matrix product runs through float64 BLAS on three limbs of at most 21
-bits, exact while every float64 sum stays at most 2^53.  A kernel
-block entry sums one limb product below 2^42 per column, so a chunk
-holds at most 2^11 columns; the blocks of one degree add up in uint64,
-at most three such products per column, and are folded mod p every
-2^20 columns, before they can pass 2^64.
+bits (the top one 19), one `np.matmul` per column chunk of the stacked
+limbs of both operands.  The limb-pair blocks of each degree are summed
+in float64, at most a0 b1 + a1 b0 < 2^43 per column, so the sums are
+exact integers while a chunk holds at most 2^10 columns; each degree's
+sum is cast to uint64 once per chunk, and the uint64 sums are folded
+mod p every 2^20 columns, before they can pass 2^64.
 
 The BLAS products run on the calling thread: with its default threads,
 OpenBLAS hands each product to a second thread that then busy-waits
@@ -52,9 +54,14 @@ import numpy as np
 
 from .ring import MERSENNE61
 
-# Columns per kernel product chunk: keep each float64 sum of limb products
-# exact (at most 2^11 columns of products below 2^42).
-KERNEL_CHUNK_COLUMNS = 128
+# Columns per kernel product chunk.  Its float64 degree sums are exact up
+# to 2^10 columns (a column adds below 2^43 to a degree); wider chunks
+# make fewer, faster BLAS calls but hold 3 (r1 + r2) float64 limbs per
+# column.  At 192, dag-rounds' products (64 x 562 by 32 x 562) take three
+# chunks; mst-bulk's peak RSS (48.2 MB), set by its `columns` product
+# (128 x 1093 by 64 x 1093), is 0.5 MB above that of 128-column chunks,
+# and 256 and 341 columns would add 0.9 and 1.4 MB.
+KERNEL_CHUNK_COLUMNS = 192
 # Kernel columns summed in uint64 per degree between folds mod p: a value
 # below p plus 2^20 columns of three products below 2^42 is below 2^64.
 KERNEL_FOLD_COLUMNS = 1 << 20
@@ -71,9 +78,9 @@ dtype = np.dtype(np.uint64)
 zero, one = 0, 1
 _LIMB_BITS = 21
 _MASK21 = np.uint64((1 << _LIMB_BITS) - 1)
-_MASK29 = np.uint64((1 << 29) - 1)
+_MASK31 = np.uint64((1 << 31) - 1)
 _MASK32 = np.uint64(0xFFFFFFFF)
-_U3, _U29, _U32, _U61 = (np.uint64(k) for k in (3, 29, 32, 61))
+_U1, _U30, _U31, _U32, _U61 = (np.uint64(k) for k in (1, 30, 31, 32, 61))
 
 # (get, set) thread-count functions of OpenBLAS: numpy's wheel, then a
 # plain build.
@@ -104,30 +111,34 @@ def fold(x: np.ndarray) -> np.ndarray:
     hi = x >> _U61
     x &= P
     x += hi  # below 2^61 + 8
-    np.subtract(x, P, out=x, where=x >= P)
-    return x
+    np.subtract(x, P, out=hi)  # wraps past x where x < p
+    return np.minimum(x, hi, out=x)
 
 
 def mul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Elementwise a * b mod p for uint64 operands in [0, p); broadcasts.
-    The product goes into `out` when given, which must not overlap a or b."""
-    a_hi, b_hi = a >> _U32, b >> _U32
-    a_lo, b_lo = a & _MASK32, b & _MASK32
-    # a * b = hh 2^64 + mid 2^32 + ll with hh < 2^58, mid < 2^62, ll < 2^64
-    mid = a_hi * b_lo
-    ll = a_lo * b_hi
-    mid += ll
-    np.multiply(a_lo, b_lo, out=ll)
-    out = np.multiply(a_hi, b_hi, out=out)
-    out <<= _U3  # 2^64 = 2^3 (mod p)
-    out += ll & P
-    ll >>= _U61
-    out += ll
-    # mid 2^32 = (mid >> 29) 2^61 + (mid mod 2^29) 2^32
-    out += mid >> _U29
-    mid &= _MASK29
-    mid <<= _U32
-    out += mid  # below 3 * 2^61 + 2^34
+    The product goes into `out` when given, which must not overlap a or b.
+
+    Each operand splits as a = a1 2^31 + a0 with a1 < 2^30 and a0 < 2^31.
+    With x = a1 b0 + a0 b1 < 2^62 and 2^62 = 2 (mod p),
+    a b = 2 a1 b1 + (x >> 30) + (x mod 2^30) 2^31 + a0 b0 (mod p), a sum
+    below 2^63 + 2^33 that one `fold` reduces: 22 numpy calls, 18 of them
+    full-size when b is a broadcast row.
+    """
+    a1, b1 = a >> _U31, b >> _U31
+    a0, b0 = a & _MASK31, b & _MASK31
+    x = a1 * b0
+    t = a0 * b1
+    x += t
+    out = np.multiply(a1, b1 << _U1, out=out)  # 2 a1 b1 < 2^61
+    np.multiply(a0, b0, out=t)
+    out += t  # a0 b0 < 2^62
+    np.right_shift(x, _U30, out=t)
+    out += t
+    # (x mod 2^30) 2^31: the bits of x << 31 below 2^61
+    x <<= _U31
+    x &= P
+    out += x
     return fold(out)
 
 
@@ -162,8 +173,9 @@ def from_rows(values: list[list]) -> np.ndarray:
         arr = np.array(values, dtype=np.uint64)
     except OverflowError:  # a negative value or one of 2^64 or more
         arr = np.array([[v % MERSENNE61 for v in row] for row in values], dtype=np.uint64)
-    for row in arr:  # one row at a time keeps fold's temporaries small
-        fold(row)
+    if arr.max(initial=0) >= P:  # most families are already reduced
+        for row in arr:  # one row at a time keeps fold's temporaries small
+            fold(row)
     return arr
 
 
@@ -223,11 +235,18 @@ def _one_blas_thread():
                 set_(_blas_before)
 
 
-def _limb(x: np.ndarray, k: int, scratch: np.ndarray, out: np.ndarray) -> None:
-    """Bits 21k .. 21k + 20 of x (uint64) as float64 into out."""
-    np.right_shift(x, np.uint64(_LIMB_BITS * k), out=scratch)
+def _limbs(x: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> None:
+    """The three 21-bit limbs of x (m, r, w), low first, as float64 into
+    out (m, 3 r, w): rows i r .. i r + r - 1 hold limb i.  Each limb is
+    cast from scratch's int64 view, which holds it exactly."""
+    r, limb = x.shape[1], scratch.view(np.int64)
+    np.bitwise_and(x, _MASK21, out=scratch)
+    out[:, :r] = limb
+    np.right_shift(x, np.uint64(_LIMB_BITS), out=scratch)
     scratch &= _MASK21
-    out[...] = scratch
+    out[:, r:2 * r] = limb
+    np.right_shift(x, np.uint64(2 * _LIMB_BITS), out=scratch)  # below 2^19
+    out[:, 2 * r:] = limb
 
 
 def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -236,23 +255,29 @@ def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Given (m, r1, c) and (m, r2, c) arrays, a batch of m blocks, the
     product is taken block by block into (m, r1, r2).  One column makes
     it an elementwise outer product.  Otherwise, per column chunk of width
-    w, the three 21-bit limbs of b form one (3 r2 x w) float64 matrix;
-    limb i of a times it gives the blocks (i, j) for all three limbs j of
-    b.  A block entry sums w products below 2^42, an exact float64 for
-    w <= 2^11.  The blocks add up by degree i + j in uint64, folded mod p
-    every KERNEL_FOLD_COLUMNS columns, and degree k weighs
-    2^(21 k) = 2^(21 k mod 61) (mod p).  The float64 products run on
-    the calling thread (`_one_blas_thread`).
+    w, each operand's three 21-bit limbs are stacked into one
+    (m, 3 r, w) float64 array, and one `np.matmul` gives all nine
+    limb-pair blocks (i, j).  The blocks of each degree i + j are summed
+    in float64: the top limb of a value below p has 19 bits, so a column
+    adds at most a0 b1 + a1 b0 <= 2 (2^21 - 1)^2 < 2^43 to a degree, and
+    the sums are exact integers for w <= 2^10.  Five casts add them to
+    uint64 sums per degree, folded mod p every KERNEL_FOLD_COLUMNS
+    columns; degree k weighs 2^(21 k) = 2^(21 k mod 61) (mod p).  The
+    float64 products run on the calling thread (`_one_blas_thread`).
     """
     (m, r1, cols), r2 = a.shape, b.shape[1]
     if cols == 1:
         return mul(a, b[:, None, :, 0])
     by_degree = np.zeros((5, m, r1, r2), dtype=np.uint64)
+    # the casts add in int64, whose wrapping sums are the uint64 sums' bits
+    cast_into = by_degree.view(np.int64)
     width = min(cols, KERNEL_CHUNK_COLUMNS)
-    la, ua = np.empty((m, r1, width)), np.empty((m, r1, width), dtype=np.uint64)
-    lb, ub = np.empty((m, 3 * r2, width)), np.empty((m, r2, width), dtype=np.uint64)
-    part = np.empty((m, r1, 3 * r2))
-    block = np.empty((m, r1, r2), dtype=np.uint64)
+    la, lb = np.empty((m, 3 * r1, width)), np.empty((m, 3 * r2, width))
+    scratch = np.empty((m, max(r1, r2), width), dtype=np.uint64)
+    blocks, degree_sum = np.empty((m, 3 * r1, 3 * r2)), np.empty((m, r1, r2))
+    # block (i, j): limb i of a against limb j of b
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = (
+        [blocks[:, i * r1:(i + 1) * r1, j * r2:(j + 1) * r2] for j in range(3)] for i in range(3))
     since_fold = 0
     with _one_blas_thread():
         for c0 in range(0, cols, KERNEL_CHUNK_COLUMNS):
@@ -261,18 +286,26 @@ def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                 fold(by_degree)
                 since_fold = 0
             since_fold += w
-            for j in range(3):
-                _limb(b[..., c0:c0 + w], j, ub[..., :w], lb[:, j * r2:(j + 1) * r2, :w])
-            for i in range(3):
-                _limb(a[..., c0:c0 + w], i, ua[..., :w], la[..., :w])
-                np.matmul(la[..., :w], lb[..., :w].swapaxes(1, 2), out=part)
-                for j in range(3):
-                    np.copyto(block, part[..., j * r2:(j + 1) * r2], casting="unsafe")
-                    by_degree[i + j] += block
-    out = np.zeros((m, r1, r2), dtype=np.uint64)
-    for k in range(5):
+            _limbs(a[..., c0:c0 + w], scratch[:, :r1, :w], la[..., :w])
+            _limbs(b[..., c0:c0 + w], scratch[:, :r2, :w], lb[..., :w])
+            np.matmul(la[..., :w], lb[..., :w].swapaxes(1, 2), out=blocks)
+            # each degree's float64 sum goes to degree_sum, never into
+            # blocks: adding one block of it into another makes numpy copy
+            _cast_add(cast_into[0], b00)
+            _cast_add(cast_into[1], np.add(b01, b10, out=degree_sum))
+            np.add(b02, b11, out=degree_sum)
+            _cast_add(cast_into[2], np.add(degree_sum, b20, out=degree_sum))
+            _cast_add(cast_into[3], np.add(b12, b21, out=degree_sum))
+            _cast_add(cast_into[4], b22)
+    out = fold(by_degree[0]).copy()
+    for k in range(1, 5):
         out += shift(fold(by_degree[k]), _LIMB_BITS * k % 61)  # each term below p
     return fold(out)
+
+
+def _cast_add(into: np.ndarray, sums: np.ndarray) -> None:
+    """into += sums, for int64 into and float64 sums of exact integers."""
+    np.add(into, sums, out=into, dtype=np.int64, casting="unsafe")
 
 
 class Sums:

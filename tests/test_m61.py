@@ -42,7 +42,8 @@ from multisubset.setfn import MAX_GROUND_SET
 from helpers import masks, random_family
 
 P = MERSENNE61
-EXTREMES = [0, 1, 2**32 - 1, 2**32, P - 1]
+# the ends of m61.mul's 31/30-bit halves, of 32-bit halves, and of [0, p)
+EXTREMES = [0, 1, 2**30 - 1, 2**30, 2**31 - 1, 2**31, 2**32 - 1, 2**32, P - 1]
 ARRAY_ALGOS = ("columns", "rows-columns", "cover")
 
 
@@ -64,6 +65,28 @@ def test_mul_add_match_python_ints(pairs):
     assert m61.add(u64(xs), u64(ys)).tolist() == [(x + y) % P for x, y in pairs]
 
 
+_residues = st.sampled_from(EXTREMES) | st.integers(0, P - 1)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    xs=st.lists(_residues, min_size=1, max_size=12),
+    ys=st.lists(_residues, min_size=1, max_size=12),
+    m=st.integers(1, 3),
+)
+def test_mul_in_the_three_shapes_the_executor_uses(xs, ys, m):
+    # equal shapes; a table times a broadcast row into `out`, as
+    # mst._doubled uses it; cover's (m, r1, 1) x (m, 1, r2) outer product
+    rows = [[(x + k * y) % P for y in ys] for k, x in enumerate(xs)]
+    assert m61.mul(u64(rows), u64(rows)).tolist() == [[v * v % P for v in vals] for vals in rows]
+    out = np.empty((len(xs), len(ys)), dtype=np.uint64)
+    assert m61.mul(u64(rows), u64(ys), out=out) is out
+    assert out.tolist() == [[v * y % P for v, y in zip(vals, ys)] for vals in rows]
+    a = u64([[[x] for x in xs]] * m)
+    b = u64([[ys]] * m)
+    assert m61.mul(a, b).tolist() == [[[x * y % P for y in ys] for x in xs]] * m
+
+
 def test_shift_is_multiplication_by_a_power_of_two():
     xs = EXTREMES + [random.Random(s).randrange(P) for s in range(20)]
     for s in range(61):
@@ -74,7 +97,10 @@ def _python_product(a, b):
     return [[sum(x * y for x, y in zip(arow, brow)) % P for brow in b] for arow in a]
 
 
-@pytest.mark.parametrize("cols", [1, m61.KERNEL_CHUNK_COLUMNS, 3 * m61.KERNEL_CHUNK_COLUMNS + 5])
+# one column (an outer product), part of a chunk, and full chunks with or
+# without a partial one after them
+@pytest.mark.parametrize("cols", [1, 128, 389, m61.KERNEL_CHUNK_COLUMNS,
+                                  3 * m61.KERNEL_CHUNK_COLUMNS + 5])
 def test_kernel_with_every_entry_p_minus_1(cols):
     a = [[P - 1] * cols for _ in range(3)]
     b = [[P - 1] * cols for _ in range(2)]
@@ -82,8 +108,9 @@ def test_kernel_with_every_entry_p_minus_1(cols):
 
 
 def test_kernel_chunk_and_fold_bounds_keep_the_sums_exact():
-    # a chunk's float64 block entries: columns of limb products below 2^42
-    assert m61.KERNEL_CHUNK_COLUMNS <= 2**11
+    # a chunk's float64 degree sums: a column adds at most a0 b1 + a1 b0,
+    # two products of 21-bit limbs, to a degree (the top limb has 19 bits)
+    assert m61.KERNEL_CHUNK_COLUMNS * 2 * (2**21 - 1) ** 2 <= 2**53
     # a folded degree sum plus three such products per column until the next fold
     assert P + m61.KERNEL_FOLD_COLUMNS * 3 * (2**21 - 1) ** 2 < 2**64
     # a run's sums per index (m61.Sums): a T gets at most one term per
@@ -112,13 +139,18 @@ def test_sums_with_2_to_the_20_terms_of_p_minus_1_on_one_index():
     assert objects.table().tolist() == want
 
 
-def test_kernel_with_every_entry_p_minus_1_at_a_chunk_of_2_to_the_11(monkeypatch):
-    # two full chunks; 2^42 - 1 has both low limbs at their largest
-    monkeypatch.setattr(m61, "KERNEL_CHUNK_COLUMNS", 2**11)
-    cols = 2 * 2**11
+def test_kernel_with_every_entry_p_minus_1_at_a_chunk_of_2_to_the_10(monkeypatch):
+    # two full chunks of the largest exact width; 2^42 - 1 has both low
+    # limbs at their largest
+    monkeypatch.setattr(m61, "KERNEL_CHUNK_COLUMNS", 2**10)
+    cols = 2 * 2**10
     a = [[P - 1] * cols, [2**42 - 1] * cols, [P - 1] * cols]
     b = [[P - 1] * cols, [2**42 - 1] * cols]
     assert m61.product(u64([a]), u64([b])).tolist() == [_python_product(a, b)]
+    # one chunk of 2^42 - 1 on both sides: every column adds
+    # a0 b1 + a1 b0 = 2 (2^21 - 1)^2 to degree 1, just below 2^53 in all
+    worst = [[2**42 - 1] * 2**10]
+    assert m61.product(u64([worst]), u64([worst])).tolist() == [_python_product(worst, worst)]
 
 
 def test_kernel_folds_its_degree_sums_every_chunk(monkeypatch):
@@ -140,7 +172,7 @@ def test_kernel_folds_its_degree_sums_every_chunk(monkeypatch):
 def test_kernel_sums_past_the_uint64_range_of_one_fold(monkeypatch):
     # 3 * 2^20 columns of p - 1: unfolded, the degree-2 sums (about 1.5 * 2^42
     # per column) would pass 2^64; (p - 1)^2 = 1 (mod p)
-    monkeypatch.setattr(m61, "KERNEL_CHUNK_COLUMNS", 2**11)
+    monkeypatch.setattr(m61, "KERNEL_CHUNK_COLUMNS", 2**10)
     cols = 3 << 20
     a = np.broadcast_to(u64([P - 1]), (1, 1, cols))
     assert m61.product(a, a).tolist() == [[[cols % P]]]
@@ -167,7 +199,8 @@ def _random_batch(seed, m, r1, r2, cols):
               for _ in range(r)] for _ in range(m)] for r in (r1, r2)]
 
 
-@pytest.mark.parametrize("cols", [1, m61.KERNEL_CHUNK_COLUMNS + 3])
+# one column, part of a chunk, and a chunk and 3 columns
+@pytest.mark.parametrize("cols", [1, 131, m61.KERNEL_CHUNK_COLUMNS + 3])
 def test_batched_kernel_matches_block_by_block(cols):
     m, r1, r2 = 5, 3, 4
     a, b = _random_batch(cols, m, r1, r2, cols)
@@ -427,6 +460,25 @@ def test_non_canonical_members_give_the_same_table():
         assert run_transform(algo, family(PrimeField())).values == naive
         assert run_transform(algo, family(CountingRing(PrimeField()))).values == naive
     assert m61.from_rows([odd]).tolist() == [[v % P for v in odd]]
+
+
+def test_from_rows_reduces_only_when_a_value_is_not_below_p(monkeypatch):
+    # a reduced family skips the per-row folds; one at or above p, or a
+    # negative one, still reduces, in every row
+    folds = []
+    fold = m61.fold
+
+    def counting(x):
+        folds.append(x.shape)
+        return fold(x)
+
+    monkeypatch.setattr(m61, "fold", counting)
+    reduced = [[0, 1, P - 1], [2**31, P - 2, 7]]
+    assert m61.from_rows(reduced).tolist() == reduced
+    assert folds == []
+    for odd in ([[0, 1, P - 1], [P, 2 * P + 3, 5]], [[-1, 4, P - 1], [-P - 3, 2**64 + 9, 6]]):
+        assert m61.from_rows(odd).tolist() == [[v % P for v in row] for row in odd]
+    assert folds == [(3,), (3,)]
 
 
 def test_batch_cap_below_one_product_does_not_change_the_table(monkeypatch):

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multisubset import mst_naive
+from multisubset import PrimeField, mst_naive
+from multisubset.arrays import ObjectForm
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 SIDES = ("parent", "change")
@@ -85,13 +86,24 @@ def test_bench_pairs_summary_shows_a_gain_only_past_9_of_10_and_the_parent_sprea
     assert entry["change_lower_in_pairs"] == "0/10" and entry["gain_shown"] is True
 
 
-def test_scan_times_prints_the_naive_table_digest_and_3_to_the_n_pairs(capsys):
+def test_scan_times_prints_the_naive_table_digest_and_3_to_the_n_pairs(capsys, monkeypatch):
     scan_times = load_script("scan_times")
+    assert scan_times.KERNEL_SHAPES == ((64, 64, 128, 128), (1, 128, 64, 1093))
+    shape = (2, 3, 4, 5)  # small enough for the object form
+    monkeypatch.setattr(scan_times, "KERNEL_SHAPES", (shape,))
     assert scan_times.main(["0", "3", "6", "--chunk-entries", "8", "64"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # first, once: the kernel's line, its product equal to the object form's
+    kernel = dict(field.split("=") for field in lines.pop(0).split()[1:])
+    assert tuple(int(kernel[k]) for k in ("m", "r1", "r2", "c")) == shape
+    assert float(kernel["ns_per_mul"]) >= 0
+    a, b = scan_times.kernel_operands(*shape)
+    objects = ObjectForm(PrimeField()).product(a.astype(object), b.astype(object))
+    digest = hashlib.sha256(np.array(objects.tolist(), dtype=np.uint64).tobytes()).hexdigest()
+    assert kernel["sha256"] == digest[:16]
     # per n and chunk value: the scan's line, then one line per plan, every
     # table equal to naive's
-    rows = [dict(field.split("=") for field in line.split())
-            for line in capsys.readouterr().out.splitlines()]
+    rows = [dict(field.split("=") for field in line.split()) for line in lines]
     assert scan_times.PLANS == ("columns", "rows-columns", "cover")
     assert [(row["n"], row["chunk_entries"], row.get("plan")) for row in rows] == [
         (n, chunk, plan) for n in ("0", "3", "6") for chunk in ("8", "64")
