@@ -14,12 +14,11 @@ sums by index (`Sums`) add the 32-bit halves of its terms into two
 uint64 tables and fold them mod p once, at the end: exact while no
 index gets 2^32 terms, and a plan gives an index at most 2^25.  The
 matrix product runs through float64 BLAS on three limbs of at most 21
-bits (the top one 19), one `np.matmul` per column chunk of the stacked
-limbs of both operands.  The limb-pair blocks of each degree are summed
-in float64, at most a0 b1 + a1 b0 < 2^43 per column, so the sums are
-exact integers while a chunk holds at most 2^10 columns; each degree's
-sum is cast to uint64 once per chunk, and the uint64 sums are folded
-mod p every 2^20 columns, before they can pass 2^64.
+bits: per column chunk, each operand's limbs are extracted once, and
+one `np.matmul` per limb of a gives its three limb-pair blocks with b.
+A block entry sums products below 2^42, an exact float64 while a chunk
+holds at most 2^11 columns; each block is cast and added to a uint64 sum
+per degree, folded mod p every 2^20 columns, before it can pass 2^64.
 
 The BLAS products run on the calling thread: with its default threads,
 OpenBLAS hands each product to a second thread that then busy-waits
@@ -54,13 +53,12 @@ import numpy as np
 
 from .ring import MERSENNE61
 
-# Columns per kernel product chunk.  Its float64 degree sums are exact up
-# to 2^10 columns (a column adds below 2^43 to a degree); wider chunks
-# make fewer, faster BLAS calls but hold 3 (r1 + r2) float64 limbs per
-# column.  At 192, dag-rounds' products (64 x 562 by 32 x 562) take three
-# chunks; mst-bulk's peak RSS (48.2 MB), set by its `columns` product
-# (128 x 1093 by 64 x 1093), is 0.5 MB above that of 128-column chunks,
-# and 256 and 341 columns would add 0.9 and 1.4 MB.
+# Columns per kernel product chunk.  Its float64 block entries are exact
+# up to 2^11 columns (a column adds a limb product below 2^42); wider
+# chunks make fewer, faster BLAS calls but hold 3 (r1 + r2) float64 limbs
+# per column.  At 192, dag-rounds' products (64 x 562 by 32 x 562) take
+# three chunks, and the limbs of n = 19's `columns` product (1024 x 43796
+# by 512 x 43796) hold 7 MB.
 KERNEL_CHUNK_COLUMNS = 192
 # Kernel columns summed in uint64 per degree between folds mod p: a value
 # below p plus 2^20 columns of three products below 2^42 is below 2^64.
@@ -122,7 +120,7 @@ def mul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     Each operand splits as a = a1 2^31 + a0 with a1 < 2^30 and a0 < 2^31.
     With x = a1 b0 + a0 b1 < 2^62 and 2^62 = 2 (mod p),
     a b = 2 a1 b1 + (x >> 30) + (x mod 2^30) 2^31 + a0 b0 (mod p), a sum
-    below 2^63 + 2^33 that one `fold` reduces: 22 numpy calls, 18 of them
+    below 2^63 + 2^33 that one `fold` reduces: 21 numpy calls, 18 of them
     full-size when b is a broadcast row.
     """
     a1, b1 = a >> _U31, b >> _U31
@@ -173,9 +171,8 @@ def from_rows(values: list[list]) -> np.ndarray:
         arr = np.array(values, dtype=np.uint64)
     except OverflowError:  # a negative value or one of 2^64 or more
         arr = np.array([[v % MERSENNE61 for v in row] for row in values], dtype=np.uint64)
-    if arr.max(initial=0) >= P:  # most families are already reduced
-        for row in arr:  # one row at a time keeps fold's temporaries small
-            fold(row)
+    for row in arr:  # one row at a time keeps fold's temporaries small
+        fold(row)
     return arr
 
 
@@ -256,28 +253,25 @@ def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     product is taken block by block into (m, r1, r2).  One column makes
     it an elementwise outer product.  Otherwise, per column chunk of width
     w, each operand's three 21-bit limbs are stacked into one
-    (m, 3 r, w) float64 array, and one `np.matmul` gives all nine
-    limb-pair blocks (i, j).  The blocks of each degree i + j are summed
-    in float64: the top limb of a value below p has 19 bits, so a column
-    adds at most a0 b1 + a1 b0 <= 2 (2^21 - 1)^2 < 2^43 to a degree, and
-    the sums are exact integers for w <= 2^10.  Five casts add them to
-    uint64 sums per degree, folded mod p every KERNEL_FOLD_COLUMNS
-    columns; degree k weighs 2^(21 k) = 2^(21 k mod 61) (mod p).  The
-    float64 products run on the calling thread (`_one_blas_thread`).
+    (m, 3 r, w) float64 array, and one `np.matmul` per limb i of a gives
+    the blocks (i, j) for all three limbs j of b, an (m, r1, 3 r2)
+    array.  A block entry sums w products below 2^42, an exact float64
+    for w <= 2^11.  Each block is cast and added to a uint64 sum for
+    degree i + j, folded mod p every KERNEL_FOLD_COLUMNS columns; degree
+    k weighs 2^(21 k) = 2^(21 k mod 61) (mod p).  The float64 products
+    run on the calling thread (`_one_blas_thread`).
     """
     (m, r1, cols), r2 = a.shape, b.shape[1]
     if cols == 1:
         return mul(a, b[:, None, :, 0])
     by_degree = np.zeros((5, m, r1, r2), dtype=np.uint64)
-    # the casts add in int64, whose wrapping sums are the uint64 sums' bits
+    # each block's exact float64 entries add in int64, whose wrapping sums
+    # are the uint64 sums' bits
     cast_into = by_degree.view(np.int64)
     width = min(cols, KERNEL_CHUNK_COLUMNS)
     la, lb = np.empty((m, 3 * r1, width)), np.empty((m, 3 * r2, width))
     scratch = np.empty((m, max(r1, r2), width), dtype=np.uint64)
-    blocks, degree_sum = np.empty((m, 3 * r1, 3 * r2)), np.empty((m, r1, r2))
-    # block (i, j): limb i of a against limb j of b
-    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = (
-        [blocks[:, i * r1:(i + 1) * r1, j * r2:(j + 1) * r2] for j in range(3)] for i in range(3))
+    part = np.empty((m, r1, 3 * r2))
     since_fold = 0
     with _one_blas_thread():
         for c0 in range(0, cols, KERNEL_CHUNK_COLUMNS):
@@ -288,24 +282,16 @@ def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             since_fold += w
             _limbs(a[..., c0:c0 + w], scratch[:, :r1, :w], la[..., :w])
             _limbs(b[..., c0:c0 + w], scratch[:, :r2, :w], lb[..., :w])
-            np.matmul(la[..., :w], lb[..., :w].swapaxes(1, 2), out=blocks)
-            # each degree's float64 sum goes to degree_sum, never into
-            # blocks: adding one block of it into another makes numpy copy
-            _cast_add(cast_into[0], b00)
-            _cast_add(cast_into[1], np.add(b01, b10, out=degree_sum))
-            np.add(b02, b11, out=degree_sum)
-            _cast_add(cast_into[2], np.add(degree_sum, b20, out=degree_sum))
-            _cast_add(cast_into[3], np.add(b12, b21, out=degree_sum))
-            _cast_add(cast_into[4], b22)
+            for i in range(3):
+                np.matmul(la[:, i * r1:(i + 1) * r1, :w], lb[..., :w].swapaxes(1, 2), out=part)
+                for j in range(3):
+                    into = cast_into[i + j]
+                    np.add(into, part[..., j * r2:(j + 1) * r2], out=into,
+                           dtype=np.int64, casting="unsafe")
     out = fold(by_degree[0]).copy()
     for k in range(1, 5):
         out += shift(fold(by_degree[k]), _LIMB_BITS * k % 61)  # each term below p
     return fold(out)
-
-
-def _cast_add(into: np.ndarray, sums: np.ndarray) -> None:
-    """into += sums, for int64 into and float64 sums of exact integers."""
-    np.add(into, sums, out=into, dtype=np.int64, casting="unsafe")
 
 
 class Sums:

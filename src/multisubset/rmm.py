@@ -11,13 +11,12 @@ and all m blocks' columns, so the count covers the whole batch.
 Entries are arrays of the ring's element form (`arrays.element_form`),
 and the kernel is the form's `product`.  On the uint64 form of
 `PrimeField(2^61 - 1)` it multiplies exactly through float64 BLAS: each
-operand is split into three limbs of at most 21 bits, one float64 matmul
-per column chunk of the stacked limbs gives the 9 limb-pair blocks, the
-blocks of each degree are summed exactly in float64 (chunks of at most
-2^10 columns), and the degree sums are recombined mod p, with the BLAS
-products on the calling thread.  On the
-object form it takes one outer product of ring values per column, summed
-from zero, so a `CountingRing` counts R1 * C * R2 muls and as many adds.
+operand is split into three limbs of at most 21 bits, float64 products
+per column chunk of the stacked limbs sum the 9 limb-pair blocks exactly
+(chunks of at most 2^11 columns), and the blocks are recombined mod p,
+with the BLAS products on the calling thread.  On the object form it
+takes one outer product of ring values per column, summed from zero, so
+a `CountingRing` counts R1 * C * R2 muls and as many adds.
 """
 
 from __future__ import annotations
