@@ -14,8 +14,8 @@ A form has `dtype`, `zero`, `one` and these operations: `from_rows`
 (rows of ring values to a 2-D array), `mul` (elementwise, broadcasting,
 into `out` when given), in-place `add`, `sub` and `neg`, `product` (a
 matrix times another transposed, block by block for a batch) and `sums`
-(one run's accumulator of sums per index: `add_at(idx, vals)` as often
-as the plan asks, then `table()` once).  The bracket build, the scatter
+(one run's accumulator of sums per index: `add_at(idx, vals)` and
+`table()` as often as the plan asks).  The bracket build, the scatter
 and the direct superset scan (`mst`) and the zeta/Moebius butterfly
 (`setfn`) are written once against them.
 
@@ -106,7 +106,7 @@ class ArrayFamily:
 
     values[i, S] is f_i(S).  `of` builds it from a list `Family` (the
     uint64 form reduces member values outside [0, p)); the DAG rounds
-    build theirs directly (`dag.round_families`).
+    build theirs directly (`dag.round_family`).
     """
 
     ring: Ring

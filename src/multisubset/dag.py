@@ -17,13 +17,12 @@ array executor.
 The transform route stays on arrays of the ring's element form (uint64
 over exactly `PrimeField(2^61 - 1)`, object arrays over every other
 ring) from the weights to the last round: the weights' zeta transforms
-run as array butterflies, the node members are built once as one array
-block, and each round hands `run_transform` an `arrays.ArrayFamily` with
-that round's auxiliary row, so no round converts lists.  The naive
-route reads its targets from a list copy of each round's family.  Each
-round still calls `zeta_transform` and `run_transform` through this
-module's namespace and reads its targets from the list table
-`run_transform` returns.
+run as array butterflies, and all n rounds run on one
+`arrays.ArrayFamily` whose auxiliary row each round fills in place
+(`round_family`); the naive route reads its targets from a list copy of
+it.  perfbench wraps `zeta_transform` and `run_transform` to time the
+rounds and count the targets read, so they are called through this
+module's namespace and each target is read by indexing the returned list.
 """
 
 from __future__ import annotations
@@ -176,20 +175,17 @@ def tian_he_sum(wsys: WeightSystem) -> DagSumResult:
     return DagSumResult(ring, n, a)
 
 
-def round_families(wsys: WeightSystem, a: list):
-    """Yield (t, family) for rounds t = 1..n of the transform-based recurrence.
+def round_family(wsys: WeightSystem):
+    """(family, aux): the one family of all n rounds of the transform-based
+    recurrence, an `arrays.ArrayFamily` over the nodes and one auxiliary
+    element, and a view of its auxiliary member on the auxiliary half.
 
     Member i < n vanishes off the auxiliary half; on it, the value is 1
     when i belongs to the column's node part, else the zeta-transformed
-    weight (total weight of in-neighbor sets inside the column).  These
-    node members are built once per call and shared by every round.  The
-    auxiliary member carries (-1)^|S| * a[S] for |S| < t and zero for
-    larger S, which cuts off the recurrence exactly at round t.  It is
-    read from `a` when round t is requested, so a[S] for |S| = t - 1 must
-    be known by then.  Each family is an `arrays.ArrayFamily` holding its
-    own copy of one (n + 1, 2^(n + 1)) block of the ring's element form,
-    the node rows built once and the auxiliary row filled in round by
-    round.
+    weight (total weight of in-neighbor sets inside the column).  Before
+    round t the auxiliary member must carry (-1)^|S| * a[S] for |S| < t and
+    zero for larger S, which cuts off the recurrence exactly at round t: it
+    starts as a[empty set] = 1, and the caller fills in layer t - 1.
     """
     from .arrays import ArrayFamily, element_form
 
@@ -201,14 +197,8 @@ def round_families(wsys: WeightSystem, a: list):
     nodes[...] = form.from_rows(_zeta_weights(wsys)).reshape(n, aux_bit)
     nodes[(np.arange(aux_bit) >> np.arange(n)[:, None]) & 1 == 1] = form.one
     aux = block[n, aux_bit:]
-    buckets = size_buckets(n)
-    for t in range(1, n + 1):
-        masks = buckets[t - 1]
-        signed = form.from_rows([[a[s_mask] for s_mask in masks]])[0]
-        if (t - 1) % 2:
-            form.neg(signed)
-        aux[masks] = signed
-        yield t, ArrayFamily(ring, n + 1, block.copy(), form)
+    aux[0] = form.one
+    return ArrayFamily(ring, n + 1, block, form), aux
 
 
 def sum_acyclic_digraphs(
@@ -226,20 +216,25 @@ def sum_acyclic_digraphs(
     evaluates only those targets; the fast routes compute the full table.
     """
     check_algorithm(algo, sigma, tau)
-    ring = wsys.ring
     n = wsys.n
+    fam, aux = round_family(wsys)
+    form = fam.form
     aux_bit = 1 << n
-    a: list = [None] * (1 << n)
-    a[0] = ring.one
-    buckets = size_buckets(n)
-    for t, fam in round_families(wsys, a):
+    a = np.full(aux_bit, form.zero, dtype=form.dtype)
+    a[0] = form.one
+    for t, targets in enumerate(size_buckets(n)[1:], 1):
         if algo == "naive":
-            values = naive_at(fam.to_family(), [m | aux_bit for m in buckets[t]], stats)
+            values = naive_at(fam.to_family(), [m | aux_bit for m in targets], stats)
         else:
             g = run_transform(
                 algo, fam, sigma=sigma, tau=tau, backend=backend, stats=stats
             ).values
-            values = [g[m | aux_bit] for m in buckets[t]]
-        for t_mask, value in zip(buckets[t], values):
-            a[t_mask] = value if t % 2 == 1 else ring.neg(value)
-    return DagSumResult(ring, n, a)
+            values = [g[m | aux_bit] for m in targets]
+        layer = form.from_rows([values])[0]  # (-1)^(t+1) a[T] for |T| = t
+        if t % 2:
+            a[targets] = layer
+            if t < n:
+                aux[targets] = form.neg(layer)  # (-1)^t a[T]
+        else:
+            a[targets] = aux[targets] = form.neg(layer)
+    return DagSumResult(wsys.ring, n, a.tolist())

@@ -11,11 +11,12 @@ half, every partial product fits in 64 bits, and with 2^62 = 2 and
 2^61 = 1 (mod p) their sum stays below 2^63 + 2^33, which one `fold`
 reduces; multiplying by a power of two is a 61-bit rotation.  A run's
 sums by index (`Sums`) add the 32-bit halves of its terms into two
-uint64 tables and fold them mod p once, at the end: exact while no
-index gets 2^32 terms, and a plan gives an index at most 2^25.  The
-matrix product runs through float64 BLAS on three limbs of at most 21
-bits: per column chunk, each operand's limbs are extracted once, and
-one `np.matmul` per limb of a gives its three limb-pair blocks with b.
+uint64 tables and fold them mod p when read: exact while no index gets
+2^32 terms before a read or 2^31 between reads, and a plan gives an
+index at most 2^25.  The matrix product runs through float64 BLAS on
+three limbs of at most 21 bits: per column chunk, each operand's limbs
+are extracted once, and one `np.matmul` per limb of a gives its three
+limb-pair blocks with b.
 A block entry sums products below 2^42, an exact float64 while a chunk
 holds at most 2^11 columns; each block is cast and added to a uint64 sum
 per degree, folded mod p every 2^20 columns, before it can pass 2^64.
@@ -295,14 +296,16 @@ def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class Sums:
-    """Sums per index of uint64 values in [0, p), folded mod p once.
+    """Sums per index of uint64 values in [0, p), folded mod p when read.
 
     `add_at` adds each term's low and high 32-bit halves into two uint64
-    tables, `lo` and `hi`; `table` folds them and returns
-    lo + hi 2^32 mod p.  An index's halves stay below 2^64 while it gets
-    fewer than 2^32 terms.  A plan gives each T at most one term per
-    column S inside T, so at most 2^25 even for a DAG round over
-    MAX_GROUND_SET + 1 elements, and every sum stays below 2^57.
+    tables, `lo` and `hi`; `table` folds them in place and returns
+    lo + hi 2^32 mod p as a new array.  A read leaves both halves below p
+    and congruent to their sums, so adding may go on after it.  An
+    index's halves stay below 2^64 while it gets fewer than 2^32 terms
+    before the first read and 2^31 between two reads.  A plan gives each
+    T at most one term per column S inside T, so at most 2^25 even for a
+    DAG round over MAX_GROUND_SET + 1 elements.
     """
 
     def __init__(self, size: int):
@@ -315,8 +318,8 @@ class Sums:
         np.add.at(self.hi, idx, vals >> _U32)
 
     def table(self) -> np.ndarray:
-        """The sums mod p; folds the halves in place, so it is read once."""
-        return add(fold(self.lo), shift(fold(self.hi), 32))
+        """The sums mod p, in the array `shift` allocates."""
+        return add(shift(fold(self.hi), 32), fold(self.lo))
 
 
 sums = Sums  # the form's name for one run's accumulator: `sums(2^n)`

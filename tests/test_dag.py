@@ -19,9 +19,11 @@ from multisubset import (
     tian_he_sum,
 )
 from multisubset.arrays import ArrayFamily
-from multisubset.dag import round_families
+from multisubset.bench import predicted_pair_iterations
+from multisubset.bitops import size_buckets
+from multisubset.dag import round_family
 
-from helpers import tian_he_reference
+from helpers import random_family, tian_he_reference
 
 # labeled acyclic digraph counts, cross-checked by digraph enumeration
 ACYCLIC_COUNTS = [1, 1, 3, 25, 543, 29281, 3781503]
@@ -131,18 +133,30 @@ def test_tian_he_unweighted_table(modp):
         assert result.a[s_mask] == modp.from_int(ACYCLIC_COUNTS[s_mask.bit_count()])
 
 
-@pytest.mark.parametrize("collect", [iter, list], ids=["lazy", "list"])
-def test_build_dag_family_shape(modp, collect):
-    # each round's family keeps its own values, also after later rounds
+def filled_rounds(wsys, a_table):
+    """(t, fam, aux) for rounds t = 1..n: the one family of `round_family`,
+    its auxiliary row filled from a_table up to size t - 1, as
+    `sum_acyclic_digraphs` fills it."""
+    fam, aux = round_family(wsys)
+    buckets = size_buckets(wsys.n)
+    for t in range(1, wsys.n + 1):
+        yield t, fam, aux
+        masks = buckets[t]
+        layer = fam.form.from_rows([[a_table[m] for m in masks]])[0]
+        aux[masks] = fam.form.neg(layer) if t % 2 else layer
+
+
+def test_build_dag_family_shape(modp):
+    # every round runs on one family, its auxiliary row a view of it
     n = 3
     wsys = random_weights(modp, n, seed=5)
     a_table = tian_he_sum(wsys).a
     aux_bit = 1 << n
-    rounds = 0
-    for t, fam in collect(round_families(wsys, a_table)):
-        rounds += 1
-        assert t == rounds
+    rounds = []
+    for t, fam, aux in filled_rounds(wsys, a_table):
+        rounds.append(t)
         assert fam.n == n + 1
+        assert np.shares_memory(aux, fam.values)
         members = fam.to_family().members
         # no member carries mass on sets missing the auxiliary element
         for f in members:
@@ -154,10 +168,9 @@ def test_build_dag_family_shape(modp, collect):
                 if (s_mask >> i) & 1:
                     assert members[i].values[s_mask | aux_bit] == modp.one
         # the auxiliary member is cut off from size t on
-        aux = members[n]
         for s_mask in range(1 << n):
             size = s_mask.bit_count()
-            value = aux.values[s_mask | aux_bit]
+            value = members[n].values[s_mask | aux_bit]
             if size >= t:
                 assert value == modp.zero
             else:
@@ -165,25 +178,26 @@ def test_build_dag_family_shape(modp, collect):
                 if size % 2 == 1:
                     expected = modp.neg(expected)
                 assert value == expected
-    assert rounds == n
+    assert rounds == list(range(1, n + 1))
 
 
-def test_array_rounds_equal_the_list_rounds(modp):
-    # the uint64 rounds of PrimeField equal the object rounds of the same
-    # weights over CountingRing, each block keeping its own values also
-    # after later rounds
+def test_round_family_forms_hold_equal_blocks(modp):
+    # the uint64 family of PrimeField equals the object family of the same
+    # weights over CountingRing in every round
     n = 4
     wsys = random_weights(modp, n, seed=5)
     counted = random_weights(CountingRing(modp), n, seed=5)
     a_table = tian_he_sum(wsys).a
-    uint64 = list(round_families(wsys, a_table))
-    objects = list(round_families(counted, a_table))
-    assert [t for t, _ in uint64] == [t for t, _ in objects] == list(range(1, n + 1))
-    for (_, arr), (_, obj) in zip(uint64, objects):
+    rounds = 0
+    for (t, arr, _), (s, obj, _) in zip(filled_rounds(wsys, a_table),
+                                        filled_rounds(counted, a_table)):
+        rounds += 1
+        assert t == s == rounds
         assert isinstance(arr, ArrayFamily) and isinstance(obj, ArrayFamily)
         assert (arr.ring, arr.n, obj.n) == (wsys.ring, n + 1, n + 1)
         assert (arr.values.dtype, obj.values.dtype) == (np.uint64, object)
         assert arr.values.tolist() == obj.values.tolist()
+    assert rounds == n
 
 
 def test_round_extraction_matches_recurrence(modp):
@@ -192,7 +206,7 @@ def test_round_extraction_matches_recurrence(modp):
     wsys = random_weights(modp, n, seed=8)
     a_table = tian_he_sum(wsys).a
     aux_bit = 1 << n
-    for t, fam in round_families(wsys, a_table):
+    for t, fam, _ in filled_rounds(wsys, a_table):
         g = run_transform("naive", fam.to_family())
         for t_mask in range(1 << n):
             if t_mask.bit_count() != t:
@@ -201,6 +215,18 @@ def test_round_extraction_matches_recurrence(modp):
             if t % 2 == 0:
                 value = modp.neg(value)
             assert value == a_table[t_mask]
+
+
+@pytest.mark.parametrize("algo", ["columns", "rows-columns", "cover"])
+def test_fast_routes_run_one_transform_per_round(modp, algo):
+    # n rounds, each one run of the plan over n + 1 elements
+    for n in range(1, 9):
+        got = PipelineStats()
+        sum_acyclic_digraphs(random_weights(modp, n, seed=n), algo, stats=got)
+        one = PipelineStats()
+        run_transform(algo, random_family(modp, n + 1, seed=n), stats=one)
+        assert vars(got) == {k: n * v for k, v in vars(one).items()}
+        assert got.pair_iterations == n * predicted_pair_iterations(algo, n + 1)
 
 
 @pytest.mark.parametrize("algo", ["naive", "columns", "rows-columns", "cover"])

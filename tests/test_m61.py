@@ -138,6 +138,31 @@ def test_sums_with_2_to_the_20_terms_of_p_minus_1_on_one_index():
     assert objects.table().tolist() == want
 
 
+def test_sums_read_again_and_added_to_after_a_read():
+    # a read leaves the sums as they were: reading again, or adding more
+    # terms and reading, gives the sums so far on both forms; after a read
+    # the uint64 halves are below p, so 2^31 more terms stay below 2^64
+    assert P + 2**31 * (2**32 - 1) < 2**64
+    first = ([0, 1, 1, 3], [P - 1, 5, 2**40 + 7, 123456789012345])
+    second = ([1, 2, 3, 1], [P - 2, 2**33 + 1, 9, 2**60])
+    want = [0] * 4
+    reads = []
+    for idx, vals in (first, second):
+        for i, v in zip(idx, vals):
+            want[i] = (want[i] + v) % P
+        reads.append(list(want))
+    assert reads[0][1] == 1099511627788
+    for sums, array in ((m61.sums(4), lambda v: np.array(v, dtype=np.uint64)),
+                        (arrays.ObjectForm(PrimeField(P)).sums(4),
+                         lambda v: np.array(v, dtype=object))):
+        got = []
+        for idx, vals in (first, second):
+            sums.add_at(np.array(idx), array(vals))
+            got.append(sums.table().tolist())
+            got.append(sums.table().tolist())
+        assert got == [reads[0], reads[0], reads[1], reads[1]]
+
+
 def test_kernel_with_every_entry_p_minus_1_at_a_chunk_of_2_to_the_11(monkeypatch):
     # two full chunks; 2^42 - 1 has both low limbs at their largest
     monkeypatch.setattr(m61, "KERNEL_CHUNK_COLUMNS", 2**11)
@@ -314,9 +339,9 @@ def test_array_path_matches_list_path_and_naive(n):
     for seed in (n, 100 + n):
         naive = mst_naive(random_family(PrimeField(), n, seed)).values if n <= 10 else None
         for algo in ARRAY_ALGOS:
-            (arr, arr_stats), (lst, lst_stats) = _both_forms(algo, n, seed)
-            assert arr == lst
-            assert arr_stats == lst_stats
+            (arr, arr_stats), (obj, obj_stats) = _both_forms(algo, n, seed)
+            assert arr == obj
+            assert arr_stats == obj_stats
             if naive is not None:
                 assert arr == naive
 
@@ -345,9 +370,9 @@ def test_chunk_sizes_and_folds_do_not_change_the_table(monkeypatch):
         monkeypatch.setattr(mst, "CHUNK_ENTRIES", entries)
         scans.clear()
         for algo in ARRAY_ALGOS:
-            (arr, arr_stats), (lst, lst_stats) = _both_forms(algo, 8, 3)
-            assert arr == lst == naive
-            assert arr_stats == lst_stats
+            (arr, arr_stats), (obj, obj_stats) = _both_forms(algo, 8, 3)
+            assert arr == obj == naive
+            assert arr_stats == obj_stats
         chunks = [chunk for scan in scans for chunk in scan]
         assert all(len(pops) == 1 for pops, _, _ in chunks)
         assert all(table <= entries for _, width, table in chunks if width > 1)
@@ -393,7 +418,7 @@ def _scan_by_definition(fam, cols, cut):
 
 @settings(max_examples=60, deadline=None)
 @given(_scan_case())
-def test_superset_scan_matches_the_list_scan(case):
+def test_superset_scan_on_both_forms_matches_its_definition(case):
     # both forms against the scan's definition
     n, seed, cols, thresholds = case
     split = GroundSplit.for_n(n)
@@ -417,9 +442,9 @@ def test_superset_scan_matches_the_list_scan(case):
 def test_array_path_with_drawn_sigma_and_tau(n, seed, sigma, tau):
     naive = mst_naive(random_family(PrimeField(), n, seed)).values
     for algo, t in (("columns", None), ("rows-columns", tau)):
-        (arr, arr_stats), (lst, lst_stats) = _both_forms(algo, n, seed, sigma, t)
-        assert arr == lst == naive
-        assert arr_stats == lst_stats
+        (arr, arr_stats), (obj, obj_stats) = _both_forms(algo, n, seed, sigma, t)
+        assert arr == obj == naive
+        assert arr_stats == obj_stats
 
 
 def _random_weights(ring, n, seed):
@@ -460,9 +485,9 @@ def test_batch_cap_below_one_product_does_not_change_the_table(monkeypatch):
     # every product a batch of its own
     monkeypatch.setattr(mst, "BATCH_OUTPUT_ENTRIES", 1)
     for n in (5, 8):
-        (arr, arr_stats), (lst, lst_stats) = _both_forms("cover", n, 7)
-        assert arr == lst
-        assert arr_stats == lst_stats
+        (arr, arr_stats), (obj, obj_stats) = _both_forms("cover", n, 7)
+        assert arr == obj
+        assert arr_stats == obj_stats
 
 
 class _EntryTypes(ClassicalBackend):
@@ -503,18 +528,18 @@ def test_which_runs_take_the_array_path(algo, ring, uint64):
 
 @settings(max_examples=12, deadline=None)
 @given(n=st.integers(0, 8), seed=st.integers(0, 10**6))
-def test_dag_array_route_matches_the_list_route(n, seed):
+def test_dag_uint64_route_matches_the_object_route(n, seed):
     # the same weights over PrimeField (uint64 arrays from the weights to
     # the last round) and over CountingRing(PrimeField()) (object arrays)
     arr_wsys = _random_weights(PrimeField(), n, seed)
-    lst_wsys = _random_weights(CountingRing(PrimeField()), n, seed)
+    obj_wsys = _random_weights(CountingRing(PrimeField()), n, seed)
     expected = tian_he_sum(arr_wsys).a
     for algo in ARRAY_ALGOS:
-        arr_stats, lst_stats = PipelineStats(), PipelineStats()
+        arr_stats, obj_stats = PipelineStats(), PipelineStats()
         arr = sum_acyclic_digraphs(arr_wsys, algo, stats=arr_stats).a
-        lst = sum_acyclic_digraphs(lst_wsys, algo, stats=lst_stats).a
-        assert arr == lst == expected
-        assert arr_stats == lst_stats
+        obj = sum_acyclic_digraphs(obj_wsys, algo, stats=obj_stats).a
+        assert arr == obj == expected
+        assert arr_stats == obj_stats
 
 
 @pytest.mark.skipif(not m61.HEAP_TOP_PADDED, reason="no glibc mallopt to keep freed heap")
@@ -528,7 +553,7 @@ def test_steady_state_calls_fault_no_heap_pages_back_in(algo):
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
 
 
-def test_list_path_runs_never_import_the_array_module():
+def test_object_form_runs_never_import_m61():
     # m61 sets malloc options on import, so runs over other rings must not load it
     code = """
 import sys

@@ -116,7 +116,7 @@ def test_zeta_addition_count():
         assert counter.muls == 0
 
 
-def test_array_butterflies_match_the_list_path(modp):
+def test_uint64_butterflies_match_the_object_form(modp):
     # PrimeField(2^61 - 1) runs both transforms on one uint64 array; the
     # object form (here through CountingRing) leaves f(empty set) unreduced
     p = modp.p
