@@ -146,8 +146,18 @@ def filled_rounds(wsys, a_table):
         aux[masks] = fam.form.neg(layer) if t % 2 else layer
 
 
-def test_build_dag_family_shape(modp):
-    # every round runs on one family, its auxiliary row a view of it
+def _array_rows(fam):
+    return list(fam.values)
+
+
+def _list_rows(fam):
+    return [f.values for f in fam.to_family().members]
+
+
+@pytest.mark.parametrize("rows_of", [_array_rows, _list_rows], ids=["lazy", "list"])
+def test_build_dag_family_shape(modp, rows_of):
+    # every round runs on one family, its auxiliary row a view of it; the
+    # rows are read as views of the array (lazy) or as a list copy (list)
     n = 3
     wsys = random_weights(modp, n, seed=5)
     a_table = tian_he_sum(wsys).a
@@ -157,20 +167,21 @@ def test_build_dag_family_shape(modp):
         rounds.append(t)
         assert fam.n == n + 1
         assert np.shares_memory(aux, fam.values)
-        members = fam.to_family().members
+        rows = rows_of(fam)
+        assert len(rows) == n + 1
         # no member carries mass on sets missing the auxiliary element
-        for f in members:
+        for row in rows:
             for s_mask in range(1 << n):
-                assert f.values[s_mask] == modp.zero
+                assert row[s_mask] == modp.zero
         # a node inside S contributes a factor one
         for i in range(n):
             for s_mask in range(1 << n):
                 if (s_mask >> i) & 1:
-                    assert members[i].values[s_mask | aux_bit] == modp.one
+                    assert rows[i][s_mask | aux_bit] == modp.one
         # the auxiliary member is cut off from size t on
         for s_mask in range(1 << n):
             size = s_mask.bit_count()
-            value = members[n].values[s_mask | aux_bit]
+            value = rows[n][s_mask | aux_bit]
             if size >= t:
                 assert value == modp.zero
             else:
