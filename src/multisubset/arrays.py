@@ -88,7 +88,8 @@ class ObjectForm:
 
 class ObjectSums:
     """Sums per index of object values: a zero table that every term is
-    added into as it comes, by the ring's add (`frompyfunc(ring.add).at`)."""
+    added into as it comes, by the ring's add (`frompyfunc(ring.add).at`).
+    A read returns a copy, so later terms leave it as it was."""
 
     def __init__(self, add, table: np.ndarray):
         self._add, self._table = add, table
@@ -97,7 +98,7 @@ class ObjectSums:
         self._add.at(self._table, idx, vals)
 
     def table(self) -> np.ndarray:
-        return self._table
+        return self._table.copy()
 
 
 @dataclass

@@ -161,8 +161,6 @@ def neg(a: np.ndarray) -> np.ndarray:
 
 def shift(x: np.ndarray, s: int) -> np.ndarray:
     """x * 2^s mod p for x < 2^61 and 0 <= s < 61: a 61-bit rotation."""
-    if s == 0:
-        return x.copy()
     return ((x << np.uint64(s)) & P) | (x >> np.uint64(61 - s))
 
 

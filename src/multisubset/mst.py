@@ -18,7 +18,7 @@ executor runs into a single output table.  A `Product` step is a batch
 of m rectangular products of one shape, held as int64 arrays: each adds
 the terms of its columns to every cell T1 | T2 of its row lists; a
 `Scan` step adds the terms of its columns to every superset T by a
-direct scan, optionally skipping the pairs a trimmed product covers.
+direct scan, optionally skipping the cells of a trimmed product.
 
 `run_transform` is the one entry point: `check_algorithm` resolves the
 algorithm's sigma and tau, and `_plan` builds its steps.
@@ -51,11 +51,12 @@ Every table the executor fills comes from one doubling loop
 their masks, each one factor or bit away from a smaller one.  The
 bracket build works in one of two ways.  A `SupersetProduct`, every
 step of `cover`'s plan, needs only its rows' brackets: they come from a
-`BracketStore`, one table per part and size, each built on first use
-by doubling its columns' roots over their part's free bits, as the
-direct scan does over all free bits, and kept for the run.  The
-one product of `columns` and of `rows-columns` doubles over every
-subset of the half, per column chunk, and picks its rows.
+`BracketStore`, one table per part and size, all of a half's built in
+one pass on its first ask by doubling every column's root over the
+part's free bits, as the direct scan does over all free bits, and kept
+for the run.  The one product of `columns` and of `rows-columns`
+doubles over every subset of the half, per column chunk, and picks its
+rows.
 """
 
 from __future__ import annotations
@@ -150,13 +151,12 @@ class SupersetProduct(Product):
 @dataclass
 class Scan:
     """Plan step: the terms of cols (1-D, int64) at every superset T by the
-    direct scan.  With thresholds (t1, t2), every T with more than t1
-    part-1 and more than t2 part-2 elements is skipped (a trimmed product
-    covers it).
+    direct scan.  With `skip`, a one-block `Product` over these columns,
+    every T among its cells T1 | T2 is skipped (that product covers it).
     """
 
     cols: object
-    thresholds: tuple[int, int] | None = None
+    skip: Product | None = None
 
 
 def _guarded_floor(x: float) -> int:
@@ -239,10 +239,10 @@ def build_submatrix(fam, split: GroundSplit, part: int, rows, cols, store=None) 
     Given the run's `BracketStore`, the batch is a `SupersetProduct`'s:
     each block has one column, all with s part-p bits, and as rows all
     2^(h_p - s) part supersets of that column, ascending.  Their brackets
-    are rows of the store's table (p, s), which is computed once per run
-    and kept, whatever the batches' order.  A batch of another
-    shape raises ValueError; its rows' masks are not checked.  Without a
-    store the batch is one block (the one product of `columns` and of
+    are rows of the store's table (p, s); the first ask on a half builds
+    all its tables, kept for the run.  A batch of another shape raises
+    ValueError; its rows' masks are not checked.  Without a store the
+    batch is one block (the one product of `columns` and of
     `rows-columns`; ValueError otherwise): per column chunk (at most
     CHUNK_ENTRIES table entries), the products of every subset of the
     half come from doubling (`_doubled`: subset U + {b} is subset U times
@@ -331,32 +331,18 @@ def _chunks(form, values, cols, bits: range):
             yield c0, c1, roots[c0:c1], free
 
 
-def _superset_brackets(fam, split: GroundSplit, part: int, cols, s: int):
-    """(c, 2^(h_p - s)) array for c columns that each have s part-p bits:
-    row k holds prod over i in T_p of f_i(cols[k]) for every part
-    superset T_p of cols[k]'s part bits, ascending: each column's root,
-    prod over its s part bits i of f_i(S), doubled over the part's free
-    bits (`_chunks`), 2^(h_p - s) - 1 multiplications after the root's s.
-    """
-    import numpy as np
-
-    form, values = fam.form, fam.values
-    bits = range(split.h1) if part == 1 else range(split.h1, split.n)
-    out = np.empty((len(cols), 1 << (len(bits) - s)), dtype=form.dtype)
-    for c0, c1, roots, free in _chunks(form, values, cols, bits):
-        out[c0:c1] = _doubled(form.mul, roots, values[free, cols[c0:c1]]).T
-    return out
-
-
 class BracketStore:
     """Superset brackets of every column on each half, kept for the run.
 
     Table (p, s) holds, for every column S with s part-p bits, the
     products prod over i in T_p of f_i(S) for every part superset T_p of
-    S's part bits, ascending (`_superset_brackets`): row rank_p[S] of a
+    S's part bits, ascending: row rank_p[S] of a
     (C(h_p, s) 2^(n - h_p), 2^(h_p - s)) array, where rank_p[S] (one
     int32 per mask) counts the masks below S with as many part-p bits.
-    A table is built when first asked for and kept for the run, so
+    The first ask on a half builds all its tables in one pass over every
+    mask, stably sorted by part size (`_chunks`): each column's root,
+    prod over its s part bits i of f_i(S), doubled over the part's free
+    bits, 2^(h_p - s) - 1 multiplications after the root's s.  So
     whatever the order of the asks, a run computes each of its
     3^h1 2^h2 + 2^h1 3^h2 entries once.
     """
@@ -370,18 +356,22 @@ class BracketStore:
         """(len(cols), 2^(h_p - s)) superset brackets of columns with s part-p bits."""
         import numpy as np
 
-        if (part, s) not in self.tables:
-            split = self.split
-            part_mask, h = (split.u1_mask, split.h1) if part == 1 else (split.u2_mask, split.h2)
-            sizes = np.bitwise_count(np.arange(1 << split.n) & part_mask)
-            if part not in self.ranks:
-                rank = np.empty(1 << split.n, dtype=np.int32)
-                for size in range(h + 1):
-                    at = np.flatnonzero(sizes == size)
-                    rank[at] = np.arange(len(at))
-                self.ranks[part] = rank
-            columns = np.flatnonzero(sizes == s)
-            self.tables[part, s] = _superset_brackets(self.fam, split, part, columns, s)
+        if part not in self.ranks:
+            form, values, n = self.fam.form, self.fam.values, self.split.n
+            bits = range(self.split.h1) if part == 1 else range(self.split.h1, n)
+            h = len(bits)
+            for size in range(h + 1):
+                shape = (math.comb(h, size) << (n - h), 1 << (h - size))
+                self.tables[part, size] = np.empty(shape, dtype=form.dtype)
+            sizes = np.bitwise_count(np.arange(1 << n) & (((1 << h) - 1) << bits.start))
+            order = np.argsort(sizes, kind="stable")
+            starts = np.searchsorted(sizes[order], np.arange(h + 2))
+            rank = self.ranks[part] = np.empty(1 << n, dtype=np.int32)
+            rank[order] = np.arange(1 << n) - starts[sizes[order]]
+            for c0, c1, roots, free in _chunks(form, values, order, bits):
+                size = h - len(free)
+                table = _doubled(form.mul, roots, values[free, order[c0:c1]])
+                self.tables[part, size][c0 - starts[size]:c1 - starts[size]] = table.T
         return self.tables[part, s][self.ranks[part][cols]]
 
 
@@ -408,19 +398,12 @@ def _product_into(
     sums.add_at(idx.ravel(), product.ravel())
 
 
-def _direct_scan(
-    fam,
-    cols,
-    sums,
-    stats: PipelineStats | None,
-    split: GroundSplit | None = None,
-    thresholds: tuple[int, int] | None = None,
-) -> None:
+def _direct_scan(fam, cols, sums, stats: PipelineStats | None, skip: Product | None = None) -> None:
     """Add prod_{i in T} f_i(S) at T into the run's `sums`, for each S in
     cols and T superset S.
 
-    cols is a 1-D int64 array.  When row thresholds (t1, t2) are given, a
-    T whose half-sizes both exceed them is left out (a trimmed product
+    cols is a 1-D int64 array.  When `skip` is given, a one-block
+    `Product`, a T among its cells T1 | T2 is left out (that product
     covers it), and so is a column that is such a T itself.  The columns
     run sorted by popcount, in chunks of one popcount (`_chunks`).  A
     chunk fills a product table and a matching mask table by doubling
@@ -432,8 +415,9 @@ def _direct_scan(
 
     form, values, n = fam.form, fam.values, fam.n
     cut = None
-    if thresholds is not None:
-        cut = scan_cut(split, thresholds)
+    if skip is not None:
+        cut = np.zeros(1 << n, dtype=bool)
+        cut[skip.rows1[0, :, None] | skip.rows2[0]] = True
         cols = cols[~cut[cols]]
     cols = cols[np.argsort(np.bitwise_count(cols), kind="stable")]
     pairs = 0
@@ -471,7 +455,7 @@ def _execute(
     store = BracketStore(fam, split)
     for step in steps:
         if isinstance(step, Scan):
-            _direct_scan(fam, step.cols, sums, stats, split, step.thresholds)
+            _direct_scan(fam, step.cols, sums, stats, step.skip)
         else:
             superset = isinstance(step, SupersetProduct)
             _product_into(fam, split, step, backend, sums, stats, store if superset else None)
@@ -500,15 +484,6 @@ def small_large_columns(n: int, s0: int):
 
     small = np.bitwise_count(np.arange(1 << n)) <= s0
     return np.flatnonzero(small), np.flatnonzero(~small)
-
-
-def scan_cut(split: GroundSplit, thresholds: tuple[int, int]):
-    """A bool per mask T: True when both half-sizes of T exceed (t1, t2)."""
-    import numpy as np
-
-    t1, t2 = thresholds
-    t = np.arange(1 << split.n)
-    return (np.bitwise_count(t & split.u1_mask) > t1) & (np.bitwise_count(t & split.u2_mask) > t2)
 
 
 class MeasuredCostPlanner:
@@ -607,7 +582,7 @@ def _plan(algo: str, split: GroundSplit, sigma: float | None, tau: float | None)
     product = Product(_half_rows(split, 1, t1)[None], small[None], _half_rows(split, 2, t2)[None])
     if algo == "columns":
         return product, Scan(large)
-    return Scan(small, (t1, t2)), product, Scan(large)
+    return Scan(small, product), product, Scan(large)
 
 
 def run_transform(

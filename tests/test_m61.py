@@ -32,10 +32,11 @@ from multisubset.arrays import ArrayFamily
 from multisubset.bitops import bits_of
 from multisubset.mst import (
     GroundSplit,
+    Product,
     _direct_scan,
+    _half_rows,
     build_submatrix,
     row_thresholds,
-    scan_cut,
 )
 from multisubset.setfn import MAX_GROUND_SET
 
@@ -140,8 +141,9 @@ def test_sums_with_2_to_the_20_terms_of_p_minus_1_on_one_index():
 
 def test_sums_read_again_and_added_to_after_a_read():
     # a read leaves the sums as they were: reading again, or adding more
-    # terms and reading, gives the sums so far on both forms; after a read
-    # the uint64 halves are below p, so 2^31 more terms stay below 2^64
+    # terms and reading, gives the sums so far on both forms, and the
+    # array a read returned keeps its values; after a read the uint64
+    # halves are below p, so 2^31 more terms stay below 2^64
     assert P + 2**31 * (2**32 - 1) < 2**64
     first = ([0, 1, 1, 3], [P - 1, 5, 2**40 + 7, 123456789012345])
     second = ([1, 2, 3, 1], [P - 2, 2**33 + 1, 9, 2**60])
@@ -155,12 +157,14 @@ def test_sums_read_again_and_added_to_after_a_read():
     for sums, array in ((m61.sums(4), lambda v: np.array(v, dtype=np.uint64)),
                         (arrays.ObjectForm(PrimeField(P)).sums(4),
                          lambda v: np.array(v, dtype=object))):
-        got = []
+        got, tables = [], []
         for idx, vals in (first, second):
             sums.add_at(np.array(idx), array(vals))
-            got.append(sums.table().tolist())
+            tables.append(sums.table())
+            got.append(tables[-1].tolist())
             got.append(sums.table().tolist())
         assert got == [reads[0], reads[0], reads[1], reads[1]]
+        assert [table.tolist() for table in tables] == [reads[0], reads[1]]
 
 
 def test_kernel_with_every_entry_p_minus_1_at_a_chunk_of_2_to_the_11(monkeypatch):
@@ -335,7 +339,7 @@ def _both_forms(algo, n, seed, sigma=None, tau=None):
 
 
 @pytest.mark.parametrize("n", range(12))
-def test_array_path_matches_list_path_and_naive(n):
+def test_uint64_form_matches_the_object_form_and_naive(n):
     for seed in (n, 100 + n):
         naive = mst_naive(random_family(PrimeField(), n, seed)).values if n <= 10 else None
         for algo in ARRAY_ALGOS:
@@ -419,15 +423,22 @@ def _scan_by_definition(fam, cols, cut):
 @settings(max_examples=60, deadline=None)
 @given(_scan_case())
 def test_superset_scan_on_both_forms_matches_its_definition(case):
-    # both forms against the scan's definition
+    # both forms against the scan's definition; a trimmed scan skips the
+    # cells of the product over the rows above the thresholds
     n, seed, cols, thresholds = case
     split = GroundSplit.for_n(n)
-    cut = None if thresholds is None else scan_cut(split, thresholds)
+    cut = skip = None
+    if thresholds is not None:
+        t1, t2 = thresholds
+        cut = [(t & split.u1_mask).bit_count() > t1 and (t & split.u2_mask).bit_count() > t2
+               for t in range(1 << n)]
+        skip = Product(_half_rows(split, 1, t1)[None], masks(cols)[None],
+                       _half_rows(split, 2, t2)[None])
     want, want_pairs = _scan_by_definition(random_family(PrimeField(), n, seed), cols, cut)
     for ring in (PrimeField(), CountingRing(PrimeField())):
         fam = ArrayFamily.of(random_family(ring, n, seed))
         stats, sums = PipelineStats(), fam.form.sums(1 << n)
-        _direct_scan(fam, masks(cols), sums, stats, split, thresholds)
+        _direct_scan(fam, masks(cols), sums, stats, skip)
         assert stats.pair_iterations == want_pairs
         assert sums.table().tolist() == want
 

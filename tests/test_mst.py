@@ -39,7 +39,6 @@ from multisubset.mst import (
     build_submatrix,
     naive_at,
     row_thresholds,
-    scan_cut,
     small_large_columns,
 )
 from multisubset.arrays import ArrayFamily
@@ -161,6 +160,8 @@ def test_small_large_split():
 
 
 def test_column_split_and_scan_cut_match_their_loops():
+    # the trimmed scan skips the cells of the product over the rows above
+    # the thresholds: each T with both half-sizes above them, once
     for n in range(15):
         split = GroundSplit.for_n(n)
         for s0 in range(-1, n + 1):
@@ -169,13 +170,14 @@ def test_column_split_and_scan_cut_match_their_loops():
             assert [c.tolist() for c in small_large_columns(n, s0)] == [small, large]
         for t1 in range(-1, split.h1 + 1):
             for t2 in range(-1, split.h2 + 1):
-                cut = scan_cut(split, (t1, t2))
-                assert cut.dtype == bool
-                assert cut.tolist() == [
-                    (t & split.u1_mask).bit_count() > t1
+                cells = _half_rows(split, 1, t1)[:, None] | _half_rows(split, 2, t2)
+                assert sorted(cells.ravel().tolist()) == [
+                    t for t in range(1 << n)
+                    if (t & split.u1_mask).bit_count() > t1
                     and (t & split.u2_mask).bit_count() > t2
-                    for t in range(1 << n)
                 ]
+        scan, product, _ = mst._plan("rows-columns", split, ROWS_COLUMNS_SIGMA, ROWS_COLUMNS_TAU)
+        assert scan.skip is product
 
 
 def test_bracket_matrix_semantics(modp):
@@ -234,8 +236,9 @@ def _full_product(split, cols):
 def _trimmed_plan(split, tau, cols):
     # the trimmed scan and the product over the rows above the thresholds
     t1, t2 = row_thresholds(split, tau)
-    rows1, rows2 = _half_rows(split, 1, t1)[None], _half_rows(split, 2, t2)[None]
-    return [Scan(masks(cols), (t1, t2)), Product(rows1, masks(cols)[None], rows2)]
+    product = Product(_half_rows(split, 1, t1)[None], masks(cols)[None],
+                      _half_rows(split, 2, t2)[None])
+    return [Scan(masks(cols), product), product]
 
 
 def test_fast_rmm_and_direct_scan_compose(modp):
@@ -271,22 +274,22 @@ def test_scan_ring_op_counts(n, trimmed):
     counter = OpCounter()
     fam = random_family(CountingRing(make_ring("modp"), counter), n, seed=n)
     split = GroundSplit.for_n(n)
-    thresholds = row_thresholds(split, ROWS_COLUMNS_TAU) if trimmed else None
     cols = list(range(1 << n))
+    skip = _trimmed_plan(split, ROWS_COLUMNS_TAU, cols)[1] if trimmed else None
     counter.reset()
     stats = PipelineStats()
-    _execute(fam, split, [Scan(masks(cols), thresholds)], None, stats)
-    if thresholds is None:
+    _execute(fam, split, [Scan(masks(cols), skip)], None, stats)
+    if not trimmed:
         kept = cols
     else:
-        t1, t2 = thresholds
+        t1, t2 = row_thresholds(split, ROWS_COLUMNS_TAU)
         kept = [
             s for s in cols
             if not ((s & split.u1_mask).bit_count() > t1
                     and (s & split.u2_mask).bit_count() > t2)
         ]
     computed = sum(1 << (n - s.bit_count()) for s in kept)
-    if thresholds is None:
+    if not trimmed:
         assert stats.pair_iterations == computed
     else:
         assert stats.pair_iterations < computed
@@ -463,29 +466,30 @@ def test_store_build_rejects_blocks_that_are_not_one_column_and_its_supersets(mo
 
 
 def test_the_store_builds_each_table_once_in_any_order(monkeypatch):
-    # one table per part-1 s1 and per part-2 s2, each column once a half,
-    # whether the plan's steps come s1-major or shuffled
+    # one chunked pass per half over every column builds all of its
+    # tables, whether the plan's steps come s1-major or shuffled
     n = 9
     split = GroundSplit.for_n(n)
     fam = random_family(PrimeField(), n, seed=4)
-    calls = []
-    superset_brackets = mst._superset_brackets
+    passes = []
+    chunks = mst._chunks
 
-    def counting(*args):
-        calls.append(args[3].size)
-        return superset_brackets(*args)
+    def counting(form, values, cols, bits):
+        passes.append((sorted(cols.tolist()), bits))
+        return chunks(form, values, cols, bits)
 
-    monkeypatch.setattr(mst, "_superset_brackets", counting)
+    monkeypatch.setattr(mst, "_chunks", counting)
+    halves = [(list(range(1 << n)), range(split.h1)), (list(range(1 << n)), range(split.h1, n))]
     default = PipelineStats()
     want = run_transform("cover", fam, stats=default).values
-    assert len(calls) == split.h1 + split.h2 + 2 and sum(calls) == 2 << n
+    assert passes == halves
     steps = list(_cover_plan(split))
     random.Random(9).shuffle(steps)
-    calls.clear()
+    passes.clear()
     stats = PipelineStats()
     assert _execute(fam, split, steps, None, stats).values == want
     assert stats == default
-    assert len(calls) == split.h1 + split.h2 + 2 and sum(calls) == 2 << n
+    assert passes == halves
 
 
 @pytest.mark.parametrize("n", range(11))
