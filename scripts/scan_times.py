@@ -5,14 +5,14 @@ The direct scan of every column S, adding prod over i in T of f_i(S) at
 every superset T, is the paper's O(3^n) baseline.  For each n given, the
 script seeds a family of n uniform values in [0, 2^61 - 1) per subset,
 as one `arrays.ArrayFamily` (so it reaches n = 17 and 18, where
-`generate_family` stops at 16), runs `mst._direct_scan` over every
-column into one accumulator and reads the table back, and prints the
-CPU seconds (`time.process_time`), the ns per (T, S) pair and a sha256
-prefix of the table's uint64 bytes.  Then it times `run_transform` of
-each plan in PLANS on the same family (its table comes back as a list,
-inside the timing) and prints its CPU seconds, their ratio to the
-scan's (above 1 is slower), its table's sha256 prefix and whether the
-digest equals the scan's:
+`generate_family` stops at 16), runs the direct scan of every column
+through the plans' executor (`mst._execute` of one `mst.Scan` step),
+and prints the CPU seconds (`time.process_time`), the ns per (T, S)
+pair and a sha256 prefix of the table's uint64 bytes.  Then it times
+`run_transform` of each plan in PLANS on the same family and prints its
+CPU seconds, their ratio to the scan's (above 1 is slower), its table's
+sha256 prefix and whether the digest equals the scan's.  Both timings
+run the one executor and include reading the table back as a list:
 
     python3 scripts/scan_times.py 14 16 17 18
     python3 scripts/scan_times.py 16 17 --chunk-entries 65536 131072
@@ -57,14 +57,14 @@ def seeded_family(n: int) -> ArrayFamily:
 
 
 def time_scan(fam: ArrayFamily) -> tuple[float, int, str]:
-    """(CPU seconds, pairs, sha256 hex of the table) of one scan of every column."""
+    """(CPU seconds, pairs, sha256 hex of the table) of one scan of every column,
+    run by the plans' executor as a one-step plan."""
     stats = PipelineStats()
+    plan = [mst.Scan(np.arange(1 << fam.n))]
     start = time.process_time()
-    sums = fam.form.sums(1 << fam.n)
-    mst._direct_scan(fam, np.arange(1 << fam.n), sums, stats)
-    table = sums.table()
+    table = mst._execute(fam, mst.GroundSplit.for_n(fam.n), plan, None, stats).values
     cpu = time.process_time() - start
-    return cpu, stats.pair_iterations, hashlib.sha256(table.tobytes()).hexdigest()
+    return cpu, stats.pair_iterations, _digest(table)
 
 
 def kernel_operands(m: int, r1: int, r2: int, c: int) -> tuple[np.ndarray, np.ndarray]:
@@ -91,7 +91,12 @@ def time_plan(fam: ArrayFamily, algo: str) -> tuple[float, str]:
     start = time.process_time()
     table = run_transform(algo, fam).values
     cpu = time.process_time() - start
-    return cpu, hashlib.sha256(np.array(table, dtype=np.uint64).tobytes()).hexdigest()
+    return cpu, _digest(table)
+
+
+def _digest(table: list) -> str:
+    """sha256 hex of a table's values as uint64 bytes."""
+    return hashlib.sha256(np.array(table, dtype=np.uint64).tobytes()).hexdigest()
 
 
 def main(argv=None) -> int:

@@ -46,17 +46,18 @@ checked against, and the control that no array kernel touches.
   supersets of its two halves, the blocks of (h, s, s) covering
   designs: wider blocks would pay only under a fast rectangular kernel.
 
-Every table the executor fills comes from one doubling loop
-(`_doubled`): a column's products over the supersets of a fixed set, or
-their masks, each one factor or bit away from a smaller one.  The
-bracket build works in one of two ways.  A `SupersetProduct`, every
-step of `cover`'s plan, needs only its rows' brackets: they come from a
-`BracketStore`, one table per part and size, all of a half's built in
-one pass on its first ask by doubling every column's root over the
-part's free bits, as the direct scan does over all free bits, and kept
-for the run.  The one product of `columns` and of `rows-columns`
-doubles over every subset of the half, per column chunk, and picks its
-rows.
+Each executor decision has one owner: the plan shapes its batches and
+the executor runs them unchecked, and `_chunks` alone groups columns
+by bit count.  Every table the executor fills comes from one doubling
+loop (`_doubled`): a column's products over the supersets of a fixed
+set, or their masks, each one factor or bit away from a smaller one.
+A `SupersetProduct`, every step of `cover`'s plan, needs only its
+rows' brackets: they come from a `BracketStore`, one table per part
+and size, all of a half's built in one pass on its first ask by
+doubling every column's root over the part's free bits, as the direct
+scan does over all free bits, and kept for the run.  The one product
+of `columns` and of `rows-columns` doubles over every subset of the
+half, per column chunk, and picks its rows.
 """
 
 from __future__ import annotations
@@ -236,39 +237,23 @@ def build_submatrix(fam, split: GroundSplit, part: int, rows, cols, store=None) 
     column labels the m blocks' columns concatenated, so that
     len(rows) * len(cols) counts the entries.
 
-    Given the run's `BracketStore`, the batch is a `SupersetProduct`'s:
-    each block has one column, all with s part-p bits, and as rows all
-    2^(h_p - s) part supersets of that column, ascending.  Their brackets
-    are rows of the store's table (p, s); the first ask on a half builds
-    all its tables, kept for the run.  A batch of another shape raises
-    ValueError; its rows' masks are not checked.  Without a store the
-    batch is one block (the one product of `columns` and of
-    `rows-columns`; ValueError otherwise): per column chunk (at most
-    CHUNK_ENTRIES table entries), the products of every subset of the
-    half come from doubling (`_doubled`: subset U + {b} is subset U times
-    f_b), the block's rows are picked, and the entries whose column has
-    half bits outside the row are zeroed.
+    The plan owns the batch's shape, and this build trusts it.  Given the
+    run's `BracketStore`, the batch is a `SupersetProduct`'s, and its
+    brackets are rows of the store's tables.  Without one it is the one
+    block of `columns`' or `rows-columns`' product: per column chunk (at
+    most CHUNK_ENTRIES table entries), the products of every subset of
+    the half come from doubling (`_doubled`: subset U + {b} is subset U
+    times f_b), the block's rows are picked, and the entries whose column
+    has half bits outside the row are zeroed.
     """
     import numpy as np
 
-    if part not in (1, 2):
-        raise ValueError("part must be 1 or 2")
-    part_mask = split.u1_mask if part == 1 else split.u2_mask
-    outside_part = rows[(rows & ~part_mask) != 0]
-    if outside_part.size:
-        raise ValueError(f"row mask {int(outside_part[0]):#x} is not within part {part}")
-    first_bit, h = (0, split.h1) if part == 1 else (split.h1, split.h2)
-    (m, r), c = rows.shape, cols.shape[1]
     if store is not None:
-        sizes = np.bitwise_count(cols[:, 0] & part_mask) if m and c == 1 else None
-        if sizes is None or (sizes != sizes[0]).any() or r != 1 << (h - int(sizes[0])):
-            raise ValueError("a store builds blocks of one column each, of one part size s, "
-                             "with 2^(h_p - s) rows")
         col = cols[:, 0]
-        return SubMatrix(rows.T, col, store.brackets(part, col, int(sizes[0]))[:, :, None])
-    if m != 1:
-        raise ValueError(f"a build without a store takes one block, not {m}")
-    form = fam.form
+        return SubMatrix(rows.T, col, store.brackets(part, col)[:, :, None])
+    part_mask = split.u1_mask if part == 1 else split.u2_mask
+    first_bit, h = (0, split.h1) if part == 1 else (split.h1, split.h2)
+    form, r, c = fam.form, rows.shape[1], cols.shape[1]
     local, col = rows[0] >> first_bit, cols[0]
     out = np.empty((1, r, c), dtype=form.dtype)
     width = max(1, CHUNK_ENTRIES >> h)
@@ -301,11 +286,15 @@ def _doubled(op, roots, factors):
 
 
 def _chunks(form, values, cols, bits: range):
-    """(c0, c1, roots, free) chunks of columns sorted by their count of
-    set bits in `bits`: columns c0..c1 share one count, roots holds each
-    one's prod over those bits b of f_b(S), and free (f, c1 - c0) its f
-    unset bits in `bits`, ascending.  A chunk holds at most CHUNK_ENTRIES
-    doubled entries (2^f per column), or one column.
+    """(chunk, at, roots, free) chunks of the columns, grouped by their
+    count of set bits in `bits`: the one place that groups them.
+
+    The columns come in any order and are stably sorted by that count.
+    A chunk holds columns of one count k; `at` is its first column's
+    position among all the columns with count k, roots holds each one's
+    prod over those bits b of f_b(S), and free (f, len(chunk)) its
+    f = len(bits) - k unset bits in `bits`, ascending.  A chunk holds at
+    most CHUNK_ENTRIES doubled entries (2^f per column), or one column.
 
     The roots are computed once, before chunking, lowest b first: step j
     multiplies in the j-th such bit of the suffix of columns with more
@@ -316,6 +305,8 @@ def _chunks(form, values, cols, bits: range):
     bit = np.arange(bits.start, bits.stop)
     rest = cols & (((1 << len(bits)) - 1) << bits.start)
     counts = np.bitwise_count(rest)
+    order = np.argsort(counts, kind="stable")
+    cols, rest, counts = cols[order], rest[order], counts[order]
     roots = np.full(len(cols), form.one, dtype=form.dtype)
     ends = np.searchsorted(counts, np.arange(len(bits) + 1), side="right").tolist()
     for at in ends[:int(counts.max(initial=0))]:
@@ -328,7 +319,7 @@ def _chunks(form, values, cols, bits: range):
             c1 = min(c0 + width, p1)
             unset = (cols[c0:c1, None] >> bit) & 1 == 0
             free = bit[np.nonzero(unset)[1]].reshape(c1 - c0, len(bits) - k).T
-            yield c0, c1, roots[c0:c1], free
+            yield cols[c0:c1], c0 - p0, roots[c0:c1], free
 
 
 class BracketStore:
@@ -339,12 +330,13 @@ class BracketStore:
     S's part bits, ascending: row rank_p[S] of a
     (C(h_p, s) 2^(n - h_p), 2^(h_p - s)) array, where rank_p[S] (one
     int32 per mask) counts the masks below S with as many part-p bits.
-    The first ask on a half builds all its tables in one pass over every
-    mask, stably sorted by part size (`_chunks`): each column's root,
-    prod over its s part bits i of f_i(S), doubled over the part's free
-    bits, 2^(h_p - s) - 1 multiplications after the root's s.  So
-    whatever the order of the asks, a run computes each of its
-    3^h1 2^h2 + 2^h1 3^h2 entries once.
+    The first ask on a half builds all its tables in one `_chunks` pass
+    over every mask, which groups them by part size and gives each
+    chunk's position in its group, its rank: each column's root, prod
+    over its s part bits i of f_i(S), doubled over the part's free bits,
+    2^(h_p - s) - 1 multiplications after the root's s.  So whatever the
+    order of the asks, a run computes each of its 3^h1 2^h2 + 2^h1 3^h2
+    entries once.
     """
 
     def __init__(self, fam, split: GroundSplit):
@@ -352,26 +344,25 @@ class BracketStore:
         self.tables: dict = {}
         self.ranks: dict = {}
 
-    def brackets(self, part: int, cols, s: int):
-        """(len(cols), 2^(h_p - s)) superset brackets of columns with s part-p bits."""
+    def brackets(self, part: int, cols):
+        """(len(cols), 2^(h_p - s)) superset brackets of columns that all
+        have s part-p bits, as a `SupersetProduct` batch's do: s is read
+        from cols[0]."""
         import numpy as np
 
+        split = self.split
+        bits = range(split.h1) if part == 1 else range(split.h1, split.n)
         if part not in self.ranks:
-            form, values, n = self.fam.form, self.fam.values, self.split.n
-            bits = range(self.split.h1) if part == 1 else range(self.split.h1, n)
-            h = len(bits)
+            form, values, n, h = self.fam.form, self.fam.values, split.n, len(bits)
             for size in range(h + 1):
                 shape = (math.comb(h, size) << (n - h), 1 << (h - size))
                 self.tables[part, size] = np.empty(shape, dtype=form.dtype)
-            sizes = np.bitwise_count(np.arange(1 << n) & (((1 << h) - 1) << bits.start))
-            order = np.argsort(sizes, kind="stable")
-            starts = np.searchsorted(sizes[order], np.arange(h + 2))
             rank = self.ranks[part] = np.empty(1 << n, dtype=np.int32)
-            rank[order] = np.arange(1 << n) - starts[sizes[order]]
-            for c0, c1, roots, free in _chunks(form, values, order, bits):
-                size = h - len(free)
-                table = _doubled(form.mul, roots, values[free, order[c0:c1]])
-                self.tables[part, size][c0 - starts[size]:c1 - starts[size]] = table.T
+            for chunk, at, roots, free in _chunks(form, values, np.arange(1 << n), bits):
+                rank[chunk] = np.arange(at, at + len(chunk))
+                table = _doubled(form.mul, roots, values[free, chunk])
+                self.tables[part, h - len(free)][at:at + len(chunk)] = table.T
+        s = (int(cols[0]) & (split.u1_mask if part == 1 else split.u2_mask)).bit_count()
         return self.tables[part, s][self.ranks[part][cols]]
 
 
@@ -404,12 +395,12 @@ def _direct_scan(fam, cols, sums, stats: PipelineStats | None, skip: Product | N
 
     cols is a 1-D int64 array.  When `skip` is given, a one-block
     `Product`, a T among its cells T1 | T2 is left out (that product
-    covers it), and so is a column that is such a T itself.  The columns
-    run sorted by popcount, in chunks of one popcount (`_chunks`).  A
-    chunk fills a product table and a matching mask table by doubling
-    each column's root, prod over i in S of f_i(S), and S itself over the
-    column's free bits (`_doubled`).  Cut entries are computed, then
-    dropped by one mask before the chunk's terms go into `sums`.
+    covers it), and so is a column that is such a T itself.  `_chunks`
+    groups the columns by popcount; each chunk fills a product table and
+    a matching mask table by doubling each column's root, prod over i in
+    S of f_i(S), and S itself over the column's free bits (`_doubled`).
+    Cut entries are computed, then dropped by one mask before the chunk's
+    terms go into `sums`.
     """
     import numpy as np
 
@@ -419,10 +410,8 @@ def _direct_scan(fam, cols, sums, stats: PipelineStats | None, skip: Product | N
         cut = np.zeros(1 << n, dtype=bool)
         cut[skip.rows1[0, :, None] | skip.rows2[0]] = True
         cols = cols[~cut[cols]]
-    cols = cols[np.argsort(np.bitwise_count(cols), kind="stable")]
     pairs = 0
-    for c0, c1, roots, free in _chunks(form, values, cols, range(n)):
-        s = cols[c0:c1]
+    for s, _, roots, free in _chunks(form, values, cols, range(n)):
         prods = _doubled(form.mul, roots, values[free, s])
         masks = _doubled(np.bitwise_or, s, 1 << free)
         if cut is not None:

@@ -310,24 +310,6 @@ def test_chunked_bracket_matches_the_object_form(modp, monkeypatch):
             assert got.entries.tolist() == want[part].entries.tolist()
 
 
-def test_bracket_build_without_a_store_takes_one_block(modp):
-    split = GroundSplit.for_n(7)
-    uint64 = ArrayFamily.of(random_family(modp, 7, seed=5))
-    with pytest.raises(ValueError):
-        build_submatrix(uint64, split, 1, masks([[0, 3], [7, 1]]), masks([[1], [3]]))
-    with pytest.raises(ValueError):
-        build_submatrix(uint64, split, 1, masks(np.zeros((0, 2))), masks(np.zeros((0, 1))))
-
-
-def test_bracket_rows_outside_the_part_are_rejected(modp):
-    split = GroundSplit.for_n(7)
-    uint64 = ArrayFamily.of(random_family(modp, 7, seed=5))
-    with pytest.raises(ValueError):
-        build_submatrix(uint64, split, 1, masks([[1, 0b10000000]]), masks([[0]]))
-    with pytest.raises(ValueError):
-        build_submatrix(uint64, split, 2, masks([[0b0001]]), masks([[0]]))
-
-
 def _both_forms(algo, n, seed, sigma=None, tau=None):
     """(table, stats) on the uint64 form and on the object form (CountingRing)."""
     out = []
@@ -361,10 +343,10 @@ def test_chunk_sizes_and_folds_do_not_change_the_table(monkeypatch):
     def recording(form, values, cols, bits):
         scans.append([])
         mask = sum(1 << b for b in bits)
-        for c0, c1, roots, free in chunks_of(form, values, cols, bits):
-            counts = set(np.bitwise_count(cols[c0:c1] & mask).tolist())
-            scans[-1].append((counts, c1 - c0, (c1 - c0) << len(free)))
-            yield c0, c1, roots, free
+        for chunk, at, roots, free in chunks_of(form, values, cols, bits):
+            counts = set(np.bitwise_count(chunk & mask).tolist())
+            scans[-1].append((counts, len(chunk), len(chunk) << len(free)))
+            yield chunk, at, roots, free
 
     monkeypatch.setattr(mst, "_chunks", recording)
     monkeypatch.setattr(m61, "KERNEL_CHUNK_COLUMNS", 7)

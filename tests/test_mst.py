@@ -178,6 +178,14 @@ def test_column_split_and_scan_cut_match_their_loops():
                 ]
         scan, product, _ = mst._plan("rows-columns", split, ROWS_COLUMNS_SIGMA, ROWS_COLUMNS_TAU)
         assert scan.skip is product
+        # the dense build trusts these shapes: one plain block, rows in their halves
+        for plan in (mst._plan("columns", split, COLUMNS_SIGMA, None), (product,)):
+            for step in plan:
+                if isinstance(step, Product):
+                    assert type(step) is Product
+                    assert [a.shape[0] for a in (step.rows1, step.cols, step.rows2)] == [1, 1, 1]
+                    assert not (step.rows1 & ~split.u1_mask).any()
+                    assert not (step.rows2 & ~split.u2_mask).any()
 
 
 def test_bracket_matrix_semantics(modp):
@@ -205,17 +213,6 @@ def test_bracket_matrix_semantics(modp):
         if not ((s & split.u1_mask) & ~t1)
     )
     assert nonzero_slots == 3**split.h1 * 2**split.h2
-
-
-def test_bracket_row_outside_part_rejected(modp):
-    fam = ArrayFamily.of(random_family(modp, 4, seed=9))
-    split = GroundSplit.for_n(4)
-    with pytest.raises(ValueError):
-        build_submatrix(fam, split, 1, masks([[0b1000]]), masks([[0]]))
-    with pytest.raises(ValueError):
-        build_submatrix(fam, split, 2, masks([[0b0001]]), masks([[0]]))
-    with pytest.raises(ValueError):
-        build_submatrix(fam, split, 3, masks([[0]]), masks([[0]]))
 
 
 def _run_plan(fam, plan):
@@ -446,25 +443,6 @@ def test_store_brackets_equal_the_dense_doubling(n):
         assert store.tables
 
 
-def test_store_build_rejects_blocks_that_are_not_one_column_and_its_supersets(modp):
-    split = GroundSplit.for_n(6)  # halves of 3 bits
-    fam = ArrayFamily.of(random_family(modp, 6, seed=6))
-    store = BracketStore(fam, split)
-    rows = masks([[0b010, 0b011, 0b110, 0b111]])
-    assert build_submatrix(fam, split, 1, rows, masks([[0b010]]), store).entries.shape == (1, 4, 1)
-    bad = [(rows, masks([[0b010, 0b010]])),  # two columns per block
-           (rows[:, :3], masks([[0b010]])),  # a row count other than 2^(3 - 1)
-           (masks([[0b010, 0b011, 0b110, 0b111], [0b011, 0b111, 0b111, 0b111]]),
-            masks([[0b010], [0b011]])),  # two part sizes
-           (np.zeros((0, 4), dtype=np.int64), np.zeros((0, 1), dtype=np.int64))]  # no block
-    for bad_rows, bad_cols in bad:
-        with pytest.raises(ValueError):
-            build_submatrix(fam, split, 1, bad_rows, bad_cols, store)
-    # part 2: a whole-half column is its one superset
-    whole = masks([[0b111000]])
-    assert build_submatrix(fam, split, 2, whole, whole, store).entries.shape == (1, 1, 1)
-
-
 def test_the_store_builds_each_table_once_in_any_order(monkeypatch):
     # one chunked pass per half over every column builds all of its
     # tables, whether the plan's steps come s1-major or shuffled
@@ -475,7 +453,7 @@ def test_the_store_builds_each_table_once_in_any_order(monkeypatch):
     chunks = mst._chunks
 
     def counting(form, values, cols, bits):
-        passes.append((sorted(cols.tolist()), bits))
+        passes.append((cols.tolist(), bits))
         return chunks(form, values, cols, bits)
 
     monkeypatch.setattr(mst, "_chunks", counting)

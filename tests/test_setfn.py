@@ -132,12 +132,26 @@ def test_uint64_butterflies_match_the_object_form(modp):
 
 
 def test_subset_convolution_matches_naive(modp):
-    for n in range(0, 7):
-        f = random_setfn(modp, n, seed=2 * n)
-        g = random_setfn(modp, n, seed=2 * n + 1)
-        fast = subset_convolution(f, g)
-        slow = subset_convolution_naive(f, g)
-        assert values_equal(modp, fast.values, slow.values)
+    for ring in (modp, make_ring("modp", 101)):
+        for n in range(10):
+            f = random_setfn(ring, n, seed=2 * n)
+            g = random_setfn(ring, n, seed=2 * n + 1)
+            fast = subset_convolution(f, g)
+            slow = subset_convolution_naive(f, g)
+            assert values_equal(ring, fast.values, slow.values)
+
+
+def test_subset_convolution_counts(modp):
+    # 2(n + 1) ranked zetas and n + 1 Moebius inversions of n 2^(n-1) adds
+    # each, and a mul and an add per (r, k - r) pair and mask
+    for n in range(10):
+        counter = OpCounter()
+        ring = CountingRing(modp, counter)
+        f, g = random_setfn(ring, n, seed=2 * n), random_setfn(ring, n, seed=2 * n + 1)
+        subset_convolution(f, g)
+        pairs = (n + 1) * (n + 2) // 2 * 2**n
+        assert counter.muls == pairs
+        assert counter.adds == 3 * (n + 1) * n * 2**n // 2 + pairs
 
 
 def test_subset_convolution_identity(modp):
